@@ -38,7 +38,7 @@ def _tune_all():
                     res.full_history,
                 )
             )
-        ex = exhaustive_tune(cp, datasets, K40, max_configs=10**7)
+        ex = exhaustive_tune(cp, datasets, K40)
         out.append(
             (
                 name,

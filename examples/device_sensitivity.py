@@ -22,9 +22,7 @@ def investigate(name, prog, datasets):
     print(f"== {name} ({len(cp.registry)} thresholds) ==")
     paths = {}
     for device in (K40, VEGA64):
-        th = exhaustive_tune(
-            cp, datasets, device, max_configs=10**7
-        ).best_thresholds
+        th = exhaustive_tune(cp, datasets, device).best_thresholds
         for sizes in datasets:
             sig = path_signature(cp.body, sizes, th, device=device)
             paths[(device.name, tuple(sorted(sizes.items())))] = sig

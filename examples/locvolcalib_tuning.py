@@ -44,7 +44,7 @@ def main() -> None:
         # the stochastic tuner (paper default) and the tree-aware
         # exhaustive tuner (the paper's suggested improvement)
         stoch = Autotuner(cp, datasets, device, seed=0).tune(max_proposals=300)
-        exact = exhaustive_tune(cp, datasets, device, max_configs=10**6)
+        exact = exhaustive_tune(cp, datasets, device)
         th = exact.best_thresholds
         print(f"== {device.name} ==")
         print(

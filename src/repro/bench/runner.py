@@ -118,7 +118,7 @@ def fig7_rows(devices: tuple[DeviceSpec, ...] = (K40, VEGA64)) -> list[Fig7Row]:
     rows = []
     for device in devices:
         datasets = [locvolcalib_sizes(n) for n in ("small", "medium", "large")]
-        th = exhaustive_tune(cp, datasets, device, max_configs=10**6).best_thresholds
+        th = exhaustive_tune(cp, datasets, device).best_thresholds
         for name in ("small", "medium", "large"):
             sizes = locvolcalib_sizes(name)
             rows.append(
@@ -271,9 +271,7 @@ def fig8_rows(
                 for s in eval_sizes.values()
             ]
         for device in devices:
-            th = exhaustive_tune(
-                cp, tune_sizes, device, max_configs=10**7
-            ).best_thresholds
+            th = exhaustive_tune(cp, tune_sizes, device).best_thresholds
             for ds in ("D1", "D2"):
                 sizes = eval_sizes[ds]
                 ref_time = None

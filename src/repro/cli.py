@@ -326,7 +326,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_tune(args) -> int:
     from repro.compiler import compile_program
-    from repro.tuning import Autotuner, exhaustive_tune
+    from repro.tuning import Autotuner, TooManySignatures, exhaustive_tune
     from repro.tuning import persist
 
     prog = _resolve_program(args.program)
@@ -348,7 +348,10 @@ def cmd_tune(args) -> int:
     device = _devices()[args.device]
     cp = compile_program(prog, "incremental", fusion=_fusion(args))
     if args.technique == "exhaustive":
-        res = exhaustive_tune(cp, datasets, device)
+        try:
+            res = exhaustive_tune(cp, datasets, device)
+        except TooManySignatures as exc:
+            raise UserError(str(exc)) from None
         ckpt = None
     else:
         # crash-safe search: checkpoint beside the output file (atomic

@@ -125,8 +125,10 @@ class _KCtx:
     local_used: int = 0  # local-memory bytes allocated so far
     #: cooperative work beyond the serial critical path (total − serial)
     extra: Chain = field(default_factory=Chain)
-    #: arrays already Index-read in this kernel body (stencil L2 locality)
-    read_arrays: set = field(default_factory=set)
+    #: arrays already Index-read in this kernel body (stencil L2 locality);
+    #: held and compared by identity, because a bare ``id`` of a freed
+    #: array can be reused by a new one
+    read_arrays: list = field(default_factory=list)
 
 
 def roofline_time(
@@ -880,12 +882,14 @@ class Simulator:
             if len(e.idxs) == len(arr.shape):
                 # repeated reads of the same array within one body are
                 # overlapping stencil accesses: neighbours hit the L2 cache
-                if id(arr) in kctx.read_arrays and arr.space == "global":
+                seen = any(a is arr for a in kctx.read_arrays)
+                if seen and arr.space == "global":
                     chain.gbytes += arr.enbytes * 0.25
                     chain.gacc += 0.25
                 else:
                     self._charge_read(arr, chain)
-                    kctx.read_arrays.add(id(arr))
+                    if not seen:
+                        kctx.read_arrays.append(arr)
                 return (AScal(arr.enbytes, None, arr.varies),)
             return (
                 AArr(arr.shape[len(e.idxs):], arr.enbytes, arr.space, arr.varies),

@@ -1,7 +1,7 @@
 """Threshold autotuning (paper §4.2): parameters, search, path caching,
 and online adaptation under live traffic (``docs/online-tuning.md``)."""
 
-from repro.tuning.exhaustive import candidate_values, exhaustive_tune
+from repro.tuning.exhaustive import TooManySignatures, candidate_values, exhaustive_tune
 from repro.tuning.online import OnlineDecision, OnlineTuner
 from repro.tuning.params import LogIntegerParameter, ParameterSpace
 from repro.tuning.persist import (
@@ -19,7 +19,12 @@ from repro.tuning.persist import (
 )
 from repro.tuning.search import AUCBandit, HillClimb, RandomSearch, make_technique
 from repro.tuning.shapes import describe_class, log_bucket, shape_class, shape_key
-from repro.tuning.tree import SignatureEngine, path_signature, thresholds_in
+from repro.tuning.tree import (
+    SignatureEngine,
+    path_signature,
+    signature_boxes,
+    thresholds_in,
+)
 from repro.tuning.tuner import Autotuner, TuningResult
 
 __all__ = [
@@ -33,7 +38,9 @@ __all__ = [
     "make_technique",
     "SignatureEngine",
     "path_signature",
+    "signature_boxes",
     "thresholds_in",
+    "TooManySignatures",
     "candidate_values",
     "exhaustive_tune",
     "OnlineTuner",

@@ -2,24 +2,53 @@
 
 The paper notes (§4.2) that the stochastic tuner can take long to find the
 optimum and suggests "us[ing] the structure of the branching tree to avoid
-redundant parameter settings entirely".  This module implements that idea:
-for each threshold the only decision boundaries are the distinct values its
-``Par`` expression takes across the training datasets, so the candidate set
-per threshold is tiny ({always-true} ∪ {just-above-each-par-value}), and
-configurations are deduplicated by their joint path signature before any
-simulation happens.
+redundant parameter settings entirely".  This module implements that idea.
+
+*Candidates.*  For each threshold the only decision boundaries are the
+distinct values its ``Par`` expression takes across the training datasets,
+so its candidate list is tiny: {always-true} ∪ {a midpoint between adjacent
+Par values} ∪ {never-true}.  A configuration picks one candidate per
+threshold; the search space is the Cartesian product of the lists.
+
+*What is enumerated.*  Not that product: most of its configurations select
+the same execution path on every dataset.  :func:`~repro.tuning.tree.
+signature_boxes` walks the per-dataset decision trees once and yields each
+distinct *joint path signature* (one path per dataset) exactly once, as the
+box of candidate-index intervals whose configurations produce it.  Only one
+configuration per box is measured.
+
+*Why the result equals a product-order scan.*  A plain scan of the product
+in ``itertools.product`` order, measuring each joint signature the first
+time it appears, meets a box first at its lowest corner (every interval at
+its lower end): that corner is the box's lexicographically smallest index
+tuple.  Measuring the lowest corners sorted by their rank in product order
+therefore makes the same ``measure`` calls in the same order, so every
+field of the :class:`TuningResult` — best configuration and cost,
+simulation and cache-hit counts, the improving ``history`` with its
+proposal numbers, and ``full_history`` — is identical to the scan's.
+``proposals`` still counts the configurations covered, i.e. the size of
+the product.
+
+*The cap.*  ``max_configs`` bounds the number of distinct signatures (boxes)
+— the work actually done, since each costs one measurement — not the size
+of the product, which costs nothing.  The walk stops and raises as soon as
+it passes the cap.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Mapping, Sequence
 
 from repro.compiler import CompiledProgram
 from repro.gpu.device import DeviceSpec
+from repro.tuning.tree import signature_boxes
 from repro.tuning.tuner import Autotuner, CostFn, TuningResult, sum_cost
 
-__all__ = ["exhaustive_tune", "candidate_values"]
+__all__ = ["exhaustive_tune", "candidate_values", "TooManySignatures"]
+
+
+class TooManySignatures(ValueError):
+    """The exhaustive search found more distinct signatures than its cap."""
 
 
 def candidate_values(
@@ -54,47 +83,48 @@ def exhaustive_tune(
     cost_fn: CostFn = sum_cost,
     max_configs: int = 200_000,
 ) -> TuningResult:
-    """Enumerate all behaviourally distinct threshold assignments."""
+    """Measure one configuration per behaviourally distinct assignment.
+
+    Raises :class:`TooManySignatures` when the candidates produce more than
+    ``max_configs`` distinct joint path signatures.
+    """
     tuner = Autotuner(compiled, datasets, device, cost_fn=cost_fn)
     cands = candidate_values(compiled, datasets)
     names = list(cands)
+    # product-order rank of an index tuple: mixed radix, last name fastest
+    weights: dict[str, int] = {}
     total = 1
-    for name in names:
-        total *= len(cands[name])
-    if total > max_configs:
-        raise ValueError(
-            f"{total} candidate configurations exceed the cap {max_configs}; "
-            f"use the stochastic tuner instead"
-        )
+    for n in reversed(names):
+        weights[n] = total
+        total *= len(cands[n])
+
+    corners: list[tuple[int, dict[str, int]]] = []
+    for box in signature_boxes(tuner._engines, cands):
+        if len(corners) == max_configs:
+            raise TooManySignatures(
+                f"more than {max_configs} distinct path signatures; "
+                f"use the stochastic tuner instead"
+            )
+        rank = sum(lo * weights[n] for n, (lo, _hi) in box.items())
+        corners.append((rank, {n: cands[n][box[n][0]] for n in names}))
+    corners.sort(key=lambda c: c[0])
 
     best_cfg: dict[str, int] | None = None
     best_cost = float("inf")
-    proposals = 0
-    seen: set[tuple] = set()
     history: list[tuple[int, float]] = []
     full_history: list[tuple[dict[str, int], float]] = []
-    for combo in itertools.product(*(cands[n] for n in names)):
-        cfg = dict(zip(names, combo))
-        proposals += 1
-        # signatures come from the tuner's per-dataset decision trees (and
-        # config→signature memo), not a fresh AST walk per configuration
-        joint = tuple(
-            tuner._signature(i, cfg) for i in range(len(tuner.datasets))
-        )
-        if joint in seen:
-            continue
-        seen.add(joint)
+    for rank, cfg in corners:
         cost = tuner.measure(cfg)
         full_history.append((dict(cfg), cost))
         if cost < best_cost:
             best_cfg, best_cost = cfg, cost
-            history.append((proposals, cost))
+            history.append((rank + 1, cost))
 
     assert best_cfg is not None
     return TuningResult(
         best_thresholds=best_cfg,
         best_cost=best_cost,
-        proposals=proposals,
+        proposals=total,
         simulations=tuner.simulations,
         cache_hits=tuner.cache_hits,
         history=history,

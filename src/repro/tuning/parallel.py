@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as _FutTimeout
 from concurrent.futures.process import BrokenProcessPool
 from typing import Sequence
@@ -79,12 +80,17 @@ def _watch_parent(ppid: int) -> None:
 def _init_worker(
     compiled, datasets, device, seed: int, noise: float, plan=None,
     codegen_cache: str | None = None, parent_pid: int | None = None,
+    spawned=None,
 ) -> None:
     global _WORKER
     from repro.tuning.tuner import Autotuner
 
     if parent_pid is not None:
         _watch_parent(parent_pid)
+    if spawned is not None:
+        # no worker may crash before the coordinator has spawned the whole
+        # pool (see BatchExecutor._spawn_pool)
+        spawned.wait()
 
     if codegen_cache is not None:
         # pin the coordinator's resolved kernel-cache directory so every
@@ -181,17 +187,32 @@ class BatchExecutor:
         # the pool broken, hanging evaluate() forever on a pending future;
         # spawned workers start from a fresh interpreter and carry no
         # inherited lock state, so crash detection is reliable
+        ctx = multiprocessing.get_context("spawn")
+        spawned = ctx.Event()
         pool = ProcessPoolExecutor(
             max_workers=self.workers,
-            mp_context=multiprocessing.get_context("spawn"),
+            mp_context=ctx,
             initializer=_init_worker,
             initargs=self._initargs
-            + (self._plan, self._codegen_cache, os.getpid()),
+            + (self._plan, self._codegen_cache, os.getpid(), spawned),
         )
-        # fail fast: surface a worker that dies (or hangs) while starting
-        # up as a clear error instead of hanging the first evaluate()
+        # Spawn every worker now, not lazily inside a later submit(): when
+        # a worker dies, the pool's management thread closes the call
+        # queue without the lock submit() holds, so a sibling being spawned
+        # at that moment pickles a closed (or reused) pipe and submit()
+        # fails with "handle is closed" or "bad value(s) in fds_to_keep".
+        # One startup probe per worker spawns each, because no probe can
+        # finish — and free a worker — before ``spawned`` is set.
+        # Fail fast: a worker that dies (or hangs) while starting up is a
+        # clear error instead of a hang in the first evaluate().
         try:
-            pool.submit(_ping).result(timeout=self.startup_timeout_s)
+            try:
+                probes = [pool.submit(_ping) for _ in range(self.workers)]
+            finally:
+                spawned.set()
+            deadline = time.monotonic() + self.startup_timeout_s
+            for probe in probes:
+                probe.result(timeout=max(0.0, deadline - time.monotonic()))
         except BrokenProcessPool:
             pool.shutdown(wait=False, cancel_futures=True)
             raise RuntimeError(

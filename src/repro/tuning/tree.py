@@ -10,7 +10,8 @@ without re-running the program.
 
 from __future__ import annotations
 
-from typing import Mapping
+import bisect
+from typing import Iterator, Mapping, Sequence
 
 from repro import perf
 from repro.interp.evaluator import DEFAULT_THRESHOLD
@@ -18,7 +19,7 @@ from repro.ir import source as S
 from repro.ir import target as T
 from repro.ir.traverse import _spec
 
-__all__ = ["path_signature", "thresholds_in", "SignatureEngine"]
+__all__ = ["path_signature", "thresholds_in", "SignatureEngine", "signature_boxes"]
 
 
 def thresholds_in(e: S.Exp) -> list[str]:
@@ -176,3 +177,71 @@ class SignatureEngine:
         go(self._tree)
         perf.inc("signature.eval_nodes", len(sig))
         return tuple(sig)
+
+
+Box = dict[str, tuple[int, int]]
+
+
+def signature_boxes(
+    engines: Sequence[SignatureEngine],
+    candidates: Mapping[str, Sequence[int]],
+) -> Iterator[Box]:
+    """Every distinct joint path signature of ``engines``, once each.
+
+    A configuration picks, for every threshold name in ``candidates``, one
+    index into its ascending candidate list.  The joint signature (the
+    per-engine signatures side by side) is constant on *boxes* — products
+    of one inclusive index interval ``(lo, hi)`` per threshold — and each
+    box yielded here holds exactly the configurations sharing one joint
+    signature; together they partition the product of the candidate lists.
+
+    The walk is depth-first over the engines' decision trees in order,
+    starting from full intervals.  A guard whose threshold has candidates
+    splits its interval at the first candidate above the guard's ``Par``
+    value: the lower part takes the guard, the upper part does not, and an
+    empty part is pruned.  A threshold used by several guards intersects
+    their constraints.  A blocked guard (the §4.1 local-memory fallback)
+    is never taken and constrains nothing, and a guard without a candidate
+    list compares against ``DEFAULT_THRESHOLD`` — both as in
+    :meth:`SignatureEngine.signature`.  The pending-work stack is explicit,
+    so the number of engines is not bounded by Python's recursion limit.
+    """
+    # pending guards as a linked list: (nodes, position, rest) | None
+    pending = None
+    for engine in reversed(engines):
+        if engine._tree:
+            pending = (engine._tree, 0, pending)
+    start: Box = {name: (0, len(c) - 1) for name, c in candidates.items()}
+    stack = [(pending, start)]
+    steps = 0
+    try:
+        while stack:
+            pending, box = stack.pop()
+            while pending is not None:
+                steps += 1
+                nodes, pos, rest = pending
+                name, par, blocked, then_nodes, else_nodes = nodes[pos]
+                if pos + 1 < len(nodes):
+                    rest = (nodes, pos + 1, rest)
+                span = box.get(name)
+                if blocked or span is None:
+                    taken = not blocked and par >= DEFAULT_THRESHOLD
+                else:
+                    lo, hi = span
+                    # candidates below index k are <= par: they take the guard
+                    k = bisect.bisect_right(candidates[name], par)
+                    taken = k > hi
+                    if lo < k <= hi:
+                        # both sides non-empty: defer the taken side and
+                        # continue on the untaken one
+                        other = dict(box)
+                        other[name] = (lo, k - 1)
+                        stack.append(
+                            ((then_nodes, 0, rest) if then_nodes else rest, other)
+                        )
+                        box[name] = (k, hi)
+                branch = then_nodes if taken else else_nodes
+                pending = (branch, 0, rest) if branch else rest
+            yield box
+    finally:
+        perf.inc("signature.walk_nodes", steps)

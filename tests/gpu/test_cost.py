@@ -261,6 +261,25 @@ class TestAllocationTracking:
         assert rep.alloc_bytes < 1024
 
 
+class TestArrayIdentity:
+    """Stencil L2 re-reads are recognised by array identity, never by a
+    bare ``id``: a new array that lands at a freed array's address must
+    not be priced as a cached re-read."""
+
+    @pytest.mark.parametrize("name", ["OptionPricing", "Pathfinder"])
+    def test_colliding_ids_do_not_change_cost(self, name, monkeypatch):
+        import repro.gpu.cost as cost
+        from repro.bench.datasets import table1_sizes
+        from repro.bench.runner import BULK_BENCHMARKS
+
+        cp = compile_program(BULK_BENCHMARKS[name].program(), "incremental")
+        sizes = table1_sizes(name, "D1")
+        want = cp.simulate(sizes, K40, cache=False).time
+        # every object "has" the same id: the worst case of address reuse
+        monkeypatch.setattr(cost, "id", lambda _obj: 0, raising=False)
+        assert cp.simulate(sizes, K40, cache=False).time == want
+
+
 class TestAbstractResultShapes:
     """The simulator's abstract results agree with real execution shapes —
     cross-validation of the whole abstract interpreter."""

@@ -201,6 +201,22 @@ class TestTune:
         assert code == 0
         assert "best thresholds" in out
 
+    def test_exhaustive_over_cap_exits_2(self, capsys, monkeypatch):
+        """The cap's refusal is a one-line user error, not a traceback."""
+        import repro.tuning
+
+        real = repro.tuning.exhaustive_tune
+        monkeypatch.setattr(
+            repro.tuning, "exhaustive_tune",
+            lambda *a, **kw: real(*a, max_configs=2, **kw),
+        )
+        code = main(["tune", "matmul", "--technique", "exhaustive",
+                     "--dataset", "n=4,m=65536", "--dataset", "n=1024,m=32"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:") and "2 distinct" in err
+        assert err.count("\n") == 1
+
     def test_stochastic(self, capsys):
         code, out = run(
             capsys, "tune", "matmul",

@@ -206,6 +206,39 @@ class TestCrashRecovery:
             )
         _assert_same(serial, crashed)
 
+    def test_crash_while_a_sibling_spawns_recovers(
+        self, matmul_if, train, monkeypatch
+    ):
+        # the pool's management thread closes the call queue when a worker
+        # dies; a sibling spawned lazily at that moment would pickle the
+        # closed pipe ("handle is closed"), so every worker must be spawned
+        # before any can crash
+        import time
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro import faults
+        from repro.faults import FaultPlan, FaultRule
+
+        spawn = getattr(ProcessPoolExecutor, "_spawn_process", None)
+        if spawn is None:
+            pytest.skip("this Python spawns pool workers inline")
+
+        def slow_spawn(self):
+            time.sleep(0.2)  # room for a busy sibling's crash to land
+            return spawn(self)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process", slow_spawn)
+        serial = _tune(matmul_if, train, seed=2, batch_size=4, n=12)
+        plan = FaultPlan(seed=1, rules=(
+            FaultRule(site="worker.eval", kind="worker_crash", at=(0,),
+                      max_fires=1),
+        ))
+        with faults.injected(plan):
+            crashed = _tune(
+                matmul_if, train, seed=2, workers=2, batch_size=4, n=12
+            )
+        _assert_same(serial, crashed)
+
     def test_unbounded_crash_plan_gives_up_with_clear_error(
         self, matmul_if, train
     ):

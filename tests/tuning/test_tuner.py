@@ -93,8 +93,8 @@ class TestTuningQuality:
         """§5.1: parameters optimal for one device are not for the other."""
         cp = compile_program(locvolcalib_program(), "incremental")
         datasets = [locvolcalib_sizes(n) for n in ("small", "medium", "large")]
-        th_k40 = exhaustive_tune(cp, datasets, K40, max_configs=10**6)
-        th_vega = exhaustive_tune(cp, datasets, VEGA64, max_configs=10**6)
+        th_k40 = exhaustive_tune(cp, datasets, K40)
+        th_vega = exhaustive_tune(cp, datasets, VEGA64)
         sig_k40 = [
             path_signature(cp.body, s, th_k40.best_thresholds, device=K40)
             for s in datasets

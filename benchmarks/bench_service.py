@@ -3,8 +3,8 @@
 A real ``repro serve`` daemon (subprocess, Unix socket) takes a
 three-tenant workload: two *unique* tune jobs (cold — the daemon must run
 the full search) followed by eight *duplicates* submitted by the other
-tenants with result-neutral knob variations (``workers`` differs, which
-the content fingerprint ignores).  Every duplicate must come back as an
+tenants with result-neutral knob variations (``checkpoint_every``
+differs, which the content fingerprint ignores).  Every duplicate must come back as an
 artifact-store hit with **zero** proposal evaluations, and the warm
 (duplicate) job latency must beat the cold latency by at least
 ``FLOOR``x.
@@ -15,8 +15,8 @@ artifact afterwards (``repro fetch``) costs the same whether the job was
 cached or tuned.
 
 The chaos leg then replays unique job A against a daemon whose fault
-plan crashes one pool worker *and* ``kill -9``'s the daemon itself
-mid-search (exit 137); a restarted daemon recovers the job from its
+plan fails one simulated kernel launch (healed by the tuner's retry)
+*and* ``kill -9``'s the daemon itself mid-search (exit 137); a restarted daemon recovers the job from its
 spool checkpoint, and the fetched artifact must be **byte-identical** to
 the fault-free daemon's.
 
@@ -49,10 +49,11 @@ FLOOR = 50.0  # warm-over-cold speedup floor (full run)
 FLOOR_SMOKE = 10.0
 TENANTS = ("alice", "bob", "carol")
 
-# the daemon kill lands on an early batch (invocation 6), after the
-# first checkpoints exist but long before the search finishes
+# one transient launch failure the tuner must retry, then the daemon kill
+# on an early batch (invocation 6), after the first checkpoints exist but
+# long before the search finishes
 CHAOS_PLAN = {"rules": [
-    {"site": "worker.eval", "kind": "worker_crash", "p": 0.5, "max_fires": 1},
+    {"site": "sim.kernel", "kind": "launch", "p": 0.5, "max_fires": 1},
     {"site": "tuner.batch", "kind": "process_kill", "at": [6]},
 ]}
 
@@ -139,15 +140,14 @@ def _fetch_artifact(client: ServiceClient, job_id: str, wait: float) -> str:
 
 
 def _chaos_leg(tmp: str, job: dict, baseline: str) -> dict:
-    """Kill a worker and the daemon mid-job; a restart must reproduce
+    """Fail a launch and kill the daemon mid-job; a restart must reproduce
     ``baseline`` (the fault-free artifact text) byte for byte."""
     sock = os.path.join(tmp, "chaos.sock")
     spool = os.path.join(tmp, "chaos-spool")
     log = os.path.join(tmp, "chaos.log")
-    chaos_job = dict(job, workers=2)  # >= 2 so worker_crash has a target
 
     proc, client = _serve(spool, sock, log, faults=CHAOS_PLAN)
-    reply = client.submit(chaos_job, tenant=TENANTS[0])
+    reply = client.submit(job, tenant=TENANTS[0])
     exit_code = proc.wait(timeout=300)
     assert exit_code == 137, (
         f"expected the injected kill (137), daemon exited {exit_code}:\n"
@@ -183,11 +183,11 @@ def run() -> dict:
         for row in cold:
             assert not row["cached"], f"cold job served from cache: {row}"
 
-        # eight duplicates from the other two tenants; `workers` varies,
-        # which the fingerprint ignores, so every one must hit
+        # eight duplicates from the other two tenants; `checkpoint_every`
+        # varies, which the fingerprint ignores, so every one must hit
         warm = []
         for i in range(8):
-            dup = dict(uniques[i % 2], workers=1 + i % 3)
+            dup = dict(uniques[i % 2], checkpoint_every=5 + i % 3)
             warm.append(_timed_submit(client, dup, TENANTS[1 + i % 2]))
         for row in warm:
             assert row["cached"], f"duplicate missed the store: {row}"

@@ -4,19 +4,16 @@ The robustness guarantee (``docs/robustness.md``) is that under any
 *recoverable* seeded fault schedule — every transient rule carries a
 ``max_fires`` budget and the plan's retry budget exceeds the schedule's
 total (:meth:`FaultPlan.max_total_fires`) — the runtime heals itself
-completely: retries re-run the lost work, crashed workers are respawned
-and their chunks re-dispatched, and a killed tuning run resumed from its
-checkpoint replays to the same state.  Because every recovery re-computes
-a value that is a deterministic function of its inputs, the *observable
-results are bit-identical to a fault-free run*.
+completely: retries re-run the lost work, and a killed tuning run resumed
+from its checkpoint replays to the same state.  Because every recovery
+re-computes a value that is a deterministic function of its inputs, the
+*observable results are bit-identical to a fault-free run*.
 
-:func:`chaos_tune_check` asserts exactly that, per benchmark, across four
+:func:`chaos_tune_check` asserts exactly that, per benchmark, across three
 legs compared as serialized JSON (thresholds document + telemetry
 document):
 
-* ``serial`` — a serial tuning run under the fault plan;
-* ``workers`` — a multi-process tuning run under the plan plus an
-  injected ``worker_crash``, exercising pool respawn + re-dispatch;
+* ``serial`` — a tuning run under the fault plan;
 * ``resume`` — a checkpointed tuning run abandoned halfway under the
   plan, then resumed (fresh tuner, measurements preloaded from the
   checkpoint) to completion;
@@ -51,16 +48,13 @@ DEFAULT_PROGRAMS = ("matmul", "Heston", "Pathfinder")
 
 
 def chaos_plan(seed: int = 0) -> "faults.FaultPlan":
-    """The default recoverable schedule, plus a bounded worker crash and
-    bounded guarded-launch failures (the execution guard's demotion
-    ladder must heal those bit-identically, ``docs/guarded-execution.md``)."""
+    """The default recoverable schedule, plus bounded guarded-launch
+    failures (the execution guard's demotion ladder must heal those
+    bit-identically, ``docs/guarded-execution.md``)."""
     base = faults.default_chaos_plan(seed)
     plan = faults.FaultPlan(
         seed=base.seed,
         rules=base.rules + (
-            faults.FaultRule(
-                site="worker.eval", kind="worker_crash", p=0.5, max_fires=1
-            ),
             faults.FaultRule(
                 site="exec.launch.*", kind="launch", p=0.25, max_fires=6
             ),
@@ -117,7 +111,6 @@ def _tune_docs(
     proposals: int,
     batch_size: int,
     *,
-    workers: int = 1,
     plan=None,
 ) -> tuple[str, str]:
     """(thresholds JSON, telemetry JSON) of one tuning run, optionally
@@ -125,9 +118,7 @@ def _tune_docs(
     tuner = Autotuner(cp, datasets, device, seed=seed)
     ctx = faults.injected(plan) if plan is not None else faults.suspended()
     with ctx:
-        res = tuner.tune(
-            max_proposals=proposals, workers=workers, batch_size=batch_size
-        )
+        res = tuner.tune(max_proposals=proposals, batch_size=batch_size)
     return (
         json.dumps(res.best_thresholds, sort_keys=True),
         json.dumps(res.telemetry(), sort_keys=True),
@@ -192,7 +183,6 @@ def chaos_tune_check(
     seed: int = 0,
     proposals: int = 32,
     batch_size: int = 4,
-    workers: int = 2,
     max_paths: int = 32,
     device: DeviceSpec = K40,
     plan=None,
@@ -228,13 +218,6 @@ def chaos_tune_check(
             cp, datasets, device, seed, proposals, batch_size, plan=plan
         )
         rep.add("serial", th == base_th and tel == base_tel,
-                _diff_detail(base_th, th, base_tel, tel))
-
-        th, tel = _tune_docs(
-            cp, datasets, device, seed, proposals, batch_size,
-            workers=workers, plan=plan,
-        )
-        rep.add("workers", th == base_th and tel == base_tel,
                 _diff_detail(base_th, th, base_tel, tel))
 
         th, tel = _resume_docs(

@@ -19,10 +19,12 @@ Commands
   model; with ``--exec`` also execute the program with that engine and
   report the measured wall time alongside the modeled time.
 * ``tune PROG --dataset n=...,m=... [--dataset ...] [--device D]
-  [--technique bandit|random|hillclimb|exhaustive] [--workers N]
-  [--batch-size B] [--time-budget S] [--proposal-timeout S] [--retries N]
-  [--backoff S] [--checkpoint-every N] [--resume]`` — autotune
-  thresholds.  With ``--output`` the run checkpoints its measurements to
+  [--technique bandit|random|hillclimb|exhaustive] [--batch-size B]
+  [--time-budget S] [--proposal-timeout S] [--retries N] [--backoff S]
+  [--checkpoint-every N] [--resume]`` — autotune thresholds.
+  ``--batch-size`` is a search parameter: proposals in one batch are
+  drawn before any of them is fed back, so it changes the result.
+  With ``--output`` the run checkpoints its measurements to
   ``<output>.ckpt.json`` every N proposals; after a crash or kill,
   ``--resume`` replays the checkpoint to the bit-identical result an
   uninterrupted run produces (``docs/robustness.md``).
@@ -379,7 +381,6 @@ def cmd_tune(args) -> int:
             max_proposals=args.proposals,
             technique=args.technique,
             time_budget_s=args.time_budget,
-            workers=args.workers,
             batch_size=args.batch_size,
             proposal_timeout_s=args.proposal_timeout,
             retries=args.retries,
@@ -691,6 +692,7 @@ def cmd_serve(args) -> int:
 
     if args.socket is None and args.port is None:
         raise UserError("serve needs --socket PATH and/or --port N")
+    _fusion(args)  # the daemon's mode: a bad REPRO_FUSION exits 2 here
     if args.verify_rate is not None:
         from repro.exec import guard
 
@@ -743,7 +745,7 @@ def _submit_spec(args) -> dict:
         job.update(
             datasets=datasets, device=args.device, technique=args.technique,
             proposals=args.proposals, seed=args.seed,
-            batch_size=args.batch_size, workers=args.workers,
+            batch_size=args.batch_size,
         )
     elif args.kind == "run":
         job.update(
@@ -899,6 +901,10 @@ def cmd_fetch(args) -> int:
     return 0
 
 
+BATCH_SIZE_HELP = ("proposals drawn per search round before any is fed back "
+                   "(a search parameter: results depend on it)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro",
@@ -977,10 +983,8 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("bandit", "random", "hillclimb", "exhaustive"))
     tp.add_argument("--proposals", type=int, default=300)
     tp.add_argument("--seed", type=int, default=0)
-    tp.add_argument("--workers", type=int, default=1,
-                    help="evaluate proposals in N worker processes")
     tp.add_argument("--batch-size", type=int, default=1,
-                    help="proposals per evaluation batch")
+                    help=BATCH_SIZE_HELP)
     tp.add_argument("--time-budget", type=float, default=None, metavar="S",
                     help="wall-clock budget for the search (seconds)")
     tp.add_argument("--proposal-timeout", type=float, default=None,
@@ -1123,9 +1127,8 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("bandit", "random", "hillclimb"))
     sb.add_argument("--proposals", type=int, default=300)
     sb.add_argument("--seed", type=int, default=0)
-    sb.add_argument("--batch-size", type=int, default=1)
-    sb.add_argument("--workers", type=int, default=1,
-                    help="tune: shard evaluation over N worker processes")
+    sb.add_argument("--batch-size", type=int, default=1,
+                    help="tune: " + BATCH_SIZE_HELP)
     sb.add_argument("--size", action="append",
                     help="run: size binding n=4 (repeatable)")
     sb.add_argument("--threshold", action="append",

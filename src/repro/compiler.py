@@ -203,14 +203,6 @@ class CompiledProgram:
             self._sim_memo[key] = report.copy()
         return report
 
-    def __getstate__(self):
-        # the simulation/shape memos are per-process caches, not program
-        # state: don't ship them to worker processes or persist them
-        state = self.__dict__.copy()
-        state["_sim_memo"] = {}
-        state["_shape_memo"] = {}
-        return state
-
     # -- metadata ---------------------------------------------------------------
 
     def thresholds(self) -> list[str]:

@@ -3,11 +3,10 @@
 The codegen executor (:mod:`repro.exec.codegen`) specialises kernels per
 (program fingerprint, batchedness, sizes, dtype signature) and compiles
 the generated source once.  This module persists those compilations so
-*other processes* — ``tuning/parallel.py`` spawn workers, repeated CLI
-invocations, CI's warm-cache leg — never recompile the same kernel: the
-coordinator and every worker resolve the same directory (override >
-``REPRO_CODEGEN_CACHE`` > a per-user temp dir) and exchange entries
-through it.
+*other processes* — repeated CLI invocations, daemon restarts, CI's
+warm-cache leg — never recompile the same kernel: every process resolves
+the same directory (override > ``REPRO_CODEGEN_CACHE`` > a per-user temp
+dir) and exchanges entries through it.
 
 Layout: one ``<key>.json`` file per kernel, where ``key`` is the SHA-256
 of the kernel's full fingerprint string.  Each entry records the
@@ -68,9 +67,8 @@ _DIR_OVERRIDE: str | None = None
 def set_dir(path: str | None) -> None:
     """Pin this process's cache directory (``None`` restores resolution).
 
-    Tuning workers are pinned to the coordinator's resolved directory via
-    the pool initializer, so a coordinator using the temp-dir default
-    still shares one cache with its spawned workers.
+    Beats ``REPRO_CODEGEN_CACHE``; the repository benchmark uses it to give
+    each cold-start repetition a fresh directory.
     """
     global _DIR_OVERRIDE
     _DIR_OVERRIDE = os.fspath(path) if path is not None else None
@@ -87,7 +85,7 @@ def cache_dir() -> str:
 
 
 def shared_dir() -> str:
-    """The resolved cache directory, created — the path to hand to workers."""
+    """The resolved cache directory, created."""
     d = cache_dir()
     try:
         os.makedirs(d, exist_ok=True)

@@ -19,8 +19,7 @@ removing NumPy's per-op dispatch and temporaries.  This tier is
 
 Shared objects are cached next to their compile-cache entry
 (``<key>.so`` in :func:`repro.exec.compile_cache.cache_dir`), so warm
-processes — and sibling tuning workers — dlopen instead of invoking the
-compiler.
+processes dlopen instead of invoking the compiler.
 """
 
 from __future__ import annotations

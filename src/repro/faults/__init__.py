@@ -3,9 +3,9 @@
 The paper's autotuner runs against a real GPU where kernel launches fail,
 hang, or take the driver down; our simulator never fails, so this package
 *makes* it fail — deterministically, from a seeded :class:`FaultPlan` —
-and the rest of the runtime (tuner retry/quarantine/checkpointing, worker
-crash recovery, executor kernel retry) is hardened against every fault
-kind and chaos-tested for bit-identical results against fault-free runs.
+and the rest of the runtime (tuner retry/quarantine/checkpointing,
+executor kernel retry) is hardened against every fault kind and
+chaos-tested for bit-identical results against fault-free runs.
 
 Usage::
 
@@ -27,7 +27,6 @@ from repro.faults.errors import (
     KernelLaunchFault,
     KernelTimeoutFault,
     TransientFault,
-    WorkerCrashFault,
 )
 from repro.faults.inject import (
     Injector,
@@ -60,7 +59,6 @@ __all__ = [
     "DeviceLostFault",
     "KernelTimeoutFault",
     "InjectedOOMFault",
-    "WorkerCrashFault",
     "FAULT_KINDS",
     "FaultPlan",
     "FaultPlanError",

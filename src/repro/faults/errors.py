@@ -10,11 +10,6 @@ Two recovery classes matter to the runtime:
   than the device has, with no fallback left).  Retrying is pointless; the
   tuner quarantines the configuration and scores it with a penalty cost,
   mirroring OpenTuner's handling of failed measurements.
-
-:class:`WorkerCrashFault` is special: it never propagates to user code.
-The worker-process evaluation loop translates it into a hard process exit
-(simulating a segfault/OOM-kill), which the coordinator observes as a dead
-worker and recovers from (:mod:`repro.tuning.parallel`).
 """
 
 from __future__ import annotations
@@ -27,7 +22,6 @@ __all__ = [
     "KernelTimeoutFault",
     "DeterministicFault",
     "InjectedOOMFault",
-    "WorkerCrashFault",
 ]
 
 
@@ -73,13 +67,3 @@ class InjectedOOMFault(DeterministicFault):
     remaining §4.1 fallback version — deterministic per configuration."""
 
     kind = "oom"
-
-
-class WorkerCrashFault(Fault):
-    """Raised inside a worker process to request a hard crash (``os._exit``).
-
-    Only the worker evaluation loop should ever observe this; everything
-    else sees the crash as a dead process.
-    """
-
-    kind = "worker_crash"

@@ -40,7 +40,6 @@ from repro.faults.errors import (
     KernelLaunchFault,
     KernelTimeoutFault,
     TransientFault,
-    WorkerCrashFault,
 )
 from repro.faults.plan import DETERMINISTIC_KINDS, FaultPlan, plan_from_env
 
@@ -64,7 +63,6 @@ _ERRORS: dict[str, type[Fault]] = {
     "device_lost": DeviceLostFault,
     "timeout": KernelTimeoutFault,
     "oom": InjectedOOMFault,
-    "worker_crash": WorkerCrashFault,
 }
 
 _MESSAGES = {
@@ -72,7 +70,6 @@ _MESSAGES = {
     "device_lost": "device lost (transient driver fault)",
     "timeout": "kernel exceeded its watchdog deadline",
     "oom": "workgroup local memory exceeds the device (no fallback left)",
-    "worker_crash": "worker process crash requested",
 }
 
 
@@ -164,7 +161,7 @@ def deactivate() -> None:
 
 
 def active_plan() -> FaultPlan | None:
-    """The active plan, or None — what gets shipped to worker processes."""
+    """The active plan, or None (the tuner reads its retry policy)."""
     return _INJECTOR.plan if _INJECTOR is not None else None
 
 

@@ -2,7 +2,7 @@
 
 A :class:`FaultPlan` is a list of :class:`FaultRule`\\ s plus a seed and a
 retry policy.  Each rule targets an injection *site* (a dotted name such as
-``sim.kernel`` or ``worker.eval``; shell-style wildcards are allowed) and
+``sim.kernel`` or ``tuner.batch``; shell-style wildcards are allowed) and
 fires either probabilistically (``p``), on explicit invocation indices
 (``at``, 0-based per site and per process), or both.  ``max_fires`` bounds
 the total number of times a rule fires in one process — the knob that makes
@@ -15,7 +15,7 @@ Plans are plain JSON::
     {"seed": 7, "retries": 8, "rules": [
       {"site": "sim.kernel", "kind": "launch", "p": 0.05, "max_fires": 4},
       {"site": "sim.kernel", "kind": "device_lost", "at": [3]},
-      {"site": "worker.eval", "kind": "worker_crash", "max_fires": 1, "p": 1.0}
+      {"site": "tuner.batch", "kind": "process_kill", "at": [6]}
     ]}
 
 and are activated via ``repro ... --faults plan.json`` or the
@@ -46,14 +46,10 @@ TRANSIENT_KINDS = ("launch", "device_lost", "timeout")
 #: deterministic kinds: the same configuration always fails (drawn from a
 #: stable per-site key, not the invocation counter)
 DETERMINISTIC_KINDS = ("oom",)
-#: process-level kinds: worker_crash hard-exits a worker process;
-#: process_kill hard-exits the *current* process (for kill/--resume tests);
-#: delay sleeps without failing (exercises wall-clock watchdogs)
-FAULT_KINDS = TRANSIENT_KINDS + DETERMINISTIC_KINDS + (
-    "worker_crash",
-    "process_kill",
-    "delay",
-)
+#: process-level kinds: process_kill hard-exits the current process (for
+#: kill/--resume tests); delay sleeps without failing (exercises wall-clock
+#: watchdogs)
+FAULT_KINDS = TRANSIENT_KINDS + DETERMINISTIC_KINDS + ("process_kill", "delay")
 
 
 class FaultPlanError(Exception):
@@ -180,27 +176,6 @@ class FaultPlan:
     def reseeded(self, seed: int) -> "FaultPlan":
         """The same schedule shape under a different seed (rotating chaos)."""
         return replace(self, seed=seed)
-
-    def consume(self, kind: str, fires: int) -> "FaultPlan":
-        """Account ``fires`` already-observed fires of ``kind`` globally.
-
-        Worker-process rule state dies with the process; the coordinator
-        calls this before respawning workers so a bounded ``worker_crash``
-        rule does not restart from zero in the replacement process (which
-        would crash-loop).  Rules whose budget is exhausted are dropped.
-        """
-        out: list[FaultRule] = []
-        remaining = fires
-        for rule in self.rules:
-            if rule.kind != kind or rule.max_fires is None or remaining <= 0:
-                out.append(rule)
-                continue
-            spent = min(rule.max_fires, remaining)
-            remaining -= spent
-            left = rule.max_fires - spent
-            if left > 0:
-                out.append(replace(rule, max_fires=left))
-        return replace(self, rules=tuple(out))
 
     def max_total_fires(self, kinds: tuple[str, ...] = TRANSIENT_KINDS) -> int | None:
         """Upper bound on total fires of ``kinds``, or None if unbounded.

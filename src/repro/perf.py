@@ -13,10 +13,6 @@ It is the metrics backbone of the observability layer
   Thread-safe and reentrant: when the same stage name nests (directly or
   indirectly) in one thread, only the outermost block adds its elapsed
   time, so accumulated time never exceeds wall time.
-* :func:`export` / :func:`delta` / :func:`merge` — process-merge support:
-  worker processes return counter/timer deltas that the coordinator folds
-  back in, so :func:`snapshot` covers multi-process runs
-  (``tune(workers=N)``).
 * :func:`caching_enabled` — ``False`` when the ``REPRO_NO_CACHE``
   environment variable is set (non-empty), which disables every cache layer
   for debugging; read dynamically so tests can flip it at run time.
@@ -31,7 +27,7 @@ import threading
 import time
 from collections import defaultdict
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Mapping, MutableMapping
+from typing import Iterator, MutableMapping
 
 from repro.obs import trace as _trace
 
@@ -42,9 +38,6 @@ __all__ = [
     "timer",
     "snapshot",
     "reset",
-    "export",
-    "delta",
-    "merge",
     "caching_enabled",
     "register_cache",
     "clear_caches",
@@ -121,54 +114,6 @@ def reset() -> None:
     with _LOCK:
         _COUNTERS.clear()
         _TIMERS.clear()
-
-
-# -- process-merge support ----------------------------------------------------
-
-
-def export() -> dict[str, dict[str, float]]:
-    """Counters and timers as one mergeable state (see :func:`delta`)."""
-    with _LOCK:
-        return {"counters": dict(_COUNTERS), "timers": dict(_TIMERS)}
-
-
-def delta(base: Mapping[str, Mapping[str, float]]) -> dict[str, dict[str, float]]:
-    """What changed since ``base`` (an earlier :func:`export`), zero-free.
-
-    Worker processes call this around a unit of work and ship the result
-    back; the coordinator folds it in with :func:`merge`.
-    """
-    now = export()
-    out: dict[str, dict[str, float]] = {}
-    for kind in ("counters", "timers"):
-        basek = base.get(kind, {})
-        d = {
-            name: value - basek.get(name, 0.0)
-            for name, value in now[kind].items()
-            if value != basek.get(name, 0.0)
-        }
-        if d:
-            out[kind] = d
-    return out
-
-
-def merge(
-    d: Mapping[str, Mapping[str, float]], exclude: Iterable[str] = ()
-) -> None:
-    """Fold a :func:`delta` into the global counters/timers.
-
-    ``exclude`` names counters/timers to skip — used by the tuner for the
-    canonically re-derived accounting (see ``docs/performance.md``,
-    "Reading merged multi-worker snapshots").
-    """
-    skip = set(exclude)
-    with _LOCK:
-        for name, value in d.get("counters", {}).items():
-            if name not in skip:
-                _COUNTERS[name] += value
-        for name, value in d.get("timers", {}).items():
-            if name not in skip:
-                _TIMERS[name] += value
 
 
 # -- cache registry -----------------------------------------------------------

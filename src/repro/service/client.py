@@ -56,21 +56,26 @@ class ServiceClient:
         self.port = port
         self.timeout = timeout
 
-    def _connect(self) -> socket.socket:
+    def _connect(self, timeout: float) -> socket.socket:
         if self.socket_path is not None:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(self.timeout)
+            sock.settimeout(timeout)
             sock.connect(self.socket_path)
         else:
             sock = socket.create_connection(
-                (self.host, int(self.port)), timeout=self.timeout
+                (self.host, int(self.port)), timeout=timeout
             )
         return sock
 
-    def request(self, doc: dict) -> dict:
-        """One request/reply round trip; raises on an error reply."""
+    def request(self, doc: dict, wait: float = 0.0) -> dict:
+        """One request/reply round trip; raises on an error reply.
+
+        ``wait`` is how long the daemon may hold the reply (``result`` and
+        ``events`` block for it): the socket timeout covers that on top of
+        :attr:`timeout`, or a slow job would read as a dead daemon.
+        """
         try:
-            with self._connect() as sock:
+            with self._connect(self.timeout + wait) as sock:
                 wr = sock.makefile("w", encoding="utf-8", newline="\n")
                 rd = sock.makefile("r", encoding="utf-8", newline="\n")
                 wr.write(json.dumps(doc) + "\n")
@@ -108,7 +113,7 @@ class ServiceClient:
         doc = {"op": "submit", "tenant": tenant, "priority": priority,
                "job": job, "stream": True}
         try:
-            with self._connect() as sock:
+            with self._connect(self.timeout) as sock:
                 wr = sock.makefile("w", encoding="utf-8", newline="\n")
                 rd = sock.makefile("r", encoding="utf-8", newline="\n")
                 wr.write(json.dumps(doc) + "\n")
@@ -140,7 +145,8 @@ class ServiceClient:
     def events(self, job_id: str, from_seq: int = 0,
                wait: float = 0.0) -> list[dict]:
         return self.request(
-            {"op": "events", "job": job_id, "from": from_seq, "wait": wait}
+            {"op": "events", "job": job_id, "from": from_seq, "wait": wait},
+            wait=wait,
         )["events"]
 
     def result(self, job_id: str, wait: float | None = None) -> dict:
@@ -148,7 +154,7 @@ class ServiceClient:
         doc: dict[str, Any] = {"op": "result", "job": job_id}
         if wait is not None:
             doc["wait"] = wait
-        return self.request(doc)
+        return self.request(doc, wait=wait or 0.0)
 
     def cancel(self, job_id: str) -> dict:
         return self.request({"op": "cancel", "job": job_id})

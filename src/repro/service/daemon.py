@@ -4,11 +4,11 @@ The daemon turns the paper's batch autotuner into a long-running,
 multi-tenant service (the ROADMAP's top open item): clients submit
 tune/compile/run/online jobs as JSON lines over a Unix or TCP socket, the
 :class:`~repro.service.queue.FairShareQueue` schedules them across
-tenants, runner threads execute them — sharding proposal evaluation
-through :class:`~repro.tuning.parallel.BatchExecutor` when a job asks
-for ``workers > 1`` — and finished artifacts land in the
+tenants, runner threads execute them, and finished artifacts land in the
 content-addressed :class:`~repro.service.store.ArtifactStore`, so an
 identical job from any tenant returns without evaluating a proposal.
+Every job compiles under the fusion mode the daemon recorded in its spec
+at admission (``REPRO_FUSION`` or ``ilp``), so the store key covers it.
 
 Wire protocol (one JSON object per line, ``docs/service.md``):
 
@@ -41,10 +41,10 @@ long-running tenant's submissions share one
 shape-class table persists atomically in ``<spool>/online/`` after every
 observation — a restarted daemon resumes the learned state monotonically
 (no acknowledged measurement is ever lost).  The PR 5 fault
-injector composes transparently (``repro serve --faults PLAN``):
-``worker_crash`` fires inside evaluation workers and is absorbed by
-:class:`BatchExecutor`; ``process_kill`` at ``tuner.batch`` kills the
-daemon itself (exit 137) — the chaos recipe CI runs.
+injector composes transparently (``repro serve --faults PLAN``): transient
+``sim.kernel`` faults are retried by the tuner; ``process_kill`` at
+``tuner.batch`` kills the daemon itself (exit 137) — the chaos recipe CI
+runs.
 """
 
 from __future__ import annotations
@@ -155,6 +155,10 @@ class ServiceDaemon:
     ):
         if socket_path is None and port is None:
             raise ValueError("daemon needs a --socket path or a --port")
+        from repro.compiler import resolve_fusion
+
+        #: the fusion mode admitted jobs record in their spec
+        self.fusion = resolve_fusion()
         self.spool = Spool(spool_dir)
         self.store = ArtifactStore(
             store_dir or os.path.join(self.spool.root, "store"), store_max
@@ -456,7 +460,7 @@ class ServiceDaemon:
         tenant = str(req.get("tenant") or "default")
         priority = str(req.get("priority") or "normal")
         try:
-            spec = normalize_spec(req.get("job"))
+            spec = normalize_spec(req.get("job"), self.fusion)
         except JobSpecError as exc:
             perf.inc("service.jobs.rejected")
             self._send(wr, {"ok": False, "code": 400, "error": str(exc)})
@@ -565,7 +569,8 @@ class ServiceDaemon:
             from repro.compiler import compile_program
             from repro.tuning.persist import branching_tree_hash
 
-            cp = compile_program(_resolve_program(job.spec), job.spec["mode"])
+            cp = compile_program(_resolve_program(job.spec), job.spec["mode"],
+                                 fusion=job.spec["fusion"])
             _key, fp = artifact_key(job.spec, branching_tree_hash(cp))
             return fp
         except Exception:
@@ -644,7 +649,7 @@ class ServiceDaemon:
 
         spec = job.spec
         prog = _resolve_program(spec)
-        cp = compile_program(prog, spec["mode"])
+        cp = compile_program(prog, spec["mode"], fusion=spec["fusion"])
         if spec["kind"] == "online":
             # never cached: each submission is also an observation that
             # refines the tenant's shape-class table
@@ -712,7 +717,6 @@ class ServiceDaemon:
         res = tuner.tune(
             max_proposals=total,
             technique=spec["technique"],
-            workers=spec["workers"],
             batch_size=spec["batch_size"],
             checkpoint_path=ckpt,
             checkpoint_every=spec["checkpoint_every"],

@@ -10,12 +10,12 @@ identically.  ``online`` jobs are never served from the artifact store:
 every submission is also an observation that refines the table.
 
 The *fingerprint* covers exactly what determines the artifact: the
-program identity (name, flattening mode, branching-tree hash), the
-device, the dataset shape signature and the result-relevant tuner/run
-configuration.  Fields that cannot change the result — ``workers``
-(parallel evaluation is bit-identical to serial), ``checkpoint_every``,
-``progress_every`` — are deliberately excluded, so a job resubmitted
-with a different parallelism is still a warm cache hit.
+program identity (name, flattening mode, fusion mode, branching-tree
+hash), the device, the dataset shape signature and the result-relevant
+tuner/run configuration.  ``checkpoint_every`` cannot change the result
+and is deliberately excluded, so a job resubmitted with a different
+checkpoint interval is still a warm cache hit.  ``batch_size`` is a
+search parameter (it changes the proposal sequence), so it is keyed.
 
 A :class:`Job` is the daemon's runtime object: spec + state machine
 (``queued → running → done | failed | canceled``) + an append-only event
@@ -81,12 +81,16 @@ def _choice(doc: dict, field: str, allowed: tuple, default: str) -> str:
     return value
 
 
-def normalize_spec(doc: Any) -> dict:
+def normalize_spec(doc: Any, fusion: str) -> dict:
     """Validate a submitted job spec and return its canonical form.
 
     The canonical form has a fixed field set per kind (defaults filled
     in), so two submissions meaning the same work normalise — and
-    therefore fingerprint — identically.
+    therefore fingerprint — identically.  ``fusion`` is the fusion mode
+    the job compiles under.  It is not a client field: the daemon records
+    its own mode at admission, so the fingerprint covers it and every
+    later compile for the job (run, resume after a restart, fetch) uses
+    the same mode, whatever ``REPRO_FUSION`` a restarted daemon has.
     """
     if not isinstance(doc, dict):
         raise JobSpecError("job must be an object")
@@ -101,6 +105,7 @@ def normalize_spec(doc: Any) -> dict:
         "program": str(program) if program else None,
         "source": str(source) if source else None,
         "mode": _choice(doc, "mode", _MODES, "incremental"),
+        "fusion": fusion,
     }
     known = {"kind", "program", "source", "mode"}
     if kind == "tune":
@@ -115,18 +120,15 @@ def normalize_spec(doc: Any) -> dict:
             seed=int(doc.get("seed", 0)),
             noise=float(doc.get("noise", 0.0)),
             batch_size=int(doc.get("batch_size", 1)),
-            # result-neutral knobs (excluded from the fingerprint)
-            workers=int(doc.get("workers", 1)),
+            # result-neutral (excluded from the fingerprint)
             checkpoint_every=int(doc.get("checkpoint_every", 10)),
         )
         if spec["proposals"] < 1:
             raise JobSpecError("tune job needs proposals >= 1")
-        if spec["workers"] < 1:
-            raise JobSpecError("tune job needs workers >= 1")
         if spec["batch_size"] < 1:
             raise JobSpecError("tune job needs batch_size >= 1")
         known |= {"datasets", "device", "technique", "proposals", "seed",
-                  "noise", "batch_size", "workers", "checkpoint_every"}
+                  "noise", "batch_size", "checkpoint_every"}
     elif kind == "run":
         spec.update(
             sizes=_as_sizes(doc.get("sizes"), "'sizes'"),
@@ -171,11 +173,7 @@ def fingerprint(spec: dict, tree_hash: str) -> str:
     threshold guards invalidates every cached artifact, even if the
     program name stays the same.
     """
-    keyed = {
-        k: v
-        for k, v in spec.items()
-        if k not in ("workers", "checkpoint_every")
-    }
+    keyed = {k: v for k, v in spec.items() if k != "checkpoint_every"}
     keyed["fingerprint_version"] = 1
     keyed["branching_tree"] = tree_hash
     return json.dumps(keyed, sort_keys=True, separators=(",", ":"))
@@ -207,6 +205,8 @@ class Job:
         self.engine_demoted = False
         self.events: list[dict] = []
         self._cond = threading.Condition()
+        #: held from snapshot to rename by :meth:`Spool.save`
+        self.save_lock = threading.Lock()
 
     # -- events --------------------------------------------------------------
 
@@ -280,9 +280,12 @@ class Job:
 
     @classmethod
     def from_record(cls, doc: dict) -> "Job":
+        spec = dict(doc["spec"])
+        # records from before jobs carried their fusion mode: the default
+        fusion = str(spec.pop("fusion", "ilp"))
         job = cls(
             str(doc["id"]), str(doc.get("tenant", "default")),
-            str(doc.get("priority", "normal")), normalize_spec(doc["spec"]),
+            str(doc.get("priority", "normal")), normalize_spec(spec, fusion),
         )
         job.state = str(doc.get("state", "queued"))
         job.error = doc.get("error")
@@ -318,9 +321,15 @@ class Spool:
         return os.path.join(self.online_dir, key + ".json")
 
     def save(self, job: Job) -> None:
-        """Atomically persist the job record (crash-safe, PR 5 ioutil)."""
-        atomic_write_json(self.record_path(job.id), job.record(),
-                          indent=2, sort_keys=True)
+        """Atomically persist the job record (crash-safe, PR 5 ioutil).
+
+        The submitting thread and a runner can save the same job at once;
+        snapshotting and renaming under the job's lock keeps an older
+        snapshot (``queued``) from landing over a newer one (``done``).
+        """
+        with job.save_lock:
+            atomic_write_json(self.record_path(job.id), job.record(),
+                              indent=2, sort_keys=True)
 
     def load_all(self, log: Callable[[str], None] = lambda _msg: None) -> list[Job]:
         """Every persisted job, oldest id first; corrupt records skipped."""

@@ -14,10 +14,8 @@ recorded runtime immediately.  Two further layers make the hot path fast
 per-dataset precompiled decision tree (:class:`~repro.tuning.tree.
 SignatureEngine`) with a configuration→signature memo in front, and the
 kernel-cost cache inside :mod:`repro.gpu.cost` prices repeated kernels
-once.  Proposals can be evaluated in parallel worker processes
-(``tune(workers=N)``); results are merged deterministically, so parallel
-and serial runs with the same seed produce identical :class:`TuningResult`
-contents.
+once.  With those caches a proposal usually costs microseconds, so
+proposals are evaluated in-process, one after another.
 """
 
 from __future__ import annotations
@@ -68,7 +66,7 @@ class TuningResult:
     full_history: list[tuple[dict[str, int], float]] = field(default_factory=list)
     #: per dataset: path signature -> number of evaluations that took it
     path_counts: list[dict[Sig, int]] = field(default_factory=list)
-    #: transient-fault retries performed while measuring (master + workers)
+    #: transient-fault retries performed while measuring
     retries: int = 0
     #: configurations that failed deterministically: (thresholds, reason)
     quarantined: list[tuple[dict[str, int], str]] = field(default_factory=list)
@@ -151,7 +149,8 @@ class Autotuner:
         then stores the *observed* runtime, as real measurements would.
         Noise is derived deterministically from ``(seed, dataset, path
         signature)`` so the observed time of a path does not depend on
-        evaluation order — a prerequisite for parallel evaluation.
+        evaluation order — which is what lets a resumed run replay
+        checkpointed measurements bit for bit.
 
         ``cache=None`` follows the global switch (``REPRO_NO_CACHE``);
         ``cache=False`` disables the duplicate-path cache so every
@@ -243,49 +242,26 @@ class Autotuner:
             out.append((sig, cached))
         return out
 
-    #: perf counters the coordinator re-derives canonically while merging
-    #: worker results: their worker-local values depend on how proposals
-    #: were chunked over processes, so raw sums would diverge from a
-    #: serial run (see docs/performance.md).
-    _CANONICAL_COUNTERS = (
-        "tuner.simulations",
-        "tuner.path_cache.hits",
-        "tuner.path_cache.misses",
-        "signature.cache_hits",
-        "signature.cache_misses",
-        # quarantine decisions are recorded master-side (two workers may
-        # both locally quarantine the same configuration)
-        "tuner.quarantined",
-    )
-
     def _merge(
-        self,
-        cfg: Mapping[str, int],
-        worker_out: Sequence[tuple[Sig, float]],
-        perf_delta: Mapping[str, Mapping[str, float]] | None = None,
+        self, cfg: Mapping[str, int], evaluated: Sequence[tuple[Sig, float]]
     ) -> list[float]:
-        """Fold one worker-evaluated configuration into the master caches.
+        """Commit one configuration evaluated by :meth:`_eval_uncounted`.
 
-        Times are deterministic functions of the path signature, so a
-        worker's value equals what a serial run would have computed; the
-        master cache decides — in proposal order — whether the evaluation
-        counts as a simulation or a cache hit, keeping counters identical
-        to a serial run.  The worker's perf counter/timer delta for this
-        configuration is folded into the global :mod:`repro.perf` state,
-        except for :data:`_CANONICAL_COUNTERS`, which are replayed here
-        against the master caches instead.
+        Times are deterministic functions of the path signature, so the
+        caches decide here — in proposal order — whether the evaluation
+        counts as a simulation or a cache hit, and the signature-memo and
+        path-cache counters end up exactly as :meth:`_eval` would have
+        left them.
         """
-        if perf_delta:
-            perf.merge(perf_delta, exclude=self._CANONICAL_COUNTERS)
         times: list[float] = []
-        for i, (sig, t) in enumerate(worker_out):
+        for i, (sig, t) in enumerate(evaluated):
             self.path_counts[i][sig] = self.path_counts[i].get(sig, 0) + 1
             if not self.cache:
                 self.simulations += 1
                 perf.inc("tuner.simulations")
                 times.append(t)
                 continue
-            # canonical signature-memo accounting, replayed master-side
+            # signature-memo accounting, replayed on commit
             key = self._engines[i].config_key(cfg)
             memo = self._sig_memo[i]
             if key in memo:
@@ -385,8 +361,8 @@ class Autotuner:
         canonical counters), so a retried or abandoned proposal leaves the
         tuner exactly as if it had never been attempted.  Successful output
         is committed through :meth:`_merge`, which replays the canonical
-        accounting in proposal order — the same mechanism that keeps
-        parallel runs bit-identical to serial ones."""
+        accounting in proposal order, so a run under recovered faults
+        reports the same counts as a fault-free one."""
         out: list[tuple[Sig, float]] = []
         for i in range(len(self.datasets)):
             sig = self._sig_quiet(i, thresholds)
@@ -481,7 +457,6 @@ class Autotuner:
         technique: str = "bandit",
         include_default: bool = True,
         time_budget_s: float | None = None,
-        workers: int = 1,
         batch_size: int = 1,
         proposal_timeout_s: float | None = None,
         retries: int | None = None,
@@ -499,10 +474,11 @@ class Autotuner:
 
         Proposals are processed in batches of ``batch_size``: a batch is
         proposed against the incumbent best, evaluated, then fed back in
-        order.  ``workers > 1`` evaluates each batch in worker processes;
-        results are independent of ``workers`` (only of ``batch_size``),
-        so parallel and serial runs with the same seed return identical
-        results.  The defaults reproduce the classic serial behaviour.
+        order.  ``batch_size`` is a search parameter, not a parallelism
+        knob: proposals inside a batch do not see each other's feedback,
+        so it changes the proposal sequence and therefore the result.
+        ``batch_size=1`` (the default) is the classic one-at-a-time
+        search.
 
         Robustness (``docs/robustness.md``): ``proposal_timeout_s`` puts a
         wall-clock watchdog on each proposal; a timeout counts as a
@@ -552,12 +528,6 @@ class Autotuner:
         if include_default:
             candidates.append(self.space.default_config())
 
-        executor = None
-        if workers > 1:
-            from repro.tuning.parallel import BatchExecutor
-
-            executor = BatchExecutor(self, workers)
-
         proposals = 0
         last_checkpoint = 0
 
@@ -578,8 +548,8 @@ class Autotuner:
             with perf.timer("tune"), obs.span(
                 "tune", cat="tuner",
                 program=self.compiled.prog.name, technique=technique,
-                max_proposals=max_proposals, workers=workers,
-                batch_size=batch_size, datasets=len(self.datasets),
+                max_proposals=max_proposals, batch_size=batch_size,
+                datasets=len(self.datasets),
             ) as tsp:
                 while proposals < max_proposals:
                     if deadline is not None and _time.monotonic() >= deadline:
@@ -599,25 +569,7 @@ class Autotuner:
                             batch.append(tech.propose(self.space, self.rng, best_cfg))
                     with obs.span("tuner.eval_batch", cat="tuner",
                                   size=len(batch)):
-                        if executor is not None:
-                            all_times = []
-                            for cfg, (out, d, failure) in zip(
-                                batch, executor.evaluate(batch)
-                            ):
-                                self.retries += int(
-                                    (d or {}).get("counters", {})
-                                    .get("tuner.retries", 0)
-                                )
-                                if failure is not None:
-                                    if d:
-                                        perf.merge(
-                                            d, exclude=self._CANONICAL_COUNTERS
-                                        )
-                                    self._note_quarantine(cfg, failure)
-                                    all_times.append(None)
-                                else:
-                                    all_times.append(self._merge(cfg, out, d))
-                        elif robust:
+                        if robust:
                             all_times = []
                             for cfg in batch:
                                 out, failure = self._eval_robust(
@@ -671,8 +623,6 @@ class Autotuner:
                 tsp["cache_hits"] = self.cache_hits
         finally:
             self._close_watchdog()
-            if executor is not None:
-                executor.close()
 
         if best_cfg is None:
             # every round timed out before a measurement: fall back to the

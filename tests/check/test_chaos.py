@@ -1,10 +1,10 @@
 """Chaos differential: fault injection must never change a result.
 
-The in-process legs exercise the full matrix (serial chaos, workers with
-a crash, checkpoint resume, forced-path sweeps) over three benchmarks of
-different shape; the subprocess tests are the real kill + ``--resume``
-round-trip (an injected ``process_kill`` hard-exits the tuning process
-mid-search, exactly like ``kill -9``).
+The in-process legs exercise the full matrix (serial chaos, checkpoint
+resume, forced-path sweeps) over three benchmarks of different shape; the
+subprocess tests are the real kill + ``--resume`` round-trip (an injected
+``process_kill`` hard-exits the tuning process mid-search, exactly like
+``kill -9``).
 """
 
 import json
@@ -14,15 +14,9 @@ import sys
 
 import pytest
 
-from repro import faults
 from repro.check import chaos_plan, chaos_tune_check
 from repro.check.chaos import DEFAULT_PROGRAMS
-from repro.compiler import compile_program
 from repro.faults import FaultPlan, FaultRule
-from repro.gpu import K40
-from repro.tuning.tuner import Autotuner
-
-from repro.bench.programs.matmul import matmul_program, matmul_sizes
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
@@ -35,14 +29,13 @@ class TestChaosDifferential:
     @pytest.mark.parametrize("name", DEFAULT_PROGRAMS)
     def test_bit_identical_under_chaos(self, name):
         (report,) = chaos_tune_check(
-            [name], seed=0, proposals=12, batch_size=4, workers=2,
-            max_paths=8,
+            [name], seed=0, proposals=12, batch_size=4, max_paths=8,
         )
         detail = {l.name: l.detail for l in report.legs if not l.ok}
         assert report.ok, f"{name}: {detail}"
-        assert {l.name for l in report.legs} == {
-            "serial", "workers", "resume", "forced-paths"
-        }
+        assert [l.name for l in report.legs] == [
+            "serial", "resume", "forced-paths"
+        ]
 
     def test_unrecoverable_plan_is_rejected(self):
         bad = FaultPlan(rules=(
@@ -59,33 +52,6 @@ class TestChaosDifferential:
         plan = chaos_plan(seed=123)
         assert plan.max_total_fires() is not None
         assert plan.retries > plan.max_total_fires()
-
-
-class TestWorkerCrashRecovery:
-    # a worker hard-exiting can trip a CPython race in the pool's own
-    # management thread ("dictionary changed size during iteration" in
-    # _ThreadWakeup bookkeeping); it is harmless — the pool is being torn
-    # down for respawn anyway — but surfaces as a thread-exception warning
-    @pytest.mark.filterwarnings(
-        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
-    )
-    def test_four_workers_with_crashes_match_serial(self):
-        cp = compile_program(matmul_program(), "incremental")
-        train = [matmul_sizes(e, 20) for e in (2, 6, 10)]
-        baseline = Autotuner(cp, train, K40, seed=7).tune(
-            max_proposals=16, batch_size=4
-        )
-        plan = FaultPlan(seed=3, rules=(
-            FaultRule(site="worker.eval", kind="worker_crash", p=0.4,
-                      max_fires=2),
-        ))
-        with faults.injected(plan):
-            crashed = Autotuner(cp, train, K40, seed=7).tune(
-                max_proposals=16, batch_size=4, workers=4
-            )
-        assert crashed.best_thresholds == baseline.best_thresholds
-        assert crashed.best_cost == baseline.best_cost
-        assert crashed.full_history == baseline.full_history
 
 
 class TestKillResumeRoundTrip:

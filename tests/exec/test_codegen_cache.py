@@ -1,12 +1,11 @@
 """On-disk compile cache: integrity, LRU bounds, cross-process sharing.
 
-The cache is the contract that lets ``tuning/parallel.py`` spawn workers
-(and repeated CLI invocations) share kernel compilations.  These tests
-cover the satellite requirements directly: a torn/truncated entry falls
-back to recompilation (never a crash), a poisoned entry (fingerprint or
-checksum mismatch) is rejected, the directory is LRU-bounded, and two
-spawn-based worker processes executing the same program record exactly
-one compile between them.
+The cache is the contract that lets separate processes (repeated CLI
+invocations, daemon restarts) share kernel compilations.  These tests
+cover it directly: a torn/truncated entry falls back to recompilation
+(never a crash), a poisoned entry (fingerprint or checksum mismatch) is
+rejected, the directory is LRU-bounded, and two spawned processes
+executing the same program record exactly one compile between them.
 """
 
 import json
@@ -147,25 +146,22 @@ class TestLRUBound:
 
 # -- cross-process sharing ---------------------------------------------------
 #
-# Module-level worker so "spawn" children can import it by qualified name
-# (the same constraint tuning/parallel.py workers live under).
+# Module-level worker so "spawn" children can import it by qualified name.
 
 
-def _worker_eval(cache_dir: str) -> dict:
+def _worker_eval() -> dict:
     from repro import perf as wperf
     from repro.exec import CodegenEvaluator as WEvaluator
-    from repro.exec import compile_cache as wcache
     from repro.ir import source as WS
     from repro.ir.builder import map_ as wmap
     from repro.ir.builder import v as wv
 
-    # exactly what tuning/parallel.py's _init_worker does with the
-    # coordinator-shipped directory
-    wcache.set_dir(cache_dir)
+    # the spawned child resolves the directory from REPRO_CODEGEN_CACHE,
+    # which it inherits from the fixture, like a second CLI invocation
     e = wmap(lambda x: WS.UnOp("abs", x * 2.0 + 1.0 - x * 0.5), wv("xs"))
     xs = np.linspace(-2.0, 3.0, 5).astype(np.float32)
     WEvaluator().eval(e, {"xs": xs})
-    return dict(wperf.export()["counters"])
+    return wperf.counters()
 
 
 def _so_deleter(cache_dir: str, iters: int) -> None:
@@ -250,37 +246,22 @@ class TestNativeEvictionRace:
 
 
 class TestCrossProcessSharing:
-    def test_two_spawn_workers_one_compile(self, tmp_path):
-        cache_dir = str(tmp_path / "shared-kcache")
-        os.makedirs(cache_dir, exist_ok=True)
+    def test_two_spawn_workers_one_compile(self):
         ctx = multiprocessing.get_context("spawn")
         merged: dict = {}
         for _ in range(2):  # two distinct worker processes, sequentially
             with ctx.Pool(processes=1) as pool:
-                counters = pool.apply(_worker_eval, (cache_dir,))
+                counters = pool.apply(_worker_eval)
             for k, val in counters.items():
                 merged[k] = merged.get(k, 0) + val
         assert merged.get("exec.codegen.compile", 0) == 1
         assert merged.get("exec.codegen.cache_hits", 0) >= 1
 
-    def test_init_worker_pins_cache_dir(self, tmp_path):
-        from repro.bench.programs.matmul import matmul_program
-        from repro.compiler import compile_program
-        from repro.gpu.device import K40
-        from repro.tuning.parallel import _init_worker
-
-        cp = compile_program(matmul_program(), "incremental")
-        target = str(tmp_path / "worker-kcache")
+    def test_set_dir_pins_cache_dir(self, tmp_path):
+        target = str(tmp_path / "pinned-kcache")
         try:
-            _init_worker(
-                cp,
-                [dict(n=4, m=4)],
-                K40,
-                0,
-                0.0,
-                None,
-                codegen_cache=target,
-            )
+            compile_cache.set_dir(target)  # beats REPRO_CODEGEN_CACHE
             assert compile_cache.cache_dir() == target
         finally:
             compile_cache.set_dir(None)
+        assert compile_cache.cache_dir() == os.environ["REPRO_CODEGEN_CACHE"]

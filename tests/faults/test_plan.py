@@ -113,21 +113,6 @@ class TestLoadPlan:
 
 
 class TestBudgets:
-    def test_consume_reduces_budget(self):
-        plan = FaultPlan(rules=(
-            FaultRule(site="w", kind="worker_crash", p=1.0, max_fires=2),
-        ))
-        spent = plan.consume("worker_crash", 1)
-        assert spent.rules[0].max_fires == 1
-        gone = spent.consume("worker_crash", 1)
-        assert gone.rules == ()  # exhausted rules are dropped
-
-    def test_consume_ignores_other_kinds(self):
-        plan = FaultPlan(rules=(
-            FaultRule(site="s", kind="launch", p=0.5, max_fires=3),
-        ))
-        assert plan.consume("worker_crash", 5) == plan
-
     def test_max_total_fires_bounded(self):
         plan = default_chaos_plan()
         bound = plan.max_total_fires()

@@ -68,9 +68,9 @@ class TestJobs:
             first = client.submit(TUNE, tenant="t1")
             res1 = client.result(first["job"], wait=30)
             hits = perf.counters().get("service.cache.hit", 0)
-            # same job, different tenant and different worker count: the
+            # same job, different tenant and checkpoint interval: the
             # fingerprint ignores result-neutral knobs, so still a hit
-            dup = dict(TUNE, workers=2)
+            dup = dict(TUNE, checkpoint_every=3)
             second = client.submit(dup, tenant="t2")
             res2 = client.result(second["job"], wait=30)
             assert res2["cached"]
@@ -159,7 +159,29 @@ class TestJobs:
             with pytest.raises(ServiceError) as exc:
                 client.submit(TUNE, priority="urgent")
             assert exc.value.code == 400  # unknown priority lane
+            for field in ("workers", "fusion"):  # neither is a job field
+                with pytest.raises(ServiceError) as exc:
+                    client.submit(dict(TUNE, **{field: 2}))
+                assert exc.value.code == 400
+                assert "unknown job field" in str(exc.value)
         finally:
+            daemon.stop()
+
+    def test_waits_outlast_the_client_socket_timeout(self, tmp):
+        # the daemon holds a `result`/`events` reply for up to `wait`
+        # seconds; a wait longer than the client's socket timeout must
+        # still get the daemon's answer, not "cannot reach daemon"
+        daemon, client = start(tmp, runners=1)
+        impatient = ServiceClient(socket_path=daemon.socket_path, timeout=0.3)
+        job_id = client.submit(dict(TUNE, proposals=200_000, batch_size=1))["job"]
+        try:
+            with pytest.raises(ServiceError) as exc:
+                impatient.result(job_id, wait=1.0)
+            assert exc.value.code == 408  # still running
+            seen = len(client.events(job_id))
+            impatient.events(job_id, from_seq=seen, wait=1.0)  # no timeout
+        finally:
+            client.cancel(job_id)
             daemon.stop()
 
     def test_unknown_program_fails_the_job(self, tmp):
@@ -263,13 +285,66 @@ class TestRecovery:
         finally:
             daemon2.stop()
 
+    def test_late_queued_save_never_overwrites_a_finished_record(
+        self, tmp, monkeypatch
+    ):
+        # the submitting thread rewrites the job's record as "queued" after
+        # admitting it, while a runner may already be finishing the job:
+        # that older snapshot must not land over the terminal record, or
+        # a restart would run the finished job again
+        from repro.service import jobs
+
+        real = jobs.atomic_write_json
+
+        def slow_queued(path, doc, **kw):
+            if doc["state"] == "queued" and doc["events"]:
+                time.sleep(0.5)
+            real(path, doc, **kw)
+
+        monkeypatch.setattr(jobs, "atomic_write_json", slow_queued)
+        daemon, client = start(tmp)
+        try:
+            run = {"kind": "run", "program": "matmul", "sizes": {"n": 4, "m": 8}}
+            job_id = client.submit(run)["job"]
+            assert client.result(job_id, wait=30)["state"] == "done"
+        finally:
+            daemon.stop()
+        with open(daemon.spool.record_path(job_id)) as fh:
+            assert json.load(fh)["state"] == "done"
+
+    def test_restart_under_other_fusion_mode_misses_the_store(
+        self, tmp, monkeypatch
+    ):
+        # matmul's branching tree is the same under ilp and off, so only
+        # the fusion mode recorded in the spec tells the two artifacts apart
+        monkeypatch.setenv("REPRO_FUSION", "ilp")
+        daemon, client = start(tmp)
+        try:
+            first = client.submit(TUNE)["job"]
+            assert client.result(first, wait=30)["state"] == "done"
+        finally:
+            daemon.stop()
+        monkeypatch.setenv("REPRO_FUSION", "off")
+        daemon2, client2 = start(tmp)
+        try:
+            res = client2.result(client2.submit(TUNE)["job"], wait=30)
+            assert res["state"] == "done" and not res["cached"]
+            assert res["artifact"]["thresholds"]["fusion"] == "off"
+            # the job tuned before the restart is still served, under the
+            # mode it was admitted with
+            old = client2.result(first, wait=5)
+            assert old["artifact"]["thresholds"]["fusion"] == "ilp"
+        finally:
+            daemon2.stop()
+
 
 class TestChaosBitIdentity:
-    """worker_crash + daemon kill -9 + restart == fault-free, byte for byte."""
+    """Retried launch fault + daemon kill -9 + restart == fault-free, byte
+    for byte."""
 
     SUBMIT = ["submit", "matmul", "--dataset", "n=64,m=256",
               "--dataset", "n=4,m=65536", "--proposals", "60",
-              "--batch-size", "4", "--workers", "2"]
+              "--batch-size", "4"]
 
     @staticmethod
     def _serve(spool, sock, logf, faults=None):
@@ -314,8 +389,7 @@ class TestChaosBitIdentity:
         assert proc.wait(timeout=30) == 0  # clean drain
 
         plan = json.dumps({"rules": [
-            {"site": "worker.eval", "kind": "worker_crash",
-             "p": 0.5, "max_fires": 1},
+            {"site": "sim.kernel", "kind": "launch", "p": 0.5, "max_fires": 1},
             {"site": "tuner.batch", "kind": "process_kill", "at": [6]},
         ]})
         chaos_sock = os.path.join(tmp, "chaos.sock")

@@ -257,6 +257,26 @@ class TestTune:
         assert code == 2
         assert "unknown fault kind" in capsys.readouterr().err
 
+    def test_worker_crash_fault_plan_exits_2(self, capsys, tmp_path):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"rules": [
+            {"site": "worker.eval", "kind": "worker_crash", "p": 0.5,
+             "max_fires": 1},
+        ]}))
+        code = main(["tune", "matmul", "--dataset", "n=8,m=8",
+                     "--proposals", "2", "--faults", str(plan)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:") and err.count("\n") == 1
+        assert "unknown fault kind 'worker_crash'" in err
+
+    @pytest.mark.parametrize("command", ["tune", "submit"])
+    def test_workers_flag_exits_2(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "matmul", "--dataset", "n=8,m=8", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
     def test_resume_without_checkpoint_exits_2(self, capsys, tmp_path):
         out_file = tmp_path / "m.tuning"
         code = main(["tune", "matmul", "--dataset", "n=8,m=8",

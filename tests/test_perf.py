@@ -93,38 +93,6 @@ def test_timers_are_per_thread_reentrant():
     assert perf.timers()["stage"] >= 0.02
 
 
-def test_export_delta_merge_roundtrip():
-    perf.reset()
-    perf.inc("a", 2)
-    base = perf.export()
-    perf.inc("a", 3)
-    perf.inc("b")
-    with perf.timer("t"):
-        pass
-    d = perf.delta(base)
-    assert d["counters"] == {"a": 3, "b": 1}
-    assert d["timers"]["t"] >= 0.0
-    perf.reset()
-    perf.inc("a", 10)
-    perf.merge(d)
-    assert perf.counters()["a"] == 13
-    assert perf.counters()["b"] == 1
-    assert "t" in perf.timers()
-
-
-def test_delta_is_zero_free():
-    perf.reset()
-    perf.inc("a")
-    base = perf.export()
-    assert perf.delta(base) == {}
-
-
-def test_merge_exclude():
-    perf.reset()
-    perf.merge({"counters": {"keep": 1, "drop": 1}}, exclude=("drop",))
-    assert perf.counters() == {"keep": 1}
-
-
 def test_timer_records_on_exception():
     perf.reset()
     try:

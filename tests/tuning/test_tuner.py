@@ -10,6 +10,7 @@ from repro.tuning import (
     exhaustive_tune,
     path_signature,
 )
+from repro.tuning.search import make_technique
 
 from repro.bench.programs.locvolcalib import locvolcalib_program, locvolcalib_sizes
 from repro.bench.programs.matmul import matmul_program, matmul_sizes
@@ -173,6 +174,47 @@ class TestTimeBudget:
         tuner = Autotuner(matmul_if, train20, K40, seed=0)
         res = tuner.tune(max_proposals=100, time_budget_s=1e-9)
         assert res.best_thresholds  # falls back to the 2^15 defaults
+
+
+class TestBatchSize:
+    """``batch_size`` is a search parameter: each batch is proposed against
+    the incumbent best, then fed back in order."""
+
+    def test_uneven_last_batch_respects_max_proposals(self, matmul_if, train20):
+        res = Autotuner(matmul_if, train20, K40, seed=0).tune(
+            max_proposals=30, batch_size=7
+        )
+        assert res.proposals == 30
+        assert len(res.full_history) == 30
+
+    def test_batch_of_one_is_the_unbatched_search(self, matmul_if, train20):
+        # the classic loop: propose one, measure it, feed it back
+        ref = Autotuner(matmul_if, train20, K40, seed=3)
+        tech = make_technique("bandit")
+        best_cfg, best_cost, expected = None, float("inf"), []
+        for n in range(60):
+            cfg = (ref.space.default_config() if n == 0
+                   else tech.propose(ref.space, ref.rng, best_cfg))
+            cost = ref.measure(cfg)
+            tech.feedback(cost < best_cost)
+            if cost < best_cost:
+                best_cfg, best_cost = dict(cfg), cost
+            expected.append((dict(cfg), cost))
+        res = Autotuner(matmul_if, train20, K40, seed=3).tune(
+            max_proposals=60, batch_size=1
+        )
+        assert res.full_history == expected
+        assert (res.best_thresholds, res.best_cost) == (best_cfg, best_cost)
+        assert (res.simulations, res.cache_hits) == (
+            ref.simulations, ref.cache_hits
+        )
+
+    def test_batch_size_changes_the_search(self, matmul_if, train20):
+        one = Autotuner(matmul_if, train20, K40, seed=3).tune(max_proposals=60)
+        eight = Autotuner(matmul_if, train20, K40, seed=3).tune(
+            max_proposals=60, batch_size=8
+        )
+        assert one.full_history != eight.full_history
 
 
 class TestTuningFiles:

@@ -109,7 +109,13 @@ class ServiceClient:
     def submit_stream(self, job: dict, tenant: str = "default",
                       priority: str = "normal") -> Iterator[dict]:
         """Submit a job and yield the admission reply, then every event
-        line through the job's terminal event."""
+        line through the job's terminal event.
+
+        :attr:`timeout` covers the admission reply only: the daemon sends
+        nothing while the job waits in the queue or between two progress
+        events, so the events are read without a timeout.  A stream that
+        ends before the terminal event raises :class:`ServiceError`.
+        """
         doc = {"op": "submit", "tenant": tenant, "priority": priority,
                "job": job, "stream": True}
         try:
@@ -125,6 +131,7 @@ class ServiceClient:
                 if not reply.get("ok"):
                     raise ServiceError.from_reply(reply)
                 yield reply
+                sock.settimeout(None)
                 for line in rd:
                     line = line.strip()
                     if not line:
@@ -135,6 +142,9 @@ class ServiceClient:
                         return
         except OSError as exc:
             raise ServiceError(f"cannot reach daemon: {exc}") from None
+        raise ServiceError(
+            f"daemon closed the stream of job {reply['job']} before it ended"
+        )
 
     def jobs(self) -> list[dict]:
         return self.request({"op": "jobs"})["jobs"]

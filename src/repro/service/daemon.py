@@ -9,6 +9,9 @@ content-addressed :class:`~repro.service.store.ArtifactStore`, so an
 identical job from any tenant returns without evaluating a proposal.
 Every job compiles under the fusion mode the daemon recorded in its spec
 at admission (``REPRO_FUSION`` or ``ilp``), so the store key covers it.
+A daemon compiles each (program, mode, fusion) once and keeps the result
+in a bounded memo, and a job record carries its artifact fingerprint, so
+a store hit and a fetch cost store reads, not a compile.
 
 Wire protocol (one JSON object per line, ``docs/service.md``):
 
@@ -30,12 +33,13 @@ cancel    cancel a queued job, or interrupt a running one at its
 shutdown  begin graceful shutdown: stop admitting, drain
 ========  =====================================================
 
-Crash-safety is inherited rather than reinvented: every job persists a
-record in the spool on each state change, tuning jobs checkpoint through
-the PR 5 ``--resume`` machinery into ``<spool>/ckpt/``, and a daemon
-that is ``kill -9``'d mid-job re-enqueues its interrupted jobs on
-restart and resumes them to bit-identical artifacts.  ``online`` jobs
-execute with online threshold dispatch (``docs/online-tuning.md``): a
+Crash-safety is inherited rather than reinvented: every job record is
+made durable in the spool twice, at admission (before a runner can start
+it) and in its terminal state; tuning jobs checkpoint through the
+``repro tune --resume`` machinery into ``<spool>/ckpt/``, and a daemon
+that is ``kill -9``'d mid-job re-enqueues its unfinished jobs on restart
+and resumes them to bit-identical artifacts.  ``online`` jobs execute
+with online threshold dispatch (``docs/online-tuning.md``): a
 long-running tenant's submissions share one
 :class:`~repro.tuning.online.OnlineTuner` per program identity, whose
 shape-class table persists atomically in ``<spool>/online/`` after every
@@ -49,6 +53,7 @@ runs.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -56,6 +61,7 @@ import os
 import socket
 import threading
 import time
+from collections import OrderedDict
 from typing import Any
 
 from repro import perf
@@ -74,6 +80,9 @@ from repro.service.queue import FairShareQueue, QueueFull
 from repro.service.store import ArtifactStore
 
 __all__ = ["ServiceDaemon", "JobCancelled"]
+
+#: compiled programs one daemon keeps, least recently used dropped first
+COMPILE_MEMO_MAX = 32
 
 
 class JobCancelled(Exception):
@@ -181,6 +190,9 @@ class ServiceDaemon:
         #: keyed on the program identity hash (see _online_tuner)
         self._online: dict[str, Any] = {}
         self._online_lock = threading.Lock()
+        #: (program identity, mode, fusion) -> (prog, cp, tree hash), LRU
+        self._compiled_memo: OrderedDict[tuple, tuple] = OrderedDict()
+        self._compile_lock = threading.Lock()
         self._id_lock = threading.Lock()
         self._next_id = 0
         self._listeners: list[socket.socket] = []
@@ -234,9 +246,10 @@ class ServiceDaemon:
     def _recover(self) -> None:
         """Re-register spooled jobs; re-enqueue the ones a crash cut short.
 
-        A ``running`` record means the previous daemon died mid-job; its
-        tuning checkpoint (if any) is in the spool, so re-running the job
-        resumes it bit-identically rather than starting over.
+        A record that is not terminal belongs to a job the previous daemon
+        admitted but did not finish; its tuning checkpoint (if any) is in
+        the spool, so re-running the job resumes it bit-identically rather
+        than starting over.  Its record stays as it is until the job ends.
         """
         for job in self.spool.load_all(self._log):
             with self._id_lock:
@@ -248,9 +261,8 @@ class ServiceDaemon:
                 self.jobs[job.id] = job
             if job.state in TERMINAL_STATES:
                 continue
-            interrupted = job.state == "running"
             job.set_state("queued")
-            job.emit("requeued", recovered=interrupted)
+            job.emit("requeued")
             try:
                 self.queue.put(job.tenant, job.priority, job)
             except QueueFull as exc:
@@ -258,12 +270,8 @@ class ServiceDaemon:
                 job.emit("failed", error=str(exc))
                 self.spool.save(job)
                 continue
-            self.spool.save(job)
             perf.inc("service.jobs.recovered")
-            self._log(
-                f"recovered job {job.id} ({job.tenant}/{job.priority}"
-                f"{', interrupted mid-run' if interrupted else ''})"
-            )
+            self._log(f"recovered job {job.id} ({job.tenant}/{job.priority})")
 
     def request_shutdown(self) -> None:
         """Begin graceful shutdown (signal-safe; SIGTERM lands here)."""
@@ -490,38 +498,36 @@ class ServiceDaemon:
             self._send(wr, {"ok": False, "code": 400, "error": str(exc)})
             return
         job.engine_demoted = engine_demoted
-        # record first, then admit: a job visible in the queue always has
-        # a spool record for crash recovery to find
-        with self._jobs_lock:
-            self.jobs[job.id] = job
+        queued: dict[str, Any] = {"tenant": tenant, "priority": priority}
+        if engine_demoted:
+            queued.update(engine_demoted=True, engine=spec["engine"])
+        # the job's one durable write before its terminal one, made before
+        # a runner can start it: a restart finds every job that was
+        # running or whose id a client heard
         self.spool.save(job)
         try:
-            depth = self.queue.put(tenant, priority, job)
-        except QueueFull as exc:
-            with self._jobs_lock:
-                del self.jobs[job.id]
+            # a runner may take the job at once: holding its event lock
+            # until `queued` is logged keeps `started` from preceding it
+            with job.events_lock:
+                depth = self.queue.put(tenant, priority, job)
+                job.emit("queued", depth=depth, **queued)
+        except (QueueFull, RuntimeError) as exc:
             try:
-                os.unlink(self.spool.record_path(job.id))
+                os.unlink(self.spool.record_path(job.id))  # refused: no record
             except OSError:
                 pass
-            perf.inc("service.jobs.rejected")
-            self._send(wr, {"ok": False, "code": 429, "error": "queue full",
-                            "depth": exc.depth,
-                            "retry_after_s": exc.retry_after_s})
+            if isinstance(exc, QueueFull):
+                perf.inc("service.jobs.rejected")
+                self._send(wr, {"ok": False, "code": 429, "error": "queue full",
+                                "depth": exc.depth,
+                                "retry_after_s": exc.retry_after_s})
+            else:
+                self._send(wr, {"ok": False, "code": 503,
+                                "error": "daemon is shutting down"})
             return
-        except RuntimeError:
-            with self._jobs_lock:
-                del self.jobs[job.id]
-            self._send(wr, {"ok": False, "code": 503,
-                            "error": "daemon is shutting down"})
-            return
+        with self._jobs_lock:
+            self.jobs[job.id] = job
         perf.inc("service.jobs.submitted")
-        if engine_demoted:
-            job.emit("queued", tenant=tenant, priority=priority, depth=depth,
-                     engine_demoted=True, engine=spec["engine"])
-        else:
-            job.emit("queued", tenant=tenant, priority=priority, depth=depth)
-        self.spool.save(job)
         reply = {"ok": True, "job": job.id, "state": "queued", "depth": depth}
         if engine_demoted:
             reply["engine_demoted"] = True
@@ -552,29 +558,22 @@ class ServiceDaemon:
             # online jobs carry their payload inline (never store-cached)
             doc["artifact"] = job.result
         elif job.state == "done" and job.key:
+            if job.fingerprint is None:
+                # a record from before jobs carried their fingerprint
+                try:
+                    _key, job.fingerprint = artifact_key(
+                        job.spec, self._compiled(job.spec)[2]
+                    )
+                except Exception:  # the program no longer compiles
+                    pass
             # re-read through the integrity-checking store path
-            payload = None
-            fp = self._fingerprint_of(job)
-            if fp is not None:
-                payload = self.store.load(job.key, fp)
-            doc["artifact"] = payload
+            doc["artifact"] = (self.store.load(job.key, job.fingerprint)
+                               if job.fingerprint else None)
         elif job.state not in TERMINAL_STATES:
             doc["ok"] = False
             doc["code"] = 408
             doc["error"] = f"job {job.id} still {job.state}"
         self._send(wr, doc)
-
-    def _fingerprint_of(self, job: Job) -> str | None:
-        try:
-            from repro.compiler import compile_program
-            from repro.tuning.persist import branching_tree_hash
-
-            cp = compile_program(_resolve_program(job.spec), job.spec["mode"],
-                                 fusion=job.spec["fusion"])
-            _key, fp = artifact_key(job.spec, branching_tree_hash(cp))
-            return fp
-        except Exception:
-            return None
 
     def _cancel(self, job: Job) -> dict:
         if job.state in TERMINAL_STATES:
@@ -612,7 +611,6 @@ class ServiceDaemon:
             perf.inc("service.jobs.canceled")
             return
         job.set_state("running")
-        self.spool.save(job)
         t0 = time.perf_counter()
         with obs.span("service.job", cat="service", job=job.id,
                       tenant=job.tenant, kind=job.spec["kind"],
@@ -641,24 +639,62 @@ class ServiceDaemon:
                 self._log(f"job {job.id} failed: {exc}")
         self.spool.save(job)
 
-    def _execute(self, job: Job) -> int:
-        """Run one job; returns the number of proposals evaluated (0 when
-        the artifact came from the store)."""
+    def _compiled(self, spec: dict) -> tuple:
+        """``(prog, cp, branching-tree hash)`` for a normalised spec.
+
+        Memoized per daemon on the program's identity (a built-in's name,
+        or the sha256 of submitted source: a source picks its program name
+        freely), the mode and the fusion mode, so a program compiles once
+        however many jobs name it.  The lock is held across the compile,
+        so concurrent first submissions of one program compile it once.
+        ``REPRO_NO_CACHE`` compiles on every call.
+        """
+        # imported per call, so a wrapper installed on the module attribute
+        # sees every compile
         from repro.compiler import compile_program
         from repro.tuning.persist import branching_tree_hash
 
+        def build() -> tuple:
+            perf.inc("service.compile.miss")
+            prog = _resolve_program(spec)
+            cp = compile_program(prog, spec["mode"], fusion=spec["fusion"])
+            return prog, cp, branching_tree_hash(cp)
+
+        if not perf.caching_enabled():
+            return build()
+        ident = (
+            ("source", hashlib.sha256(spec["source"].encode("utf-8")).hexdigest())
+            if spec["source"] else ("program", spec["program"].lower())
+        )
+        key = (*ident, spec["mode"], spec["fusion"])
+        with self._compile_lock:
+            hit = self._compiled_memo.get(key)
+            if hit is None:
+                hit = self._compiled_memo[key] = build()
+                if len(self._compiled_memo) > COMPILE_MEMO_MAX:
+                    self._compiled_memo.popitem(last=False)
+            else:
+                perf.inc("service.compile.hit")
+                self._compiled_memo.move_to_end(key)
+        return hit
+
+    def _execute(self, job: Job) -> int:
+        """Run one job; returns the number of proposals evaluated (0 when
+        the artifact came from the store)."""
         spec = job.spec
-        prog = _resolve_program(spec)
-        cp = compile_program(prog, spec["mode"], fusion=spec["fusion"])
+        prog, shared, tree = self._compiled(spec)
+        # the simulate memo dies with the job, as when each job compiled:
+        # kept on the shared program it would grow with every tune
+        cp = dataclasses.replace(shared, _sim_memo={}, _shape_memo={})
         if spec["kind"] == "online":
             # never cached: each submission is also an observation that
             # refines the tenant's shape-class table
             job.emit("started", online=True)
-            payload, evaluated = self._execute_online(job, prog, cp)
+            payload, evaluated = self._execute_online(job, prog, cp, tree)
             job.result = payload
             return evaluated
-        key, fp = artifact_key(spec, branching_tree_hash(cp))
-        job.key = key
+        key, fp = artifact_key(spec, tree)
+        job.key, job.fingerprint = key, fp
         job.emit("started", key=key)
         payload = self.store.load(key, fp)
         if payload is not None:
@@ -668,7 +704,7 @@ class ServiceDaemon:
         if spec["kind"] == "tune":
             payload, evaluated = self._execute_tune(job, cp)
         elif spec["kind"] == "compile":
-            payload, evaluated = self._execute_compile(job, cp)
+            payload, evaluated = self._execute_compile(cp, tree)
         else:
             payload, evaluated = self._execute_run(job, prog, cp)
         self.store.store(key, fp, payload)
@@ -734,9 +770,8 @@ class ServiceDaemon:
         }
         return payload, res.proposals
 
-    def _execute_compile(self, job: Job, cp) -> tuple[dict, int]:
+    def _execute_compile(self, cp, tree: str) -> tuple[dict, int]:
         from repro.codegen.opencl import generate_opencl
-        from repro.tuning.persist import branching_tree_hash
 
         code = generate_opencl(cp)
         source = code.full_source()
@@ -744,7 +779,7 @@ class ServiceDaemon:
             "kind": "compile",
             "program": cp.prog.name,
             "mode": cp.mode,
-            "branching_tree": branching_tree_hash(cp),
+            "branching_tree": tree,
             "thresholds": sorted(cp.thresholds()),
             "num_kernels": code.num_kernels,
             "loc": code.loc,
@@ -773,15 +808,14 @@ class ServiceDaemon:
 
     # -- online threshold dispatch -------------------------------------------
 
-    def _online_tuner(self, cp, device):
+    def _online_tuner(self, cp, tree: str, device):
         """The shared online tuner for one (program, mode, fusion, device,
         branching tree) identity; created lazily, resumed from the spool's
         persisted table when one survives a restart."""
         from repro.tuning.online import OnlineTuner
-        from repro.tuning.persist import TuningFileError, branching_tree_hash
+        from repro.tuning.persist import TuningFileError
 
-        ident = (f"{cp.prog.name}|{cp.mode}|{cp.fusion}|{device.name}|"
-                 f"{branching_tree_hash(cp)}")
+        ident = f"{cp.prog.name}|{cp.mode}|{cp.fusion}|{device.name}|{tree}"
         key = hashlib.sha256(ident.encode("utf-8")).hexdigest()[:16]
         with self._online_lock:
             tuner = self._online.get(key)
@@ -799,7 +833,7 @@ class ServiceDaemon:
                 self._online[key] = tuner
             return tuner
 
-    def _execute_online(self, job: Job, prog, cp) -> tuple[dict, int]:
+    def _execute_online(self, job: Job, prog, cp, tree: str) -> tuple[dict, int]:
         """Run with online threshold dispatch; an explore-path dispatch
         counts as one evaluated proposal, an exploit-path one as zero."""
         from repro.cli import _random_inputs
@@ -807,7 +841,7 @@ class ServiceDaemon:
         spec = job.spec
         _check_sizes(prog, spec["sizes"], "'sizes'")
         device = _device(spec["device"])
-        tuner = self._online_tuner(cp, device)
+        tuner = self._online_tuner(cp, tree, device)
         # a launch under a degraded stack (tripped breaker, or admitted
         # with an overload-demoted engine) must not feed the bandit
         degraded = bool(job.engine_demoted) or guard.demotion_active()

@@ -20,10 +20,12 @@ search parameter (it changes the proposal sequence), so it is keyed.
 A :class:`Job` is the daemon's runtime object: spec + state machine
 (``queued → running → done | failed | canceled``) + an append-only event
 log that streaming clients subscribe to.  The :class:`Spool` persists
-every job record atomically (``<spool>/jobs/<id>.json``) on each state
-change, and hosts per-job tuning checkpoints (``<spool>/ckpt/``) — which
-is what lets a ``kill -9``'d daemon restart, re-enqueue its interrupted
-jobs and resume them bit-identically via the checkpoint machinery
+each job record atomically (``<spool>/jobs/<id>.json``) at two points:
+once at admission, before a runner can start the job or the client hears
+its id, and once in its terminal state.  A restarted daemon re-enqueues
+every job whose record is not terminal, and the Spool's per-job tuning
+checkpoints (``<spool>/ckpt/``) let a ``kill -9``'d daemon resume an
+interrupted tune bit-identically via the checkpoint machinery
 (``docs/robustness.md``).
 """
 
@@ -194,6 +196,8 @@ class Job:
         self.state = "queued"
         self.error: str | None = None
         self.key: str | None = None  # artifact-store key, set at run time
+        #: the fingerprint ``key`` hashes, so a fetch never recompiles
+        self.fingerprint: str | None = None
         self.cached = False  # served from the artifact store
         #: inline result payload for jobs that bypass the artifact store
         #: (online jobs: each submission is an observation, never a cache hit)
@@ -205,10 +209,14 @@ class Job:
         self.engine_demoted = False
         self.events: list[dict] = []
         self._cond = threading.Condition()
-        #: held from snapshot to rename by :meth:`Spool.save`
-        self.save_lock = threading.Lock()
 
     # -- events --------------------------------------------------------------
+
+    @property
+    def events_lock(self) -> threading.Condition:
+        """Held by :meth:`emit`; hold it to order other work before an
+        event no other thread may precede."""
+        return self._cond
 
     def emit(self, event: str, **fields: Any) -> dict:
         """Append an event and wake streaming subscribers."""
@@ -272,6 +280,7 @@ class Job:
             "state": self.state,
             "error": self.error,
             "key": self.key,
+            "fingerprint": self.fingerprint,
             "cached": self.cached,
             "result": self.result,
             "spec": self.spec,
@@ -290,6 +299,8 @@ class Job:
         job.state = str(doc.get("state", "queued"))
         job.error = doc.get("error")
         job.key = doc.get("key")
+        # records from before jobs carried it have none: fetch derives it
+        job.fingerprint = doc.get("fingerprint")
         job.cached = bool(doc.get("cached", False))
         job.result = doc.get("result")
         job.events = list(doc.get("events", []))
@@ -323,13 +334,12 @@ class Spool:
     def save(self, job: Job) -> None:
         """Atomically persist the job record (crash-safe, PR 5 ioutil).
 
-        The submitting thread and a runner can save the same job at once;
-        snapshotting and renaming under the job's lock keeps an older
-        snapshot (``queued``) from landing over a newer one (``done``).
+        A job is saved at admission, before it is queued, and in its
+        terminal state, by the one thread that ended it; the two never
+        overlap.
         """
-        with job.save_lock:
-            atomic_write_json(self.record_path(job.id), job.record(),
-                              indent=2, sort_keys=True)
+        atomic_write_json(self.record_path(job.id), job.record(),
+                          indent=2, sort_keys=True)
 
     def load_all(self, log: Callable[[str], None] = lambda _msg: None) -> list[Job]:
         """Every persisted job, oldest id first; corrupt records skipped."""

@@ -11,19 +11,23 @@ evaluating a single proposal.
 
 The layout and failure model are patterned on the codegen compile cache
 (:mod:`repro.exec.compile_cache`): one ``<key>.json`` file per artifact,
-where ``key`` is the SHA-256 of the job fingerprint string, each entry
-recording the fingerprint it was stored under plus a checksum of its
-payload, so
+where ``key`` is the SHA-256 of the job fingerprint string.  An entry is
+a one-line JSON header (format version, key, the fingerprint it was
+stored under, the SHA-256 of the payload bytes) followed by the payload's
+JSON text.  A read hashes the stored payload bytes and parses them once,
+so verifying an entry never re-serialises it, and
 
-* a *torn or truncated* entry fails JSON parsing or the checksum and
+* a *torn or truncated* entry fails header parsing or the checksum and
   degrades to a miss (the job is re-evaluated, never a crash);
 * a *poisoned* entry — content copied under the wrong key, or a payload
   edited without its checksum — fails the fingerprint/checksum match and
-  is rejected (``service.cache.bad``).
+  is rejected (``service.cache.bad``);
+* an entry of another format version is a plain miss, overwritten when
+  the job's artifact is stored again.
 
 The directory is mtime-LRU bounded (reads touch mtime) at
 ``REPRO_SERVICE_STORE_MAX`` entries (default 256).  Writes go through
-:func:`repro.ioutil.atomic_write_json`; concurrent writers of one key
+:func:`repro.ioutil.atomic_write_text`; concurrent writers of one key
 race benignly (both wrote the same deterministic content).  Every
 filesystem error degrades to a miss.  ``REPRO_NO_CACHE`` disables the
 layer.
@@ -39,22 +43,17 @@ import json
 import os
 
 from repro import perf
-from repro.ioutil import atomic_write_json
+from repro.ioutil import atomic_write_text
 
 __all__ = ["STORE_VERSION", "DEFAULT_MAX_ENTRIES", "job_key", "ArtifactStore"]
 
-STORE_VERSION = 1
+STORE_VERSION = 2
 DEFAULT_MAX_ENTRIES = 256
 
 
 def job_key(fingerprint: str) -> str:
     """Content address of a job: SHA-256 of its fingerprint string."""
     return hashlib.sha256(fingerprint.encode("utf-8")).hexdigest()
-
-
-def _payload_checksum(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def default_max_entries() -> int:
@@ -88,20 +87,23 @@ class ArtifactStore:
             perf.inc("service.cache.miss")
             return None
         path = self._path(key)
+        payload = None
         try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError):
-            if os.path.exists(path):
-                perf.inc("service.cache.bad")  # torn/corrupt entry
+            with open(path, "rb") as fh:
+                head = json.loads(fh.readline())
+                body = fh.read()
+            if head.get("version") != STORE_VERSION:
+                perf.inc("service.cache.miss")  # another format, not corrupt
+                return None
+            if (head.get("fingerprint") == fingerprint
+                    and head.get("sha256") == hashlib.sha256(body).hexdigest()):
+                payload = json.loads(body)
+        except FileNotFoundError:
             perf.inc("service.cache.miss")
             return None
-        payload = doc.get("payload") if isinstance(doc, dict) else None
-        if (
-            not isinstance(payload, dict)
-            or doc.get("fingerprint") != fingerprint
-            or doc.get("sha256") != _payload_checksum(payload)
-        ):
+        except (OSError, ValueError, AttributeError):
+            pass  # torn or corrupt entry: counted bad below
+        if not isinstance(payload, dict):
             perf.inc("service.cache.bad")
             perf.inc("service.cache.miss")
             return None
@@ -116,17 +118,17 @@ class ArtifactStore:
         """Persist ``payload`` under ``key``; best-effort (False on failure)."""
         if not perf.caching_enabled():
             return False
-        doc = {
-            "kind": "repro-service-artifact",
-            "version": STORE_VERSION,
-            "key": key,
-            "fingerprint": fingerprint,
-            "sha256": _payload_checksum(payload),
-            "payload": payload,
-        }
         try:
+            body = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+            head = json.dumps({
+                "kind": "repro-service-artifact",
+                "version": STORE_VERSION,
+                "key": key,
+                "fingerprint": fingerprint,
+                "sha256": hashlib.sha256(body.encode("utf-8")).hexdigest(),
+            }, sort_keys=True)
             os.makedirs(self.directory, exist_ok=True)
-            atomic_write_json(self._path(key), doc)
+            atomic_write_text(self._path(key), head + "\n" + body)
         except (OSError, TypeError, ValueError):
             return False
         self.evict_lru()

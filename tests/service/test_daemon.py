@@ -8,6 +8,7 @@ job from its checkpoint, and the artifact must be byte-identical to a
 fault-free daemon's.
 """
 
+import gc
 import json
 import os
 import shutil
@@ -15,6 +16,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 import pytest
@@ -24,6 +26,7 @@ from repro.service import ServiceClient, ServiceDaemon, ServiceError
 
 TUNE = {"kind": "tune", "program": "matmul", "datasets": [{"n": 16, "m": 16}],
         "proposals": 40, "batch_size": 4}
+RUN = {"kind": "run", "program": "matmul", "sizes": {"n": 4, "m": 8}}
 
 
 @pytest.fixture
@@ -33,6 +36,34 @@ def tmp():
     d = tempfile.mkdtemp(prefix="repro-svc-")
     yield d
     shutil.rmtree(d, ignore_errors=True)
+
+
+@pytest.fixture
+def no_gc_pause():
+    """For tests that give the in-process daemon a fraction of a second to
+    answer: a full collection of the garbage earlier tests leave behind
+    stalls every thread for 0.1-0.9 s in a tier-1 run, so collect before
+    the test and not during it."""
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The names of the programs ``compile_program`` compiles, in order."""
+    import repro.compiler as compiler
+
+    calls = []
+    real = compiler.compile_program
+
+    def counting(prog, *args, **kwargs):
+        calls.append(prog.name)
+        return real(prog, *args, **kwargs)
+
+    monkeypatch.setattr(compiler, "compile_program", counting)
+    return calls
 
 
 def start(tmp, name="spool", runners=2, **kw):
@@ -167,7 +198,7 @@ class TestJobs:
         finally:
             daemon.stop()
 
-    def test_waits_outlast_the_client_socket_timeout(self, tmp):
+    def test_waits_outlast_the_client_socket_timeout(self, tmp, no_gc_pause):
         # the daemon holds a `result`/`events` reply for up to `wait`
         # seconds; a wait longer than the client's socket timeout must
         # still get the daemon's answer, not "cannot reach daemon"
@@ -182,6 +213,24 @@ class TestJobs:
             impatient.events(job_id, from_seq=seen, wait=1.0)  # no timeout
         finally:
             client.cancel(job_id)
+            daemon.stop()
+
+    def test_stream_outlasts_the_client_socket_timeout(self, tmp, no_gc_pause):
+        # the daemon sends nothing while a streamed job waits in the queue:
+        # a wait longer than the client's socket timeout must not cut it
+        daemon, client = start(tmp, runners=1)
+        impatient = ServiceClient(socket_path=daemon.socket_path, timeout=0.5)
+        big = client.submit(dict(TUNE, proposals=200_000, batch_size=1))["job"]
+        unblock = threading.Timer(1.5, client.cancel, args=(big,))
+        unblock.start()
+        try:
+            events = list(impatient.submit_stream(
+                {"kind": "compile", "program": "matmul"}))
+            assert events[-1]["event"] == "done"
+            assert client.status(big)["state"] == "canceled"
+        finally:
+            unblock.cancel()
+            client.cancel(big)
             daemon.stop()
 
     def test_unknown_program_fails_the_job(self, tmp):
@@ -208,6 +257,7 @@ class TestAdmissionControl:
             assert exc.value.retry_after_s == 3.5
             # the rejected job left no trace
             assert len(client.jobs()) == 2
+            assert len(os.listdir(daemon.spool.jobs_dir)) == 2
         finally:
             daemon.stop()
 
@@ -221,6 +271,24 @@ class TestAdmissionControl:
             assert perf.counters().get("service.jobs.rejected", 0) == before + 1
         finally:
             daemon.stop()
+
+
+    def test_submission_refused_while_draining_leaves_no_record(self, tmp):
+        daemon, client = start(tmp, runners=1)
+        big = client.submit(dict(TUNE, proposals=200_000, batch_size=1))["job"]
+        drain = threading.Thread(target=daemon.stop)
+        drain.start()
+        try:
+            deadline = time.time() + 15
+            while not daemon.queue.closed and time.time() < deadline:
+                time.sleep(0.01)
+            with pytest.raises(ServiceError) as exc:
+                client.submit(RUN)
+            assert exc.value.code == 503
+            assert os.listdir(daemon.spool.jobs_dir) == [big + ".json"]
+        finally:
+            client.cancel(big)
+            drain.join()
 
 
 class TestCancellation:
@@ -265,8 +333,9 @@ class TestRecovery:
         try:
             res = client2.result(job_id, wait=30)
             assert res["state"] == "done"
-            evs = [e["event"] for e in client2.events(job_id)]
-            assert "requeued" in evs
+            requeued = [e for e in client2.events(job_id)
+                        if e["event"] == "requeued"]
+            assert len(requeued) == 1 and "recovered" not in requeued[0]
             # fresh ids continue past recovered ones
             assert client2.submit(dict(TUNE, seed=7))["job"] != job_id
         finally:
@@ -288,27 +357,35 @@ class TestRecovery:
     def test_late_queued_save_never_overwrites_a_finished_record(
         self, tmp, monkeypatch
     ):
-        # the submitting thread rewrites the job's record as "queued" after
-        # admitting it, while a runner may already be finishing the job:
-        # that older snapshot must not land over the terminal record, or
-        # a restart would run the finished job again
+        # a slow admission write must land before a runner starts the job
+        # (a daemon killed mid-job must find it on restart), so it can
+        # never land over the job's terminal record either
         from repro.service import jobs
 
         real = jobs.atomic_write_json
 
         def slow_queued(path, doc, **kw):
-            if doc["state"] == "queued" and doc["events"]:
+            if doc["state"] == "queued":
                 time.sleep(0.5)
             real(path, doc, **kw)
 
+        durable_at_start = []
+        execute = ServiceDaemon._execute
+
+        def checking(daemon, job):
+            durable_at_start.append(
+                os.path.exists(daemon.spool.record_path(job.id)))
+            return execute(daemon, job)
+
         monkeypatch.setattr(jobs, "atomic_write_json", slow_queued)
+        monkeypatch.setattr(ServiceDaemon, "_execute", checking)
         daemon, client = start(tmp)
         try:
-            run = {"kind": "run", "program": "matmul", "sizes": {"n": 4, "m": 8}}
-            job_id = client.submit(run)["job"]
+            job_id = client.submit(RUN)["job"]
             assert client.result(job_id, wait=30)["state"] == "done"
         finally:
             daemon.stop()
+        assert durable_at_start == [True]
         with open(daemon.spool.record_path(job_id)) as fh:
             assert json.load(fh)["state"] == "done"
 
@@ -336,6 +413,112 @@ class TestRecovery:
             assert old["artifact"]["thresholds"]["fusion"] == "ilp"
         finally:
             daemon2.stop()
+
+
+class TestCompileOncePerDaemon:
+    def test_jobs_and_fetches_share_one_compile(self, tmp, compiles):
+        daemon, client = start(tmp)
+        try:
+            ids = [client.submit(TUNE, tenant="t1")["job"],
+                   client.submit(dict(TUNE, checkpoint_every=3),
+                                 tenant="t2")["job"],
+                   client.submit(RUN)["job"]]
+            for job_id in ids:
+                assert client.result(job_id, wait=30)["state"] == "done"
+            assert compiles == ["matmul"]
+            counters = client.ping()["counters"]
+            assert counters["service.compile.hit"] >= 2
+        finally:
+            daemon.stop()
+        daemon2, client2 = start(tmp)  # same spool: the record has the key
+        try:
+            assert client2.result(ids[0], wait=5)["artifact"]["kind"] == "tune"
+            assert compiles == ["matmul"]
+        finally:
+            daemon2.stop()
+
+    def test_no_cache_compiles_every_job(self, tmp, compiles, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        daemon, client = start(tmp)
+        try:
+            for seed in (0, 1):
+                job_id = client.submit(dict(RUN, seed=seed))["job"]
+                assert client.result(job_id, wait=30)["state"] == "done"
+            assert compiles == ["matmul", "matmul"]
+        finally:
+            daemon.stop()
+
+    def test_sources_sharing_a_name_compile_separately(self, tmp, compiles):
+        rowsums = "def f(xss: [n][m]f32) = map (\\xs -> reduce (+) 0.0 xs) xss"
+        doubled = "def f(xss: [n][m]f32) = map (\\xs -> map (\\x -> x * 2.0) xs) xss"
+        daemon, client = start(tmp)
+        try:
+            arts = []
+            for src in (rowsums, doubled):
+                job_id = client.submit({"kind": "compile", "source": src})["job"]
+                arts.append(client.result(job_id, wait=30)["artifact"])
+            assert compiles == ["f", "f"]
+            assert arts[0]["program"] == arts[1]["program"] == "f"
+            assert arts[0]["source_sha256"] != arts[1]["source_sha256"]
+        finally:
+            daemon.stop()
+
+    def test_record_without_fingerprint_still_fetches(self, tmp):
+        daemon, client = start(tmp)
+        try:
+            job_id = client.submit(TUNE)["job"]
+            art = client.result(job_id, wait=30)["artifact"]
+        finally:
+            daemon.stop()
+        path = daemon.spool.record_path(job_id)
+        with open(path) as fh:
+            doc = json.load(fh)
+        assert doc.pop("fingerprint")  # as written before records carried it
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        daemon2, client2 = start(tmp)
+        try:
+            assert client2.result(job_id, wait=5)["artifact"] == art
+        finally:
+            daemon2.stop()
+
+    def test_runners_sharing_a_program_match_one_runner(self, tmp):
+        # twin jobs (two seeds each) execute side by side on the one
+        # compiled program both runners share
+        jobs = [dict(TUNE, proposals=200, seed=s) for s in (0, 1)]
+        jobs += [dict(RUN, engine=e, seed=s) for e in ("vector", "codegen")
+                 for s in (0, 1)]
+
+        def fetch_all(name, runners):
+            daemon, client = start(tmp, name=name, runners=runners)
+            try:
+                ids = [client.submit(j, tenant=f"t{i % 2}")["job"]
+                       for i, j in enumerate(jobs)]
+                return [json.dumps(client.result(i, wait=60)["artifact"],
+                                   sort_keys=True) for i in ids]
+            finally:
+                daemon.stop()
+
+        assert fetch_all("shared", 2) == fetch_all("alone", 1)
+
+    def test_two_durable_writes_per_job(self, tmp, monkeypatch):
+        from repro.service.jobs import Spool
+
+        saves = []
+        real = Spool.save
+
+        def counting(spool, job):
+            saves.append((job.id, job.state))
+            real(spool, job)
+
+        monkeypatch.setattr(Spool, "save", counting)
+        daemon, client = start(tmp)
+        try:
+            job_id = client.submit(TUNE)["job"]
+            assert client.result(job_id, wait=30)["state"] == "done"
+        finally:
+            daemon.stop()
+        assert len(saves) == 2 and saves[-1] == (job_id, "done")
 
 
 class TestChaosBitIdentity:

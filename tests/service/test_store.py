@@ -79,13 +79,29 @@ class TestEntryIntegrity:
     def test_tampered_payload_rejected(self, store):
         key = _put(store, "fp-A", {"kind": "tune", "thresholds": {"t0": 32}})
         path = os.path.join(store.directory, key + ".json")
-        doc = json.load(open(path))
-        doc["payload"]["thresholds"]["t0"] = 9999  # edit without checksum
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
+        blob = open(path, "rb").read()
+        assert blob.count(b'"t0":32') == 1
+        with open(path, "wb") as fh:  # edit without checksum
+            fh.write(blob.replace(b'"t0":32', b'"t0":99'))
         bad = _counter("service.cache.bad")
         assert store.load(key, "fp-A") is None
         assert _counter("service.cache.bad") == bad + 1
+
+    def test_older_format_entry_is_a_plain_miss(self, store):
+        key = job_key("fp-A")
+        payload = {"kind": "tune", "thresholds": {"t0": 32}}
+        os.makedirs(store.directory)
+        with open(os.path.join(store.directory, key + ".json"), "w") as fh:
+            json.dump({"kind": "repro-service-artifact", "version": 1,
+                       "key": key, "fingerprint": "fp-A", "sha256": "0" * 64,
+                       "payload": payload}, fh)
+        bad = _counter("service.cache.bad")
+        miss = _counter("service.cache.miss")
+        assert store.load(key, "fp-A") is None
+        assert _counter("service.cache.bad") == bad
+        assert _counter("service.cache.miss") == miss + 1
+        assert store.store(key, "fp-A", payload)  # the re-run overwrites it
+        assert store.load(key, "fp-A") == payload
 
     def test_no_cache_env_disables_store(self, store, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")

@@ -13,7 +13,7 @@ phase is the ``numHidden × numIn`` outer-product map nest.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.ir.builder import (
     Program,
@@ -27,6 +27,9 @@ from repro.ir.builder import (
 )
 from repro.ir.types import F32, array_of
 from repro.sizes import SizeVar
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "backprop_program",
@@ -89,6 +92,8 @@ def backprop_program() -> Program:
 
 
 def backprop_inputs(sizes: dict[str, int], seed: int = 0) -> dict:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     return {
         "inputs": rng.standard_normal(sizes["numIn"]).astype(np.float32),
@@ -100,6 +105,8 @@ def backprop_inputs(sizes: dict[str, int], seed: int = 0) -> dict:
 
 
 def backprop_reference(inputs_: dict) -> np.ndarray:
+    import numpy as np
+
     x = inputs_["inputs"]
     w = inputs_["weights"]
     t = inputs_["target"]

@@ -11,7 +11,7 @@ Table 1: D1 = 1062 quotes, D2 = 10000 quotes.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.ir.builder import (
     Program,
@@ -25,6 +25,9 @@ from repro.ir.builder import (
 )
 from repro.ir.types import F32, array_of
 from repro.sizes import SizeVar
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "heston_program",
@@ -95,6 +98,8 @@ def heston_program() -> Program:
 
 
 def heston_inputs(sizes: dict[str, int], seed: int = 0) -> dict:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     return {
         "cands": rng.uniform(0.1, 1.0, (sizes["numCand"], 5)).astype(np.float32),
@@ -104,6 +109,8 @@ def heston_inputs(sizes: dict[str, int], seed: int = 0) -> dict:
 
 
 def heston_reference(inputs: dict) -> np.ndarray:
+    import numpy as np
+
     cands, quotes, nodes = inputs["cands"], inputs["quotes"], inputs["nodes"]
     out = np.zeros(len(cands), dtype=np.float32)
     for c, cand in enumerate(cands):

@@ -11,7 +11,7 @@ parallelism — tiling the inner redomap in local memory wins), D2 = 3³ boxes
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.ir.builder import (
     Program,
@@ -27,6 +27,9 @@ from repro.ir.builder import (
 )
 from repro.ir.types import F32, I64, array_of
 from repro.sizes import SizeVar
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "lavamd_program",
@@ -94,6 +97,8 @@ def lavamd_program() -> Program:
 
 
 def lavamd_inputs(sizes: dict[str, int], seed: int = 0) -> dict:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     nb = sizes["numBoxes"]
     return {
@@ -104,6 +109,8 @@ def lavamd_inputs(sizes: dict[str, int], seed: int = 0) -> dict:
 
 
 def lavamd_reference(inputs: dict) -> np.ndarray:
+    import numpy as np
+
     pos = inputs["pos"]
     nbrs = inputs["nbrs"]
     nb, per, _ = pos.shape

@@ -15,7 +15,7 @@ The paper's datasets (``small``/``medium``/``large``) are reproduced in
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.ir.builder import (
     Program,
@@ -29,6 +29,9 @@ from repro.ir.builder import (
 )
 from repro.ir.types import F32, I64, array_of
 from repro.sizes import SizeVar
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "locvolcalib_program",
@@ -91,6 +94,8 @@ def locvolcalib_program() -> Program:
 
 
 def locvolcalib_inputs(sizes: dict[str, int], seed: int = 0) -> dict:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     return {
         "xsss0": rng.standard_normal(
@@ -105,6 +110,8 @@ def locvolcalib_inputs(sizes: dict[str, int], seed: int = 0) -> dict:
 
 def _np_scan(a_coef: float, b_coef: float, xs: np.ndarray) -> np.ndarray:
     """Inclusive scan of acc' = acc*a + x*b along the last axis."""
+    import numpy as np
+
     out = np.empty_like(xs)
     acc = np.zeros(xs.shape[:-1], dtype=xs.dtype)
     for j in range(xs.shape[-1]):

@@ -13,7 +13,7 @@ identifies as the cause of its poor performance.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.ir.builder import (
     Program,
@@ -26,6 +26,9 @@ from repro.ir.builder import (
 )
 from repro.ir.types import F32, array_of
 from repro.sizes import SizeVar
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["nn_program", "nn_sizes", "nn_inputs", "nn_reference"]
 
@@ -67,6 +70,8 @@ def nn_program() -> Program:
 
 
 def nn_inputs(sizes: dict[str, int], seed: int = 0) -> dict:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     return {
         "points": rng.uniform(0, 90, (sizes["numB"], sizes["numP"], 2)).astype(
@@ -77,6 +82,8 @@ def nn_inputs(sizes: dict[str, int], seed: int = 0) -> dict:
 
 
 def nn_reference(inputs: dict) -> np.ndarray:
+    import numpy as np
+
     points, queries = inputs["points"], inputs["queries"]
     out = np.empty(len(points), dtype=np.float32)
     for b in range(len(points)):

@@ -18,7 +18,7 @@ Table 1: D1 edge length 2048, D2 edge length 1024 (block edge 16).
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.ir.builder import (
     Program,
@@ -35,6 +35,9 @@ from repro.ir.builder import (
 )
 from repro.ir.types import F32, array_of
 from repro.sizes import SizeVar
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["nw_program", "nw_sizes", "nw_inputs", "nw_reference", "BLOCK", "GAP"]
 
@@ -91,6 +94,8 @@ def nw_program() -> Program:
 
 
 def nw_inputs(sizes: dict[str, int], seed: int = 0) -> dict:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     return {
         "subs": rng.uniform(-2, 2, (sizes["nb"], sizes["B"], sizes["B"])).astype(
@@ -100,6 +105,8 @@ def nw_inputs(sizes: dict[str, int], seed: int = 0) -> dict:
 
 
 def nw_reference(inputs: dict, sizes: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     subs = inputs["subs"]
     nb, B, _ = subs.shape
     gap = np.float32(GAP)

@@ -12,7 +12,7 @@ D2 = 500 MC iterations × 367 dates (inner parallelism must be exploited).
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.ir.builder import (
     Program,
@@ -31,6 +31,9 @@ from repro.ir.builder import (
 )
 from repro.ir.types import F32, I64, array_of
 from repro.sizes import SizeVar
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "optionpricing_program",
@@ -114,6 +117,8 @@ def optionpricing_program() -> Program:
 
 
 def optionpricing_inputs(sizes: dict[str, int], seed: int = 0) -> dict:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     return {
         "dirvs": rng.standard_normal(
@@ -125,6 +130,8 @@ def optionpricing_inputs(sizes: dict[str, int], seed: int = 0) -> dict:
 
 
 def optionpricing_reference(inputs: dict, sizes: dict[str, int]) -> np.float32:
+    import numpy as np
+
     dirvs = inputs["dirvs"]
     numMC = int(inputs["numMC"])
     numDates = int(inputs["numDates"])

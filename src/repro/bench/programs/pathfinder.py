@@ -9,7 +9,7 @@ instances).
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.ir.builder import (
     Program,
@@ -23,6 +23,9 @@ from repro.ir.builder import (
 )
 from repro.ir.types import F32, array_of
 from repro.sizes import SizeVar
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "pathfinder_program",
@@ -71,6 +74,8 @@ def pathfinder_program() -> Program:
 
 
 def pathfinder_inputs(sizes: dict[str, int], seed: int = 0) -> dict:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     return {
         "walls": rng.uniform(0, 10, (sizes["numB"], sizes["rows"], sizes["cols"]))
@@ -79,6 +84,8 @@ def pathfinder_inputs(sizes: dict[str, int], seed: int = 0) -> dict:
 
 
 def pathfinder_reference(inputs: dict) -> np.ndarray:
+    import numpy as np
+
     walls = inputs["walls"]
     numB, rows, cols = walls.shape
     out = np.empty((numB, cols), dtype=np.float32)

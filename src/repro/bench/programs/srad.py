@@ -9,7 +9,7 @@ D2 = 1024 × 16 × 16 (many tiny images).
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.ir.builder import (
     Program,
@@ -28,6 +28,9 @@ from repro.ir.builder import (
 )
 from repro.ir.types import F32, I64, array_of
 from repro.sizes import SizeVar
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["srad_program", "srad_sizes", "srad_inputs", "srad_reference", "NUM_ITER"]
 
@@ -90,6 +93,8 @@ def _update(img, i, j, mean):
 
 
 def srad_inputs(sizes: dict[str, int], seed: int = 0) -> dict:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     return {
         "imgs": rng.uniform(0, 1, (sizes["numB"], sizes["H"], sizes["W"])).astype(
@@ -100,6 +105,8 @@ def srad_inputs(sizes: dict[str, int], seed: int = 0) -> dict:
 
 
 def srad_reference(inputs: dict) -> np.ndarray:
+    import numpy as np
+
     imgs = inputs["imgs"].copy()
     numIter = int(inputs["numIter"])
     numB, H, W = imgs.shape

@@ -99,17 +99,9 @@ CHECK_DATASETS: dict[str, tuple[dict[str, int], ...]] = {
 
 def builtin_programs() -> dict[str, Callable[[], Program]]:
     """Name -> constructor for every built-in benchmark program."""
-    from repro.bench.programs.locvolcalib import locvolcalib_program
-    from repro.bench.programs.matmul import matmul_program
-    from repro.bench.runner import BULK_BENCHMARKS
+    from repro.bench.programs import MODULES, program_constructor
 
-    out: dict[str, Callable[[], Program]] = {
-        "matmul": matmul_program,
-        "LocVolCalib": locvolcalib_program,
-    }
-    for name, spec in BULK_BENCHMARKS.items():
-        out[name] = spec.program
-    return out
+    return {name: program_constructor(name) for name in MODULES}
 
 
 # -- inputs and comparison ---------------------------------------------------

@@ -94,8 +94,6 @@ import json as _json
 import os
 import sys
 
-import numpy as np
-
 __all__ = ["main", "UserError"]
 
 
@@ -118,22 +116,12 @@ def _devices():
     return _DEVICES
 
 
-def _builtin_programs():
-    from repro.bench.programs.locvolcalib import locvolcalib_program
-    from repro.bench.programs.matmul import matmul_program
-    from repro.bench.runner import BULK_BENCHMARKS
-
-    out = {"matmul": matmul_program, "LocVolCalib": locvolcalib_program}
-    for name, spec in BULK_BENCHMARKS.items():
-        out[name] = spec.program
-    return out
-
-
 def _resolve_program(name: str):
-    progs = _builtin_programs()
-    for key, mk in progs.items():
+    from repro.bench.programs import MODULES, program_constructor
+
+    for key in MODULES:
         if key.lower() == name.lower():
-            return mk()
+            return program_constructor(key)()
     if os.path.exists(name):
         from repro.parser import parse_program
 
@@ -141,7 +129,7 @@ def _resolve_program(name: str):
             return parse_program(fh.read())
     raise UserError(
         f"unknown program {name!r}: not a built-in benchmark "
-        f"({', '.join(progs)}) and not a file"
+        f"({', '.join(MODULES)}) and not a file"
     )
 
 
@@ -187,6 +175,8 @@ def _check_sizes(prog, sizes: dict[str, int], flag: str = "--size") -> None:
 
 
 def _random_inputs(prog, sizes: dict[str, int], seed: int):
+    import numpy as np
+
     from repro.ir.types import ArrayType
 
     rng = np.random.default_rng(seed)
@@ -207,9 +197,10 @@ def _random_inputs(prog, sizes: dict[str, int], seed: int):
 
 def cmd_list(_args) -> int:
     from repro.bench.datasets import TABLE1
+    from repro.bench.programs import MODULES
 
     print("built-in benchmark programs:")
-    for name in _builtin_programs():
+    for name in MODULES:
         datasets = TABLE1.get(name)
         if datasets:
             extra = "; ".join(f"{k}: {v_}" for k, v_ in datasets.items())
@@ -239,6 +230,8 @@ def cmd_show(args) -> int:
 
 
 def cmd_run(args) -> int:
+    import numpy as np
+
     from repro.compiler import compile_program
 
     if args.verify_rate is not None:

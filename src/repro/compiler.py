@@ -5,6 +5,14 @@ flattened body with its threshold registry and offers both value execution
 (:meth:`CompiledProgram.run`, via the reference interpreter) and cost
 simulation (:meth:`CompiledProgram.simulate`, via the GPU model).
 
+Importing this module loads the passes and the validator only.  ``run``
+imports the interpreter and executors, and ``simulate`` the GPU model, on
+first use: a CLI request that runs a program never loads the simulator, and
+one that tunes never loads NumPy (``docs/performance.md``, "Start-up").  The
+passes stay module globals (``normalize``, ``ilp_fuse``, ``fuse``,
+``simplify``, ``validate``, ``Flattener``), looked up on every compile, so a
+profiler can wrap them by attribute.
+
 With ``REPRO_VALIDATE=1`` (always on under the test suite) the IR
 well-formedness validator (:mod:`repro.check.validate`) runs after every
 pass, so a pass that breaks scoping, typing, level nesting, or version-guard
@@ -17,21 +25,21 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro import perf
 from repro.obs import trace as obs
 from repro.check.validate import validate, validation_enabled
 from repro.flatten import Flattener, ThresholdRegistry, branching_trees
-from repro.gpu.cost import AVal, Simulator, aval_from_type
-from repro.gpu.device import DeviceSpec
-from repro.gpu.report import CostReport
-from repro.interp import run_program
 from repro.ir import source as S
 from repro.ir.builder import Program
 from repro.ir.traverse import count_nodes
 from repro.ir.types import ArrayType
 from repro.passes import fuse, ilp_fuse, normalize, simplify
+
+if TYPE_CHECKING:
+    from repro.gpu.device import DeviceSpec
+    from repro.gpu.report import CostReport
 
 __all__ = [
     "CompiledProgram",
@@ -124,6 +132,8 @@ class CompiledProgram:
             thresholds = online.dispatch(
                 all_sizes, demoted=guard.demotion_active()
             ).thresholds or None
+        from repro.interp.evaluator import run_program
+
         return run_program(
             self.prog, inputs, body=self.body, thresholds=thresholds,
             sizes=sizes, engine=engine,
@@ -192,6 +202,8 @@ class CompiledProgram:
                 perf.inc("sim_memo.hits")
                 return hit.copy()
             perf.inc("sim_memo.misses")
+        from repro.gpu.cost import AVal, Simulator, aval_from_type
+
         params: dict[str, AVal] = {}
         for name, t in self.prog.params:
             value = None if isinstance(t, ArrayType) else sizes.get(name)

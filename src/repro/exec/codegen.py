@@ -70,7 +70,7 @@ from repro.interp.evaluator import (
 from repro.interp.values import to_dtype
 from repro.ir import source as S
 from repro.ir import target as T
-from repro.ir.traverse import walk
+from repro.ir.traverse import kernel_fingerprint, walk
 from repro.obs import trace as obs
 
 __all__ = ["CodegenEvaluator", "dtype_signature"]
@@ -506,8 +506,6 @@ class CodegenEvaluator(VectorEvaluator):
         return count >= _MIN_EMIT_NODES
 
     def _fingerprint(self, e, bv) -> str:
-        from repro.gpu.cost import kernel_fingerprint
-
         return repr((
             CACHE_VERSION,
             kernel_fingerprint(e),

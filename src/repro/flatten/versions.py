@@ -17,7 +17,18 @@ from repro.ir import target as T
 from repro.ir.traverse import _spec
 from repro.sizes import SizeExpr
 
-__all__ = ["Threshold", "ThresholdRegistry", "BranchNode", "branching_trees", "render_tree"]
+__all__ = [
+    "DEFAULT_THRESHOLD",
+    "Threshold",
+    "ThresholdRegistry",
+    "BranchNode",
+    "branching_trees",
+    "render_tree",
+]
+
+#: the value of a threshold the assignment does not name (paper §4.2:
+#: untuned thresholds default to 2^15)
+DEFAULT_THRESHOLD = 2**15
 
 
 @dataclass(frozen=True)

@@ -34,14 +34,15 @@ from typing import Mapping
 
 from repro import faults, perf
 from repro.obs import trace as obs
+from repro.flatten.versions import DEFAULT_THRESHOLD
 from repro.gpu.device import DeviceSpec
 from repro.gpu.report import Chain, CostReport, KernelStats
 from repro.gpu.tiling import tiling_factor
 from repro.interp import intrinsics
-from repro.interp.evaluator import DEFAULT_THRESHOLD
+from repro.interp.scalar import BINOPS
 from repro.ir import source as S
 from repro.ir import target as T
-from repro.ir.traverse import _spec
+from repro.ir.traverse import kernel_fingerprint
 from repro.ir.typecheck import _top_segops
 from repro.ir.types import ArrayType, ScalarType, Type
 
@@ -202,62 +203,11 @@ class _HashedKey:
         return isinstance(other, _HashedKey) and self.key == other.key
 
 
-#: per-class scalar fields that take part in the structural fingerprint
-_FP_SCALARS: dict[type, object] = {
-    S.Var: lambda e: (e.name,),
-    S.Lit: lambda e: (e.value, type(e.value).__name__, e.type),
-    S.SizeE: lambda e: (e.size,),
-    S.BinOp: lambda e: (e.op,),
-    S.UnOp: lambda e: (e.op,),
-    S.Let: lambda e: (e.names,),
-    S.Rearrange: lambda e: (e.perm,),
-    S.Loop: lambda e: (e.params, e.ivar),
-    S.Intrinsic: lambda e: (e.name,),
-    T.ParCmp: lambda e: (e.par, e.threshold),
-    T.SegMap: lambda e: (e.level,),
-    T.SegRed: lambda e: (e.level,),
-    T.SegScan: lambda e: (e.level,),
-}
-
-#: id-keyed memo tables; values hold the node itself so ids stay valid
-_FP_MEMO: dict[int, tuple] = perf.register_cache("kernel.fingerprints", {})
+#: id-keyed memo table; values hold the node itself so ids stay valid
 _META_MEMO: dict[int, tuple] = perf.register_cache("kernel.meta", {})
 _KERNEL_CACHE: dict = perf.register_cache("kernel.cost", {})
 
 _KERNEL_CACHE_CAP = 1 << 18
-
-
-def kernel_fingerprint(e: S.Exp) -> tuple:
-    """Structural fingerprint of ``e``: a nested tuple capturing every
-    semantically relevant field (class, scalar attributes, binder names,
-    size expressions, children).  Structurally equal kernels — even from
-    independent compilations — fingerprint equal."""
-    memo = _FP_MEMO
-    hit = memo.get(id(e))
-    if hit is not None and hit[0] is e:
-        return hit[1]
-    scal = _FP_SCALARS.get(type(e))
-    parts: list = [type(e).__name__]
-    if scal is not None:
-        parts.extend(scal(e))
-    for attr, kind in _spec(e):
-        val = getattr(e, attr)
-        if kind == "exp":
-            parts.append(kernel_fingerprint(val))
-        elif kind == "exps":
-            parts.append(tuple(kernel_fingerprint(x) for x in val))
-        elif kind == "lam":
-            parts.append((val.params, kernel_fingerprint(val.body)))
-        elif kind == "ctx":
-            parts.append(
-                tuple(
-                    (b.params, b.size, tuple(kernel_fingerprint(a) for a in b.arrays))
-                    for b in val
-                )
-            )
-    fp = tuple(parts)
-    memo[id(e)] = (e, fp)
-    return fp
 
 
 @dataclass(frozen=True)
@@ -451,9 +401,7 @@ class Simulator:
             b = self._value(e.y, env)
             if a is None or b is None:
                 return None
-            from repro.interp.evaluator import _BINOPS
-
-            return _BINOPS[e.op](a, b)
+            return BINOPS[e.op](a, b)
         if isinstance(e, S.UnOp) and e.op.startswith("to_"):
             return self._value(e.x, env)
         return None

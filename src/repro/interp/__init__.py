@@ -1,21 +1,32 @@
-"""Reference interpreters for the source and target languages."""
+"""Reference interpreters for the source and target languages.
 
-from repro.interp.evaluator import (
-    DEFAULT_THRESHOLD,
-    Evaluator,
-    InterpError,
-    bind_sizes,
-    default_engine,
-    program_env,
-    run_program,
-)
+The package ``__init__`` resolves its names lazily (the idiom of
+:mod:`repro.check`).  Importing a submodule runs this file first, and the
+cost simulator and the simplifier import :mod:`repro.interp.intrinsics`
+and :mod:`repro.interp.scalar` without wanting the evaluator or the NumPy
+it loads.
+"""
 
-__all__ = [
-    "DEFAULT_THRESHOLD",
-    "Evaluator",
-    "InterpError",
-    "bind_sizes",
-    "default_engine",
-    "program_env",
-    "run_program",
-]
+from __future__ import annotations
+
+_LAZY = {
+    "DEFAULT_THRESHOLD": "repro.interp.evaluator",
+    "Evaluator": "repro.interp.evaluator",
+    "InterpError": "repro.interp.evaluator",
+    "bind_sizes": "repro.interp.evaluator",
+    "default_engine": "repro.interp.evaluator",
+    "program_env": "repro.interp.evaluator",
+    "run_program": "repro.interp.evaluator",
+}
+
+__all__ = sorted(_LAZY)
+
+
+def __getattr__(name: str):
+    try:
+        modname = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    import importlib
+
+    return getattr(importlib.import_module(modname), name)

@@ -20,7 +20,9 @@ from typing import Mapping
 import numpy as np
 
 from repro import faults
+from repro.flatten.versions import DEFAULT_THRESHOLD
 from repro.interp import intrinsics
+from repro.interp.scalar import BINOPS as _BINOPS  # eager ``&&``/``||``: see there
 from repro.interp.values import Value, to_dtype
 from repro.ir import source as S
 from repro.ir import target as T
@@ -28,6 +30,7 @@ from repro.ir.builder import Program
 from repro.ir.types import ArrayType
 
 __all__ = [
+    "DEFAULT_THRESHOLD",
     "Evaluator",
     "run_program",
     "program_env",
@@ -35,8 +38,6 @@ __all__ = [
     "default_engine",
     "InterpError",
 ]
-
-DEFAULT_THRESHOLD = 2**15  # paper §4.2: untuned thresholds default to 2^15
 
 
 class InterpError(Exception):
@@ -80,31 +81,6 @@ def _cast(dtype):
 
     return f
 
-
-# ``&&`` and ``||`` are EAGER: ``BinOp`` evaluates both operands before the
-# operator runs (see ``_eval``), so a trapping RHS traps even when the LHS
-# already decides the result.  The vector engine relies on this — it computes
-# whole-array operands unconditionally — so short-circuiting must never be
-# (re)introduced here without also changing ``docs/execution.md`` and the
-# regression test in ``tests/interp/test_eager_bool.py``.
-_BINOPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b if isinstance(a, (float, np.floating)) or isinstance(b, (float, np.floating)) else a // b,
-    "%": lambda a, b: a % b,
-    "min": lambda a, b: min(a, b),
-    "max": lambda a, b: max(a, b),
-    "pow": lambda a, b: a**b,
-    "==": lambda a, b: bool(a == b),
-    "!=": lambda a, b: bool(a != b),
-    "<": lambda a, b: bool(a < b),
-    "<=": lambda a, b: bool(a <= b),
-    ">": lambda a, b: bool(a > b),
-    ">=": lambda a, b: bool(a >= b),
-    "&&": lambda a, b: bool(a) and bool(b),
-    "||": lambda a, b: bool(a) or bool(b),
-}
 
 _UNOPS = {
     "neg": lambda a: -a,

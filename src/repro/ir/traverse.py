@@ -1,4 +1,5 @@
-"""Generic AST traversal: walks, free variables, substitution, renaming.
+"""Generic AST traversal: walks, free variables, substitution, renaming,
+structural fingerprints.
 
 A single child-specification table drives all generic traversals, so adding
 a node class means adding one table row.  Substitution is capture-avoiding:
@@ -11,6 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterator, Mapping
 
+from repro import perf
 from repro.ir import source as S
 from repro.ir import target as T
 
@@ -24,6 +26,7 @@ __all__ = [
     "contains_parallel",
     "count_nodes",
     "iter_scoped_children",
+    "kernel_fingerprint",
 ]
 
 _counter = itertools.count()
@@ -88,6 +91,60 @@ def _spec(e: S.Exp) -> tuple[tuple[str, str], ...]:
         return _SPEC[type(e)]
     except KeyError:
         raise TypeError(f"unknown expression class {type(e).__name__}") from None
+
+
+#: per-class scalar fields that take part in the structural fingerprint
+_FP_SCALARS: dict[type, object] = {
+    S.Var: lambda e: (e.name,),
+    S.Lit: lambda e: (e.value, type(e.value).__name__, e.type),
+    S.SizeE: lambda e: (e.size,),
+    S.BinOp: lambda e: (e.op,),
+    S.UnOp: lambda e: (e.op,),
+    S.Let: lambda e: (e.names,),
+    S.Rearrange: lambda e: (e.perm,),
+    S.Loop: lambda e: (e.params, e.ivar),
+    S.Intrinsic: lambda e: (e.name,),
+    T.ParCmp: lambda e: (e.par, e.threshold),
+    T.SegMap: lambda e: (e.level,),
+    T.SegRed: lambda e: (e.level,),
+    T.SegScan: lambda e: (e.level,),
+}
+
+#: id-keyed memo; values hold the node itself so ids stay valid
+_FP_MEMO: dict[int, tuple] = perf.register_cache("kernel.fingerprints", {})
+
+
+def kernel_fingerprint(e: S.Exp) -> tuple:
+    """Structural fingerprint of ``e``: a nested tuple capturing every
+    semantically relevant field (class, scalar attributes, binder names,
+    size expressions, children).  Structurally equal kernels — even from
+    independent compilations — fingerprint equal."""
+    memo = _FP_MEMO
+    hit = memo.get(id(e))
+    if hit is not None and hit[0] is e:
+        return hit[1]
+    scal = _FP_SCALARS.get(type(e))
+    parts: list = [type(e).__name__]
+    if scal is not None:
+        parts.extend(scal(e))
+    for attr, kind in _spec(e):
+        val = getattr(e, attr)
+        if kind == "exp":
+            parts.append(kernel_fingerprint(val))
+        elif kind == "exps":
+            parts.append(tuple(kernel_fingerprint(x) for x in val))
+        elif kind == "lam":
+            parts.append((val.params, kernel_fingerprint(val.body)))
+        elif kind == "ctx":
+            parts.append(
+                tuple(
+                    (b.params, b.size, tuple(kernel_fingerprint(a) for a in b.arrays))
+                    for b in val
+                )
+            )
+    fp = tuple(parts)
+    memo[id(e)] = (e, fp)
+    return fp
 
 
 def walk(e: S.Exp) -> Iterator[S.Exp]:

@@ -17,38 +17,41 @@ Entry points: ``repro profile PROG`` and the ``--trace out.json`` flag on
 the ``show``/``simulate``/``tune``/``check`` subcommands.  The
 :mod:`repro.perf` counters/timers are built on the same backbone: every
 ``perf.timer`` block also records a span while tracing is active.
+
+The package ``__init__`` resolves its names lazily (the idiom of
+:mod:`repro.check`): every instrumented module imports
+:mod:`repro.obs.trace`, and that must not load the exporters.
 """
 
-from repro.obs.chrome import dump_chrome, to_chrome, write_chrome_trace
-from repro.obs.summary import SpanStats, aggregate, render_summary
-from repro.obs.trace import (
-    NULL_SPAN,
-    Span,
-    Tracer,
-    current,
-    enabled,
-    instant,
-    span,
-    start,
-    stop,
-    tracing,
-)
+from __future__ import annotations
 
-__all__ = [
-    "Span",
-    "Tracer",
-    "NULL_SPAN",
-    "start",
-    "stop",
-    "current",
-    "enabled",
-    "tracing",
-    "span",
-    "instant",
-    "to_chrome",
-    "dump_chrome",
-    "write_chrome_trace",
-    "SpanStats",
-    "aggregate",
-    "render_summary",
-]
+_LAZY = {
+    "Span": "repro.obs.trace",
+    "Tracer": "repro.obs.trace",
+    "NULL_SPAN": "repro.obs.trace",
+    "start": "repro.obs.trace",
+    "stop": "repro.obs.trace",
+    "current": "repro.obs.trace",
+    "enabled": "repro.obs.trace",
+    "tracing": "repro.obs.trace",
+    "span": "repro.obs.trace",
+    "instant": "repro.obs.trace",
+    "to_chrome": "repro.obs.chrome",
+    "dump_chrome": "repro.obs.chrome",
+    "write_chrome_trace": "repro.obs.chrome",
+    "SpanStats": "repro.obs.summary",
+    "aggregate": "repro.obs.summary",
+    "render_summary": "repro.obs.summary",
+}
+
+__all__ = sorted(_LAZY)
+
+
+def __getattr__(name: str):
+    try:
+        modname = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    import importlib
+
+    return getattr(importlib.import_module(modname), name)

@@ -35,11 +35,11 @@ def _used_names(e: S.Exp) -> set[str]:
 
 def _fold_binop(e: S.BinOp) -> S.Exp:
     if isinstance(e.x, S.Lit) and isinstance(e.y, S.Lit):
-        from repro.interp.evaluator import _BINOPS
+        from repro.interp.scalar import BINOPS
         from repro.ir.typecheck import TypeError_, typeof
 
         try:
-            val = _BINOPS[e.op](e.x.value, e.y.value)
+            val = BINOPS[e.op](e.x.value, e.y.value)
             (t,) = typeof(e, {})
             return S.Lit(val, t)
         except (ZeroDivisionError, TypeError_, OverflowError):

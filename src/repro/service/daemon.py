@@ -74,6 +74,7 @@ from repro.service.jobs import (
     Spool,
     artifact_key,
     demote_engine,
+    id_order,
     normalize_spec,
 )
 from repro.service.queue import FairShareQueue, QueueFull
@@ -96,18 +97,13 @@ def _resolve_program(spec: dict):
 
         return parse_program(spec["source"])
     name = spec["program"]
-    from repro.bench.programs.locvolcalib import locvolcalib_program
-    from repro.bench.programs.matmul import matmul_program
-    from repro.bench.runner import BULK_BENCHMARKS
+    from repro.bench.programs import MODULES, program_constructor
 
-    table = {"matmul": matmul_program, "LocVolCalib": locvolcalib_program}
-    for nm, bench in BULK_BENCHMARKS.items():
-        table[nm] = bench.program
-    for key, mk in table.items():
+    for key in MODULES:
         if key.lower() == str(name).lower():
-            return mk()
+            return program_constructor(key)()
     raise JobSpecError(
-        f"unknown program {name!r} (built-ins: {', '.join(table)})"
+        f"unknown program {name!r} (built-ins: {', '.join(MODULES)})"
     )
 
 
@@ -363,7 +359,8 @@ class ServiceDaemon:
             self._op_submit(req, wr)
         elif op == "jobs":
             with self._jobs_lock:
-                summaries = [self.jobs[k].summary() for k in sorted(self.jobs)]
+                summaries = [self.jobs[k].summary()
+                             for k in sorted(self.jobs, key=id_order)]
             self._send(wr, {"ok": True, "jobs": summaries,
                             "queue": self.queue.per_tenant()})
         elif op == "status":

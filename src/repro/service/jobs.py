@@ -48,6 +48,7 @@ __all__ = [
     "normalize_spec",
     "fingerprint",
     "demote_engine",
+    "id_order",
     "Job",
     "Spool",
 ]
@@ -179,6 +180,17 @@ def fingerprint(spec: dict, tree_hash: str) -> str:
     keyed["fingerprint_version"] = 1
     keyed["branching_tree"] = tree_hash
     return json.dumps(keyed, sort_keys=True, separators=(",", ":"))
+
+
+def id_order(job_id: str) -> tuple[int, int, str]:
+    """Sort key putting job ids in submission order: ``j2`` before ``j10``.
+
+    A name that is not ``j<digits>`` sorts after every job id, by name.
+    """
+    digits = job_id[1:]
+    if job_id.startswith("j") and digits.isascii() and digits.isdigit():
+        return (0, int(digits), job_id)
+    return (1, 0, job_id)
 
 
 class Job:
@@ -345,7 +357,8 @@ class Spool:
         """Every persisted job, oldest id first; corrupt records skipped."""
         jobs: list[Job] = []
         try:
-            names = sorted(os.listdir(self.jobs_dir))
+            names = sorted(os.listdir(self.jobs_dir),
+                           key=lambda nm: id_order(nm.removesuffix(".json")))
         except OSError:
             return jobs
         for nm in names:
@@ -359,20 +372,6 @@ class Spool:
             except (OSError, ValueError, KeyError, JobSpecError) as exc:
                 log(f"spool: skipping corrupt job record {nm}: {exc}")
         return jobs
-
-    def next_id(self) -> str:
-        """A fresh job id, monotonic across daemon restarts."""
-        seq = 0
-        try:
-            for nm in os.listdir(self.jobs_dir):
-                if nm.startswith("j") and nm.endswith(".json"):
-                    try:
-                        seq = max(seq, int(nm[1:-len(".json")]))
-                    except ValueError:
-                        continue
-        except OSError:
-            pass
-        return f"j{seq + 1}"
 
 
 def artifact_key(spec: dict, tree_hash: str) -> tuple[str, str]:

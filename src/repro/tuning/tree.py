@@ -14,7 +14,7 @@ import bisect
 from typing import Iterator, Mapping, Sequence
 
 from repro import perf
-from repro.interp.evaluator import DEFAULT_THRESHOLD
+from repro.flatten.versions import DEFAULT_THRESHOLD
 from repro.ir import source as S
 from repro.ir import target as T
 from repro.ir.traverse import _spec

@@ -183,3 +183,17 @@ class TestVendorBaseline:
 
     def test_dispatch_floor(self):
         assert vendor_matmul_time(1, 1, K40) >= 10e-6
+
+
+class TestBuiltinPrograms:
+    def test_table_lists_the_bulk_benchmarks_in_runner_order(self):
+        from repro.bench.programs import MODULES, program_constructor
+        from repro.bench.programs.locvolcalib import locvolcalib_program
+        from repro.bench.programs.matmul import matmul_program
+        from repro.bench.runner import BULK_BENCHMARKS
+
+        assert list(MODULES)[2:] == list(BULK_BENCHMARKS)
+        assert program_constructor("matmul") is matmul_program
+        assert program_constructor("LocVolCalib") is locvolcalib_program
+        for name, spec in BULK_BENCHMARKS.items():
+            assert program_constructor(name) is spec.program

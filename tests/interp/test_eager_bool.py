@@ -1,7 +1,7 @@
 """Eager ``&&``/``||``: both operands evaluate before the operator.
 
-The interpreter has *no* short-circuit evaluation (see the ``_BINOPS``
-comment in ``repro.interp.evaluator`` and ``docs/execution.md``): ``a && b``
+The interpreter has *no* short-circuit evaluation (see the ``BINOPS``
+comment in ``repro.interp.scalar`` and ``docs/execution.md``): ``a && b``
 evaluates ``b`` even when ``a`` is false.  The vectorizing executor relies
 on this — a lifted ``np.logical_and`` necessarily computes both operand
 arrays — so the two engines only agree *because* the oracle is eager.

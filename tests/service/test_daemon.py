@@ -415,6 +415,31 @@ class TestRecovery:
             daemon2.stop()
 
 
+class TestJobOrder:
+    """Job ids sort by their number: ``j2`` comes before ``j10``."""
+
+    IDS = [f"j{i}" for i in range(1, 13)]
+
+    def test_spool_loads_records_in_id_order(self, tmp):
+        from repro.service.jobs import Job, Spool, normalize_spec
+
+        spool = Spool(os.path.join(tmp, "spool"))
+        spec = normalize_spec(RUN, "ilp")
+        for job_id in reversed(self.IDS):
+            spool.save(Job(job_id, "t1", "normal", spec))
+        # the order a restarted daemon re-enqueues unfinished jobs in
+        assert [job.id for job in spool.load_all()] == self.IDS
+
+    def test_jobs_op_lists_in_submission_order(self, tmp):
+        daemon, client = start(tmp, runners=0)
+        try:
+            submitted = [client.submit(dict(RUN, seed=i))["job"] for i in range(12)]
+            assert submitted == self.IDS
+            assert [job["id"] for job in client.jobs()] == self.IDS
+        finally:
+            daemon.stop()
+
+
 class TestCompileOncePerDaemon:
     def test_jobs_and_fetches_share_one_compile(self, tmp, compiles):
         daemon, client = start(tmp)

@@ -6,15 +6,11 @@ paper "to exhibit different distributions of parallelism"."""
 
 from __future__ import annotations
 
-from repro.bench.programs.backprop import backprop_sizes
-from repro.bench.programs.heston import heston_sizes
-from repro.bench.programs.lavamd import lavamd_sizes
+import importlib
+from typing import Callable
+
+from repro.bench.programs import MODULES
 from repro.bench.programs.matmul import matmul_sizes
-from repro.bench.programs.nn import nn_sizes
-from repro.bench.programs.nw import nw_sizes
-from repro.bench.programs.optionpricing import optionpricing_sizes
-from repro.bench.programs.pathfinder import pathfinder_sizes
-from repro.bench.programs.srad import srad_sizes
 
 __all__ = [
     "TABLE1",
@@ -60,21 +56,19 @@ TABLE1: dict[str, dict[str, str]] = {
     },
 }
 
-_SIZE_FNS = {
-    "Heston": heston_sizes,
-    "OptionPricing": optionpricing_sizes,
-    "Backprop": backprop_sizes,
-    "LavaMD": lavamd_sizes,
-    "NW": nw_sizes,
-    "NN": nn_sizes,
-    "SRAD": srad_sizes,
-    "Pathfinder": pathfinder_sizes,
-}
+def _sizes_fn(name: str) -> Callable[..., dict[str, int]]:
+    """Program ``name``'s ``<module>_sizes``, importing only its module."""
+    module = MODULES[name]
+    return getattr(
+        importlib.import_module(f"repro.bench.programs.{module}"), f"{module}_sizes"
+    )
 
 
 def table1_sizes(benchmark: str, dataset: str) -> dict[str, int]:
     """Concrete size assignment for a Table 1 benchmark/dataset."""
-    return _SIZE_FNS[benchmark](dataset)
+    if benchmark not in TABLE1:
+        raise KeyError(benchmark)
+    return _sizes_fn(benchmark)(dataset)
 
 
 def training_datasets(name: str) -> list[dict[str, int]]:
@@ -85,8 +79,6 @@ def training_datasets(name: str) -> list[dict[str, int]]:
     for an unknown benchmark — used by ``repro profile``/``repro tune`` and
     the chaos differential (:mod:`repro.check.chaos`).
     """
-    from repro.bench.programs.locvolcalib import locvolcalib_sizes
-
     low = name.lower()
     for key in TABLE1:
         if key.lower() == low:
@@ -94,7 +86,7 @@ def training_datasets(name: str) -> list[dict[str, int]]:
     if low == "matmul":
         return [matmul_sizes(e, 20) for e in (2, 6, 10)]
     if low == "locvolcalib":
-        return [locvolcalib_sizes(n) for n in ("small", "medium")]
+        return [_sizes_fn("LocVolCalib")(n) for n in ("small", "medium")]
     raise ValueError(
         f"no built-in datasets for {name!r}: pass --dataset n=...,m=..."
     )

@@ -169,9 +169,8 @@ def _build_vec(r: dict, row: S.Exp, length: str) -> S.Exp:
         )
     if k == "dif":
         # data-dependent condition: batched under the enclosing map, so
-        # with non-total branches this is exactly the vector engine's
-        # per-lane ``if`` fallback (and the codegen engine's masked
-        # two-sided lowering)
+        # with non-total branches this is exactly the batched engines'
+        # masked two-sided ``if`` lowering
         cond = S.BinOp(r["cmp"], row[i64(0)], f32(0.5))
         return if_(
             cond,
@@ -180,15 +179,14 @@ def _build_vec(r: dict, row: S.Exp, length: str) -> S.Exp:
         )
     if k == "dloop":
         # data-dependent trip count (1..4): a batched-bound loop — the
-        # vector engine's per-lane ``loop`` fallback, the codegen engine's
-        # max-trip masked iteration
+        # batched engines' max-trip masked iteration
         src = _build_vec(r["src"], row, length)
         fn = r["f"]
         bound = to_i64(S.BinOp("min", S.UnOp("abs", row[i64(0)]), f32(3.0))) + i64(1)
         return loop_(src, bound, lambda i, state: map_(_fn_lambda(fn), state))
     if k == "vintr":
-        # batched-argument intrinsic: per-lane fallback on the vector
-        # engine, whole-batch registered lowering on codegen
+        # batched-argument intrinsic: the batched engines' whole-batch
+        # registered lowering
         import repro.bench.references  # noqa: F401  (registers thomas_tridag)
 
         return intrinsic("thomas_tridag", _build_vec(r["src"], row, length))

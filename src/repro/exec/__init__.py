@@ -1,13 +1,12 @@
 """Execution engines beyond the tree-walking oracle.
 
 :class:`VectorEvaluator` compiles source/target IR to batched NumPy
-closures (bit-identical to the scalar interpreter; see
-``docs/execution.md``).  :class:`CodegenEvaluator` extends it with
-generated-source kernels, masked lowerings for the scalar-fallback
-construct classes, and a cross-process on-disk compile cache
-(:mod:`repro.exec.compile_cache`).  Select an engine per call via
-``run_program(..., engine="vector"|"codegen")``, per process via
-``REPRO_EXEC=...``, or on the CLI via ``--exec ...``.
+closures, with masked lowerings for constructs whose lanes diverge
+(bit-identical to the scalar interpreter; see ``docs/execution.md``).
+:class:`CodegenEvaluator` extends it with generated-source kernels and a
+cross-process on-disk compile cache (:mod:`repro.exec.compile_cache`).
+Select an engine per call via ``run_program(..., engine="vector"|"codegen")``,
+per process via ``REPRO_EXEC=...``, or on the CLI via ``--exec ...``.
 """
 
 from repro.exec.codegen import CodegenEvaluator, dtype_signature

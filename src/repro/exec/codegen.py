@@ -1,45 +1,23 @@
-"""Codegen executor: specialised generated kernels + fallback elimination.
+"""Codegen executor: the vector engine plus generated-source kernels.
 
-Third execution engine (after the scalar oracle and the vector closures).
 :class:`CodegenEvaluator` extends :class:`~repro.exec.vector.VectorEvaluator`
-along two axes:
-
-**Fallback elimination.**  The three construct classes the vector engine
-runs per-lane through the scalar oracle each get a dedicated vectorized
-lowering — chosen so every lane computes *exactly* the operations the
-oracle would, in the same order, so bit-identity is preserved (all
-batched ops are lane-wise independent; restricting them to a lane subset
-cannot change any lane's bits):
-
-* non-total batched ``if`` → *masked two-sided evaluation*: lanes are
-  partitioned by the condition, batched environment entries are
-  compressed per partition (boolean indexing), each branch runs only on
-  the lanes that take it (so a trapping untaken branch never executes),
-  and the partial results are scattered back into one output;
-* batched-bound ``loop`` → *max-trip masked iteration*: accumulators are
-  lifted to writable batched arrays and the body runs to the per-lane
-  trip-count maximum, compressed to the still-active lanes
-  (``bounds > it``) each step, scattering accumulator updates back;
-* batched-argument intrinsics → a registered whole-batch lowering
-  (:attr:`IntrinsicDef.vector`) when the intrinsic provides one.
-
-**Source specialisation.**  Straight-line scalar subtrees (variables,
-literals, arithmetic, lets, conditionals, indexing, ``ParCmp`` guards)
-are emitted as one generated Python function per (kernel fingerprint,
-batchedness, sizes, dtype signature) and compiled with
-``compile()``/``exec`` — collapsing a whole closure tree into a single
-frame.  Compilations are memoised three deep: per instance (inherited
-kernel cache), per process (code-object cache), and on disk
-(:mod:`repro.exec.compile_cache`, shared across processes).  An optional
-native (C) lowering rides behind ``REPRO_NATIVE=1`` + a toolchain probe
-(:mod:`repro.exec.native`).
+in one place, kernel emission (:meth:`CodegenEvaluator._c`): straight-line
+scalar subtrees (variables, literals, arithmetic, lets, conditionals,
+indexing, ``ParCmp`` guards) are emitted as one generated Python function
+per (kernel fingerprint, batchedness, sizes, dtype signature) and compiled
+with ``compile()``/``exec`` — collapsing a whole closure tree into a single
+frame.  Every other construct, the masked ``if``/``loop``/intrinsic
+lowerings included, is the vector engine's.  Compilations are memoised
+three deep: per instance (inherited kernel cache), per process (code-object
+cache), and on disk (:mod:`repro.exec.compile_cache`, shared across
+processes).  Each emitted kernel launches through the guard's demotion
+ladder codegen -> vector -> scalar (:mod:`repro.exec.guard`).
 
 Counters: ``exec.codegen.compile`` (fresh source compilations — the
 cross-process cache keeps this at one per kernel *fleet-wide*),
-``exec.codegen.cache_hits/_misses/_bad``, ``exec.codegen.mem_hits``,
-``exec.codegen.masked_if/_loop``, ``exec.codegen.intrinsic``, and the
-``exec.codegen.native_*`` family.  Fault site ``exec.codegen.compile``
-fires on fresh compilations (see ``docs/robustness.md``).
+``exec.codegen.cache_hits/_misses/_bad`` and ``exec.codegen.mem_hits``.
+Fault site ``exec.codegen.compile`` fires on fresh compilations (see
+``docs/robustness.md``).
 """
 
 from __future__ import annotations
@@ -51,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from repro import faults, perf
-from repro.exec import compile_cache, guard, native
+from repro.exec import compile_cache, guard
 from repro.exec.vector import (
     _VBINOPS,
     _VUNOPS,
@@ -60,7 +38,6 @@ from repro.exec.vector import (
     _lift,
     _select,
 )
-from repro.interp import intrinsics
 from repro.interp.evaluator import (
     _BINOPS,
     _UNOPS,
@@ -196,15 +173,9 @@ class _Emitter:
         self.ev = ev
         self.bv = bv
         self.lines: list[str] = []
-        self.consts: list = []
         self.const_meta: list[list] = []
         self.op_meta: list[list] = []
         self.tmp = 0
-        #: straight-line plan for the native tier; None once disqualified
-        self.plan: list | None = []
-        #: expression-name -> "b" (batched array) | "c" (numeric const);
-        #: operands outside this map disqualify the native plan
-        self._nkind: dict[str, str] = {}
 
     # -- small helpers
 
@@ -215,17 +186,10 @@ class _Emitter:
         self.tmp += 1
         return f"_t{self.tmp}"
 
-    def const(self, v, meta: list) -> str:
-        idx = len(self.consts)
-        self.consts.append(v)
+    def const(self, meta: list) -> str:
+        idx = len(self.const_meta)
         self.const_meta.append(meta)
-        nm = f"_C{idx}"
-        if self.plan is not None and meta[0] in (
-            "pyint", "int32", "int64", "float32", "float64"
-        ):
-            self.plan.append(["const", nm, idx])
-            self._nkind[nm] = "c"
-        return nm
+        return f"_C{idx}"
 
     def op(self, kind: str, opname: str) -> str:
         if opname not in _OP_TABLES[kind]:
@@ -233,9 +197,6 @@ class _Emitter:
         idx = len(self.op_meta)
         self.op_meta.append([kind, opname])
         return f"_op{idx}"
-
-    def _no_native(self) -> None:
-        self.plan = None
 
     def _sub(self, e, scope) -> tuple[list[str], list[str], list[bool]]:
         """Emit ``e`` into a detached line buffer (for branch blocks)."""
@@ -261,23 +222,16 @@ class _Emitter:
                 return [hit[0]], [hit[1]]
             nm = self.name()
             self.line(f"{nm} = _G(env, {e.name!r})")
-            flag = e.name in self.bv
-            if flag and self.plan is not None:
-                self.plan.append(["load", nm, e.name])
-                self._nkind[nm] = "b"
-            elif not flag:
-                self._no_native()  # uniform loads keep the Python tier
-            return [nm], [flag]
+            return [nm], [e.name in self.bv]
         if isinstance(e, S.Lit):
             val = to_dtype(e.type).type(e.value)
-            return [self.const(val, _const_to_json(val))], [False]
+            return [self.const(_const_to_json(val))], [False]
         if isinstance(e, S.SizeE):
             val = np.int64(e.size.eval(self.ev.sizes))
-            return [self.const(val, _const_to_json(val))], [False]
+            return [self.const(_const_to_json(val))], [False]
         if isinstance(e, T.ParCmp):
-            self._no_native()
-            par = self.const(int(e.par.eval(self.ev.sizes)), ["pyint", int(e.par.eval(self.ev.sizes))])
-            tn = self.const(e.threshold, ["str", e.threshold])
+            par = self.const(["pyint", int(e.par.eval(self.ev.sizes))])
+            tn = self.const(["str", e.threshold])
             nm = self.name()
             self.line(f"{nm} = bool({par} >= _ev.thresholds.get({tn}, _DT))")
             return [nm], [False]
@@ -298,17 +252,6 @@ class _Emitter:
             if batched:
                 self.line("_ops += 1")
             self.line(f"{nm} = {opn}({xn}, {yn})")
-            if self.plan is not None:
-                if (
-                    batched
-                    and native._BINOPS_C.get(e.op)
-                    and self._nkind.get(xn)
-                    and self._nkind.get(yn)
-                ):
-                    self.plan.append(["bin", nm, e.op, xn, yn])
-                    self._nkind[nm] = "b"
-                else:
-                    self._no_native()
             return [nm], [batched]
         if isinstance(e, S.UnOp):
             xn, xf = self.emit1(e.x, scope)
@@ -317,12 +260,6 @@ class _Emitter:
             if xf:
                 self.line("_ops += 1")
             self.line(f"{nm} = {opn}({xn})")
-            if self.plan is not None:
-                if xf and e.op in native._UNOPS_C and self._nkind.get(xn):
-                    self.plan.append(["un", nm, e.op, xn])
-                    self._nkind[nm] = "b"
-                else:
-                    self._no_native()
             return [nm], [xf]
         if isinstance(e, S.Let):
             rnames, rflags = self.emit(e.rhs, scope)
@@ -340,7 +277,6 @@ class _Emitter:
         raise _CantEmit(type(e).__name__)
 
     def _emit_if(self, e: S.If, scope) -> tuple[list[str], list[bool]]:
-        self._no_native()
         cn, cf = self.emit1(e.cond, scope)
         if not cf:
             # uniform condition: a real Python branch, only the taken side runs
@@ -364,7 +300,7 @@ class _Emitter:
                 self.line(f"    {o} = {expr}")
             return outs, flags
         # batched condition: only total branches may run speculatively —
-        # non-total ones take the closure path (masked lowering) instead
+        # non-total ones take the vector engine's masked lowering instead
         if not (_is_total(e.then) and _is_total(e.els)):
             raise _CantEmit("non-total batched if")
         tblock, tnames, tflags = self._sub(e.then, scope)
@@ -389,7 +325,6 @@ class _Emitter:
         return outs, [True] * len(outs)
 
     def _emit_index(self, e: S.Index, scope) -> tuple[list[str], list[bool]]:
-        self._no_native()
         an, af = self.emit1(e.arr, scope)
         idxs = [self.emit1(i, scope) for i in e.idxs]
         iflags = [f for _, f in idxs]
@@ -430,7 +365,7 @@ class _Emitter:
 
 
 class CodegenEvaluator(VectorEvaluator):
-    """Vector engine + generated-source kernels + masked fallback lowerings.
+    """Vector engine + generated-source kernels.
 
     Construction mirrors :class:`VectorEvaluator`; ``dtype_sig``
     (see :func:`dtype_signature`) distinguishes persisted kernels
@@ -440,8 +375,6 @@ class CodegenEvaluator(VectorEvaluator):
     def __init__(self, sizes=None, thresholds=None, dtype_sig=()):
         super().__init__(sizes, thresholds)
         self.dtype_sig = tuple(dtype_sig or ())
-        self.masked_ifs = 0
-        self.masked_loops = 0
         # sampled once per evaluation: os.environ lookups are ~1us and
         # _guard_kernel runs per emitted kernel
         self._guard_active = guard.active()
@@ -458,22 +391,17 @@ class CodegenEvaluator(VectorEvaluator):
     def _guard_kernel(self, e, bv, hit):
         """Wrap an emitted kernel in the demotion ladder (``exec/guard.py``).
 
-        Rungs, highest first: native (when a runner compiled), the
-        generated-source Python kernel, the vector engine's closure
-        lowering of the same expression, and the per-lane scalar oracle.
-        The lower rungs compile lazily — a healthy kernel never builds
-        them.  ``REPRO_GUARD=0`` returns the kernel unwrapped.
+        Rungs, highest first: the generated-source Python kernel, the
+        vector engine's closure lowering of the same expression, and the
+        per-lane scalar oracle.  The lower rungs compile lazily — a
+        healthy kernel never builds them.  ``REPRO_GUARD=0`` returns the
+        kernel unwrapped.
         """
         fn, flags = hit
-        meta = getattr(fn, "_guard", None)
-        if meta is None or not self._guard_active:
+        if not self._guard_active:
             return hit
         ev = self
         arity = len(flags)
-        rungs = []
-        if meta["native"] is not None:
-            rungs.append(("native", meta["native"]))
-        rungs.append(("codegen", meta["py"]))
         vcell: list = []
 
         def vector_rung(env, n):
@@ -482,7 +410,6 @@ class CodegenEvaluator(VectorEvaluator):
             vfn, vflags = vcell[0]
             return _adapt_vals(vfn(env, n), vflags, flags, n)
 
-        rungs.append(("vector", vector_rung))
         scell: list = []
 
         def scalar_rung(env, n):
@@ -491,10 +418,8 @@ class CodegenEvaluator(VectorEvaluator):
             sfn, sflags = scell[0]
             return _adapt_vals(sfn(env, n), sflags, flags, n)
 
-        rungs.append(("scalar", scalar_rung))
-        launch = guard.wrap_kernel(
-            meta["key"], rungs, source=meta.get("source")
-        )
+        rungs = [("codegen", fn), ("vector", vector_rung), ("scalar", scalar_rung)]
+        launch = guard.wrap_kernel(fn._key, rungs, source=fn._source)
         return launch, flags
 
     def _emittable(self, e) -> bool:
@@ -535,31 +460,6 @@ class CodegenEvaluator(VectorEvaluator):
             source = em.render(names)
         except _CantEmit:
             return None
-        plan = None
-        if em.plan is not None and len(names) == 1 and flags[0]:
-            plan = {
-                "lines": em.plan,
-                "out": names[0],
-                "consts": [
-                    _const_to_json(c)
-                    for ln in em.plan
-                    if ln[0] == "const"
-                    for c in [em.consts[ln[2]]]
-                ],
-                "nops": sum(1 for ln in em.plan if ln[0] in ("bin", "un")),
-            }
-            # native const indices refer to the dense per-plan const list
-            dense = {ln[2]: i for i, ln in enumerate(
-                ln for ln in em.plan if ln[0] == "const"
-            )}
-            plan["lines"] = [
-                ["const", ln[1], dense[ln[2]]] if ln[0] == "const" else ln
-                for ln in em.plan
-            ]
-            if not native.eligible(
-                {**plan, "consts": [c[1] for c in plan["consts"]]}
-            ):
-                plan = None
         payload = {
             "engine": "codegen",
             "version": CACHE_VERSION,
@@ -567,7 +467,6 @@ class CodegenEvaluator(VectorEvaluator):
             "flags": [bool(f) for f in flags],
             "ops": em.op_meta,
             "consts": em.const_meta,
-            "native": plan,
         }
         with obs.span("exec.codegen.compile", cat="exec", key=key[:12]):
             code = faults.retrying(
@@ -610,217 +509,8 @@ class CodegenEvaluator(VectorEvaluator):
         for i, meta in enumerate(payload["consts"]):
             g[f"_C{i}"] = _const_from_json(meta)
         exec(code, g)  # noqa: S102 - our own generated, checksummed source
-        py = g["_kernel"]
-        plan = payload.get("native")
-        runner = None
-        if plan is not None and native.available():
-            runner = native.prepare(
-                key,
-                {**plan, "consts": [_const_from_json(c) for c in plan["consts"]]},
-            )
-        if runner is None:
-            py._guard = {
-                "key": key, "native": None, "py": py,
-                "source": payload.get("source"),
-            }
-            return py, flags
-        loads = [ln[2] for ln in plan["lines"] if ln[0] == "load"]
-        nops = int(plan.get("nops", 0))
-        ev = self
-
-        def native_rung(env, n):
-            # the per-launch eligibility check; declining is not a failure
-            if isinstance(n, int) and n > 0:
-                arrs = [env.get(nm) for nm in loads]
-                if all(
-                    isinstance(a, np.ndarray)
-                    and a.dtype == np.float64
-                    and a.ndim == 1
-                    and a.shape[0] == n
-                    and a.flags.c_contiguous
-                    for a in arrs
-                ):
-                    out = (runner(arrs, n),)
-                    # counted only after a successful launch, so a demoted
-                    # launch cannot drift the op accounting
-                    ev.vector_ops += nops
-                    return out
-            return guard.NOT_ELIGIBLE
-
-        def fn(env, n):
-            out = native_rung(env, n)
-            if out is guard.NOT_ELIGIBLE:
-                return py(env, n)
-            return out
-
-        fn._guard = {
-            "key": key, "native": native_rung, "py": py,
-            "source": payload.get("source"),
-        }
+        fn = g["_kernel"]
+        # what the guard's ladder needs to key and archive this kernel
+        fn._key = key
+        fn._source = payload.get("source")
         return fn, flags
-
-    # -- masked non-total batched if ---------------------------------------
-
-    def _c_if(self, e: S.If, bv):
-        fc, bc = self._c1(e.cond, bv)
-        if not bc or (_is_total(e.then) and _is_total(e.els)):
-            return super()._c_if(e, bv)
-        # compile both branches at full batchedness; a _NeedsFallback from
-        # inside still propagates to the enclosing construct, like vector
-        ft, tfl = self._compile(e.then, bv)
-        fe, efl = self._compile(e.els, bv)
-        if len(tfl) != len(efl):
-            raise InterpError("if branch arity mismatch")
-        fvs = sorted((self._free(e.then) | self._free(e.els)) & bv)
-        self._kernel()
-        arity = len(tfl)
-        ev = self
-
-        def fn(env, n):
-            c = np.asarray(fc(env, n)[0], dtype=bool)
-            w = c.shape[0]
-            ev.vector_ops += 1
-            ev.masked_ifs += 1
-            perf.inc("exec.codegen.masked_if")
-            with obs.span(
-                "exec.codegen.masked", cat="exec", construct="if", lanes=w
-            ):
-                parts = []
-                for mask, fb_, fl_ in ((c, ft, tfl), (~c, fe, efl)):
-                    cnt = int(mask.sum())
-                    if cnt == 0:
-                        parts.append(None)
-                        continue
-                    if cnt == w:
-                        sub = env
-                    else:
-                        sub = dict(env)
-                        for k in fvs:
-                            if k in sub:
-                                sub[k] = np.asarray(sub[k])[mask]
-                    vals = fb_(sub, cnt)
-                    parts.append([
-                        np.asarray(v) if f else np.asarray(_lift(v, cnt))
-                        for v, f in zip(vals, fl_)
-                    ])
-                tv, evs = parts
-                if tv is None:
-                    return tuple(evs)
-                if evs is None:
-                    return tuple(tv)
-                out = []
-                for j in range(arity):
-                    a, b = tv[j], evs[j]
-                    res = np.empty(
-                        (w,) + a.shape[1:], dtype=np.result_type(a, b)
-                    )
-                    res[c] = a
-                    res[~c] = b
-                    out.append(res)
-                return tuple(out)
-
-        return fn, (True,) * arity
-
-    # -- max-trip masked batched-bound loop --------------------------------
-
-    def _c_loop(self, e: S.Loop, bv):
-        fb, bflag = self._c1(e.bound, bv)
-        if not bflag:
-            return super()._c_loop(e, bv)
-        finits = [self._c1(i, bv) for i in e.inits]
-        # lanes run different trip counts, so every accumulator diverges:
-        # force them all batched and compile the body once at that width
-        base_bv = (bv - set(e.params)) - {e.ivar}
-        fbody, rflags = self._compile(
-            e.body, frozenset(base_bv | set(e.params))
-        )
-        if len(rflags) != len(e.params):
-            raise InterpError("loop body arity mismatch")
-        fvs = sorted((self._free(e.body) - set(e.params) - {e.ivar}) & bv)
-        self._kernel()
-        params, ivar = e.params, e.ivar
-        ev = self
-
-        def fn(env, n):
-            bounds = np.asarray(fb(env, n)[0])
-            if bounds.dtype.kind != "i":
-                bounds = bounds.astype(np.int64)
-            w = bounds.shape[0]
-            ev.vector_ops += 1
-            ev.masked_loops += 1
-            perf.inc("exec.codegen.masked_loop")
-            vals = [
-                np.array(np.asarray(v) if f else _lift(v, w))
-                for v, f in [(f(env, n)[0], fl) for f, fl in finits]
-            ]
-            maxb = int(bounds.max()) if w else 0
-            with obs.span(
-                "exec.codegen.masked", cat="exec", construct="loop",
-                lanes=w, max_trips=maxb,
-            ):
-                for it in range(maxb):
-                    active = bounds > it
-                    cnt = int(active.sum())
-                    if cnt == 0:
-                        break
-                    if cnt == w:
-                        env2 = dict(env)
-                        env2.update(zip(params, vals))
-                        env2[ivar] = np.int64(it)
-                        out = fbody(env2, w)
-                        vals = [
-                            np.array(np.asarray(v) if rf else _lift(v, w))
-                            for v, rf in zip(out, rflags)
-                        ]
-                        continue
-                    env2 = dict(env)
-                    for k in fvs:
-                        if k in env2:
-                            env2[k] = np.asarray(env2[k])[active]
-                    for p, a in zip(params, vals):
-                        env2[p] = a[active]
-                    env2[ivar] = np.int64(it)
-                    out = fbody(env2, cnt)
-                    for j, (v, rf) in enumerate(zip(out, rflags)):
-                        upd = np.asarray(v) if rf else np.asarray(_lift(v, cnt))
-                        tgt = vals[j]
-                        if tgt.dtype != upd.dtype:
-                            # per-lane dtype drift: promote like np.stack
-                            # over mixed lanes would (the oracle's restack)
-                            tgt = vals[j] = tgt.astype(
-                                np.result_type(tgt.dtype, upd.dtype)
-                            )
-                        tgt[active] = upd
-            return tuple(vals)
-
-        return fn, (True,) * len(e.params)
-
-    # -- intrinsics with registered vector lowerings -----------------------
-
-    def _c_intrinsic(self, e: S.Intrinsic, bv):
-        fargs = [self._c1(a, bv) for a in e.args]
-        aflags = [f for _, f in fargs]
-        if not any(aflags):
-            return super()._c_intrinsic(e, bv)
-        defn = intrinsics.get(e.name)
-        vec = getattr(defn, "vector", None)
-        if vec is None:
-            return self._c_fallback(e, bv, 1, f"intrinsic:{e.name}")
-        self._kernel()
-        name = e.name
-        ev = self
-
-        def fn(env, n):
-            args = [f(env, n)[0] for f, _ in fargs]
-            ev.vector_ops += 1
-            perf.inc("exec.codegen.intrinsic")
-            out = vec(args, aflags)
-            out = out if isinstance(out, tuple) else (out,)
-            if len(out) != 1:
-                raise InterpError(
-                    f"multi-value intrinsic {name!r} not supported by the "
-                    f"codegen engine"
-                )
-            return out
-
-        return fn, (True,)

@@ -21,9 +21,8 @@ fingerprint it was stored under and a checksum of its payload, so
 
 The directory is bounded: after every store, entries beyond
 ``REPRO_CODEGEN_CACHE_MAX`` (default 512) are evicted oldest-mtime-first
-(reads touch mtime, so this is LRU).  Native artefacts (``<key>.c`` /
-``<key>.so``) ride along with their entry and are evicted with it.
-``REPRO_NO_CACHE`` disables the whole layer.
+(reads touch mtime, so this is LRU).  ``REPRO_NO_CACHE`` disables the
+whole layer.
 
 Writes go through :func:`repro.ioutil.atomic_write_json`; concurrent
 writers of the same key race benignly (last rename wins, both wrote the
@@ -200,12 +199,10 @@ def evict_lru(cap: int | None = None) -> int:
     aged.sort()
     evicted = 0
     for _, nm in aged[: max(0, len(aged) - cap)]:
-        stem = nm[: -len(".json")]
-        for victim in (nm, stem + ".c", stem + ".so"):
-            try:
-                os.unlink(os.path.join(d, victim))
-            except OSError:
-                continue
+        try:
+            os.unlink(os.path.join(d, nm))
+        except OSError:
+            pass  # concurrently evicted by another process
         evicted += 1
     if evicted:
         perf.inc("exec.codegen.cache_evictions", evicted)
@@ -220,7 +217,7 @@ def clear() -> None:
     except OSError:
         return
     for nm in names:
-        if nm.endswith((".json", ".c", ".so")) and nm != BREAKER_FILE:
+        if nm.endswith(".json") and nm != BREAKER_FILE:
             try:
                 os.unlink(os.path.join(d, nm))
             except OSError:

@@ -12,10 +12,14 @@ style of Blelloch-style flattening:
   operation across all enclosing segments simultaneously;
 * ``segmap`` nests enter one batch level per context binding and the body
   is compiled once per kernel, reused across launches;
-* anything not vectorizable (data-dependent ``if`` with non-total branches,
-  intrinsics over batched arguments, ``iota``/``replicate``/``loop`` with
-  batched extents) falls back to the scalar oracle *per lane*, counted in
-  ``exec.scalar_fallbacks``.
+* constructs whose lanes diverge get *masked* lowerings: a batched ``if``
+  with non-total branches runs each branch only on the lanes that take it,
+  a batched-bound ``loop`` runs to the per-lane trip-count maximum on the
+  still-active lanes, and a batched-argument intrinsic uses its registered
+  whole-batch lowering (:attr:`IntrinsicDef.vector`);
+* what is left — ``iota``/``replicate`` with batched extents and
+  intrinsics without a ``vector`` lowering — falls back to the scalar
+  oracle *per lane*, counted in ``exec.scalar_fallbacks``.
 
 Results are bit-identical to the tree-walking oracle: both engines share
 the scalar op tables' cast machinery, uniform (non-batched) computation
@@ -225,6 +229,8 @@ class VectorEvaluator:
         self._keep: list[object] = []  # pin cached nodes so ids stay unique
         self.vector_ops = 0
         self.scalar_fallbacks = 0
+        self.masked_ifs = 0
+        self.masked_loops = 0
         self.compiled_kernels = 0
         #: construct name -> number of per-lane fallback executions
         self.fallback_counts: Counter[str] = Counter()
@@ -446,7 +452,7 @@ class VectorEvaluator:
 
             return fn_u, flags
         if not (_is_total(e.then) and _is_total(e.els)):
-            return self._c_fallback(e, bv, len(tfl), "if")
+            return self._c_masked_if(e, bv, fc, (ft, tfl), (fe, efl))
 
         def fn_b(env, n):
             c = fc(env, n)[0]
@@ -465,6 +471,58 @@ class VectorEvaluator:
             return tuple(out)
 
         return fn_b, (True,) * len(tfl)
+
+    def _c_masked_if(self, e: S.If, bv, fc, then, els):
+        """Masked two-sided evaluation of a batched ``if`` whose branches
+        may raise: lanes are partitioned by the condition, each branch runs
+        only on its own lanes (batched free variables compressed by the
+        mask), and the partial results scatter back into one output."""
+        fvs = sorted((self._free(e.then) | self._free(e.els)) & bv)
+        self._kernel()
+        arity = len(then[1])
+
+        def fn(env, n):
+            c = np.asarray(fc(env, n)[0], dtype=bool)
+            w = c.shape[0]
+            self.vector_ops += 1
+            self.masked_ifs += 1
+            perf.inc("exec.masked_if")
+            with obs.span("exec.masked", cat="exec", construct="if", lanes=w):
+                parts = []
+                for mask, (fbr, fl) in ((c, then), (~c, els)):
+                    cnt = int(mask.sum())
+                    if cnt == 0:
+                        parts.append(None)
+                        continue
+                    if cnt == w:
+                        sub = env
+                    else:
+                        sub = dict(env)
+                        for k in fvs:
+                            if k in sub:
+                                sub[k] = np.asarray(sub[k])[mask]
+                    vals = fbr(sub, cnt)
+                    parts.append([
+                        np.asarray(v) if f else np.asarray(_lift(v, cnt))
+                        for v, f in zip(vals, fl)
+                    ])
+                tv, evs = parts
+                if tv is None:
+                    return tuple(evs)
+                if evs is None:
+                    return tuple(tv)
+                out = []
+                for j in range(arity):
+                    a, b = tv[j], evs[j]
+                    # the oracle's per-lane restack promotes mixed branch
+                    # dtypes; allocate at the same promoted dtype
+                    res = np.empty((w,) + a.shape[1:], dtype=np.result_type(a, b))
+                    res[c] = a
+                    res[~c] = b
+                    out.append(res)
+                return tuple(out)
+
+        return fn, (True,) * arity
 
     def _c_index(self, e: S.Index, bv):
         fa, ba = self._c1(e.arr, bv)
@@ -544,7 +602,7 @@ class VectorEvaluator:
     def _c_loop(self, e: S.Loop, bv):
         fb, bflag = self._c1(e.bound, bv)
         if bflag:
-            return self._c_fallback(e, bv, len(e.params), "loop")
+            return self._c_masked_loop(e, bv, fb)
         finits = [self._c1(i, bv) for i in e.inits]
         initflags = [f for _, f in finits]
         flags = list(initflags)
@@ -577,15 +635,94 @@ class VectorEvaluator:
 
         return fn, tuple(flags)
 
+    def _c_masked_loop(self, e: S.Loop, bv, fb):
+        """Max-trip masked iteration of a batched-bound ``loop``: every
+        accumulator is lifted to a writable batched array, and each trip
+        runs the body on the still-active lanes (``bounds > it``) only,
+        scattering the updates back."""
+        finits = [self._c1(i, bv) for i in e.inits]
+        # lanes run different trip counts, so every accumulator diverges:
+        # force them all batched and compile the body once at that width
+        base_bv = (bv - set(e.params)) - {e.ivar}
+        fbody, rflags = self._compile(e.body, frozenset(base_bv | set(e.params)))
+        if len(rflags) != len(e.params):
+            raise InterpError("loop body arity mismatch")
+        fvs = sorted((self._free(e.body) - set(e.params) - {e.ivar}) & bv)
+        self._kernel()
+        params, ivar = e.params, e.ivar
+
+        def fn(env, n):
+            bounds = np.asarray(fb(env, n)[0])
+            if bounds.dtype.kind != "i":
+                bounds = bounds.astype(np.int64)
+            w = bounds.shape[0]
+            self.vector_ops += 1
+            self.masked_loops += 1
+            perf.inc("exec.masked_loop")
+            vals = [
+                np.array(np.asarray(v) if f else _lift(v, w))
+                for v, f in [(f(env, n)[0], fl) for f, fl in finits]
+            ]
+            maxb = int(bounds.max()) if w else 0
+            with obs.span(
+                "exec.masked", cat="exec", construct="loop", lanes=w, max_trips=maxb
+            ):
+                for it in range(maxb):
+                    active = bounds > it
+                    cnt = int(active.sum())
+                    if cnt == 0:
+                        break
+                    if cnt == w:
+                        env2 = dict(env)
+                        env2.update(zip(params, vals))
+                        env2[ivar] = np.int64(it)
+                        out = fbody(env2, w)
+                        vals = [
+                            np.array(np.asarray(v) if rf else _lift(v, w))
+                            for v, rf in zip(out, rflags)
+                        ]
+                        continue
+                    env2 = dict(env)
+                    for k in fvs:
+                        if k in env2:
+                            env2[k] = np.asarray(env2[k])[active]
+                    for p, a in zip(params, vals):
+                        env2[p] = a[active]
+                    env2[ivar] = np.int64(it)
+                    out = fbody(env2, cnt)
+                    for j, (v, rf) in enumerate(zip(out, rflags)):
+                        upd = np.asarray(v) if rf else np.asarray(_lift(v, cnt))
+                        tgt = vals[j]
+                        if tgt.dtype != upd.dtype:
+                            # per-lane dtype drift: promote like np.stack
+                            # over mixed lanes would (the oracle's restack)
+                            tgt = vals[j] = tgt.astype(
+                                np.result_type(tgt.dtype, upd.dtype)
+                            )
+                        tgt[active] = upd
+            return tuple(vals)
+
+        return fn, (True,) * len(e.params)
+
     def _c_intrinsic(self, e: S.Intrinsic, bv):
         fargs = [self._c1(a, bv) for a in e.args]
-        if any(f for _, f in fargs):
-            return self._c_fallback(e, bv, 1, f"intrinsic:{e.name}")
+        aflags = [f for _, f in fargs]
+        batched = any(aflags)
         defn = intrinsics.get(e.name)
+        if batched:
+            if defn.vector is None:
+                return self._c_fallback(e, bv, 1, f"intrinsic:{e.name}")
+            self._kernel()
 
         def fn(env, n):
             args = [f(env, n)[0] for f, _ in fargs]
-            out = defn.interp(*args)
+            if batched:
+                # the intrinsic's registered whole-batch lowering
+                self.vector_ops += 1
+                perf.inc("exec.intrinsic")
+                out = defn.vector(args, aflags)
+            else:
+                out = defn.interp(*args)
             out = out if isinstance(out, tuple) else (out,)
             if len(out) != 1:
                 raise InterpError(
@@ -593,7 +730,7 @@ class VectorEvaluator:
                 )
             return out
 
-        return fn, (False,)
+        return fn, (batched,)
 
     # -- per-lane scalar fallback ---------------------------------------------
 

@@ -33,7 +33,7 @@ class IntrinsicDef:
     #: (arg_avals) -> result avals, for the cost simulator's shape tracking;
     #: None means "a single f32 scalar"
     abstract: Callable[[tuple], tuple] | None = None
-    #: whole-batch lowering for the codegen engine: ``vector(args, aflags)``
+    #: whole-batch lowering for the batched engines: ``vector(args, aflags)``
     #: receives the evaluated arguments (batched ones carry a leading batch
     #: axis; ``aflags`` says which) and must return results bit-identical to
     #: running ``interp`` once per lane and restacking.  ``None`` means the

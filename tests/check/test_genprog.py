@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro import perf
 from repro.check.fuzz import check_recipe, load_corpus, run_fuzz
 from repro.check.genprog import (
     build_program,
@@ -112,6 +113,18 @@ def test_corpus_exists_and_replays():
     for name, recipe in corpus:
         report = check_recipe(recipe, name=name)
         assert report.ok, (name, report.to_json())
+
+
+@pytest.mark.parametrize(
+    "name", ["dif_nontotal_branches", "dloop_batched_bound", "vintr_batched_intrinsic"]
+)
+def test_masked_corpus_entries_replay_without_fallback(name):
+    """The entries built on the masked constructs run on both batched
+    engines without a single per-lane fallback."""
+    recipe = dict(load_corpus(CORPUS_DIR))[name]
+    before = perf.counters().get("exec.scalar_fallbacks", 0)
+    assert check_recipe(recipe, name=name).ok
+    assert perf.counters().get("exec.scalar_fallbacks", 0) == before
 
 
 @pytest.mark.parametrize(

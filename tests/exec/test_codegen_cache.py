@@ -129,20 +129,6 @@ class TestLRUBound:
         assert compile_cache.entry_key("fp-0") + ".json" in names  # survived
         assert compile_cache.entry_key("fp-1") + ".json" not in names  # evicted
 
-    def test_native_artifacts_evicted_with_entry(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CODEGEN_CACHE_MAX", "1")
-        d = compile_cache.shared_dir()
-        key0 = compile_cache.entry_key("fp-0")
-        compile_cache.store(key0, "fp-0", {"i": 0})
-        for suffix in (".c", ".so"):
-            open(os.path.join(d, key0 + suffix), "w").write("stub")
-        import time
-
-        time.sleep(0.02)
-        compile_cache.store(compile_cache.entry_key("fp-1"), "fp-1", {"i": 1})
-        leftovers = [f for f in os.listdir(d) if f.startswith(key0)]
-        assert leftovers == []
-
 
 # -- cross-process sharing ---------------------------------------------------
 #
@@ -162,87 +148,6 @@ def _worker_eval() -> dict:
     xs = np.linspace(-2.0, 3.0, 5).astype(np.float32)
     WEvaluator().eval(e, {"xs": xs})
     return wperf.counters()
-
-
-def _so_deleter(cache_dir: str, iters: int) -> None:
-    """Concurrent LRU-eviction stand-in: repeatedly remove ``.so``/``.c``
-    siblings while another process is probing and dlopening them."""
-    import glob
-    import time
-
-    for _ in range(iters):
-        for f in glob.glob(os.path.join(cache_dir, "*.so")) + glob.glob(
-            os.path.join(cache_dir, "*.c")
-        ):
-            try:
-                os.unlink(f)
-            except OSError:
-                pass
-        time.sleep(0.001)
-
-
-class TestNativeEvictionRace:
-    """Satellite: a concurrent eviction of a ``.so`` between the reuse
-    probe and ``dlopen`` must recompile, not drop to Python forever."""
-
-    INFO = {
-        "lines": [("load", "x0", "xs"), ("bin", "x1", "*", "x0", "x0")],
-        "out": "x1",
-        "consts": [],
-    }
-
-    def _native(self, monkeypatch):
-        from repro.exec import native
-
-        if native.toolchain() is None:
-            pytest.skip("no C toolchain on PATH")
-        monkeypatch.setenv("REPRO_NATIVE", "1")
-        return native
-
-    def test_torn_so_after_probe_rebuilds(self, monkeypatch):
-        native = self._native(monkeypatch)
-        key = compile_cache.entry_key("fp-native-race")
-        # a torn .so (e.g. from a writer killed mid-copy) passes the
-        # existence probe but fails dlopen — prepare must force-rebuild
-        so = os.path.join(compile_cache.shared_dir(), key + ".so")
-        with open(so, "wb") as fh:
-            fh.write(b"not an ELF object")
-        before = perf.counters().get("exec.codegen.native_rebuilds", 0)
-        run = native.prepare(key, self.INFO)
-        assert run is not None  # recovered by forced recompilation
-        assert perf.counters()["exec.codegen.native_rebuilds"] == before + 1
-        xs = np.asarray([1.5, -2.0, 3.0], dtype=np.float64)
-        out = run([xs], 3)
-        assert out.tobytes() == (xs * xs).tobytes()
-
-    def test_vanished_so_recompiles(self, monkeypatch):
-        native = self._native(monkeypatch)
-        key = compile_cache.entry_key("fp-native-gone")
-        assert native.prepare(key, self.INFO) is not None
-        os.unlink(os.path.join(compile_cache.shared_dir(), key + ".so"))
-        compiles = perf.counters().get("exec.codegen.native_compile", 0)
-        assert native.prepare(key, self.INFO) is not None
-        assert perf.counters()["exec.codegen.native_compile"] == compiles + 1
-
-    def test_two_process_eviction_race_stays_bit_identical(self, monkeypatch):
-        self._native(monkeypatch)
-        e = _chain()
-        xs = np.asarray([-1.5, 2.25, 3.5, -0.75, 0.5], dtype=np.float64)
-        ref = np.asarray(Evaluator().eval(e, {"xs": xs})[0]).tobytes()
-        ctx = multiprocessing.get_context("spawn")
-        deleter = ctx.Process(
-            target=_so_deleter, args=(compile_cache.shared_dir(), 400)
-        )
-        deleter.start()
-        try:
-            for _ in range(8):
-                _CODE_CACHE.clear()  # force re-install (re-probe + dlopen)
-                got = _eval_codegen(e, xs)
-                assert np.asarray(got[0]).tobytes() == ref
-        finally:
-            deleter.join(timeout=30)
-            if deleter.is_alive():
-                deleter.terminate()
 
 
 class TestCrossProcessSharing:

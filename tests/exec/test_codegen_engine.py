@@ -3,9 +3,13 @@
 The heavy parity proof lives in ``tests/check/test_differential.py`` (every
 forced path of every benchmark runs under all three engines).  These tests
 cover the engine directly: bit-parity of the generated-source kernels, the
-three fallback-eliminating lowerings (masked non-total ``if``, max-trip
-masked batched-bound ``loop``, registered intrinsic vector lowerings),
-engine selection, counters/caching, and the optional native tier.
+three masked lowerings (masked non-total ``if``, max-trip masked
+batched-bound ``loop``, registered intrinsic vector lowerings), engine
+selection, and counters/caching.
+
+The masked lowerings belong to the vector engine, which the codegen engine
+extends, so every masked-lowering class runs on both: the base class on
+the codegen engine, its ``...Vector`` subclass on the vector engine.
 """
 
 import numpy as np
@@ -18,12 +22,15 @@ from repro.exec.codegen import _CODE_CACHE
 from repro.interp import Evaluator, default_engine, run_program
 from repro.ir import source as S
 from repro.ir.builder import (
+    abs_,
     f32,
     i64,
     if_,
     intrinsic,
+    iota,
     loop_,
     map_,
+    min_,
     reduce_,
     to_i64,
     v,
@@ -40,17 +47,20 @@ def _isolated_cache(tmp_path, monkeypatch):
     yield
 
 
-def both(e, **env):
-    """Evaluate under oracle and codegen; assert bit-identical results."""
-    ref = SCALAR.eval(e, env)
-    ev = CodegenEvaluator()
-    got = ev.eval(e, env)
+def same_bits(ref, got):
+    """Assert two value tuples agree in shape, dtype and bits."""
     assert len(ref) == len(got)
     for r, g in zip(ref, got):
         ra, ga = np.asarray(r), np.asarray(g)
         assert ra.shape == ga.shape, (ra.shape, ga.shape)
         assert ra.dtype == ga.dtype, (ra.dtype, ga.dtype)
         assert ra.tobytes() == ga.tobytes()
+
+
+def both(e, **env):
+    """Evaluate under oracle and codegen; assert bit-identical results."""
+    ev = CodegenEvaluator()
+    same_bits(SCALAR.eval(e, env), ev.eval(e, env))
     return ev
 
 
@@ -119,9 +129,11 @@ class TestEmittedKernelParity:
 
 
 class TestMaskedIf:
+    engine = CodegenEvaluator
+
     def _pow_guarded(self):
-        # ``pow`` is excluded from the totality whitelist, so the vector
-        # engine runs this per-lane; codegen masks instead.
+        # ``pow`` is excluded from the totality whitelist, so both branches
+        # may not run speculatively: the engine masks instead.
         return map_(
             lambda x: if_(
                 S.BinOp(">", x, i64(0)), S.BinOp("pow", i64(2), x), i64(0)
@@ -133,15 +145,11 @@ class TestMaskedIf:
         e = self._pow_guarded()
         xs = np.asarray([-3, 2, 0, 5, -1], dtype=np.int64)
         ref = SCALAR.eval(e, {"xs": xs})
-        ev = CodegenEvaluator()
+        ev = self.engine()
         got = ev.eval(e, {"xs": xs})
         assert np.asarray(ref[0]).tobytes() == np.asarray(got[0]).tobytes()
         assert ev.scalar_fallbacks == 0
         assert ev.masked_ifs > 0
-        # the vector engine still falls back on the same program
-        vev = VectorEvaluator()
-        vev.eval(e, {"xs": xs})
-        assert vev.scalar_fallbacks > 0
 
     def test_untaken_branch_never_executes(self):
         # pow(2, x) raises for negative x; every lane here takes the else
@@ -149,14 +157,14 @@ class TestMaskedIf:
         e = self._pow_guarded()
         xs = np.asarray([-1, -5, -2], dtype=np.int64)
         ref = SCALAR.eval(e, {"xs": xs})
-        got = CodegenEvaluator().eval(e, {"xs": xs})
+        got = self.engine().eval(e, {"xs": xs})
         assert np.asarray(ref[0]).tobytes() == np.asarray(got[0]).tobytes()
 
     def test_all_true_fast_path(self):
         e = self._pow_guarded()
         xs = np.asarray([1, 2, 3], dtype=np.int64)
         ref = SCALAR.eval(e, {"xs": xs})
-        got = CodegenEvaluator().eval(e, {"xs": xs})
+        got = self.engine().eval(e, {"xs": xs})
         assert np.asarray(ref[0]).tobytes() == np.asarray(got[0]).tobytes()
 
     def test_branch_dtype_promotion_matches_oracle(self):
@@ -172,12 +180,18 @@ class TestMaskedIf:
         )
         xs = np.asarray([-1, 2, -3, 4], dtype=np.int64)
         ref = SCALAR.eval(e, {"xs": xs})
-        got = CodegenEvaluator().eval(e, {"xs": xs})
+        got = self.engine().eval(e, {"xs": xs})
         ra, ga = np.asarray(ref[0]), np.asarray(got[0])
         assert ra.dtype == ga.dtype and ra.tobytes() == ga.tobytes()
 
 
+class TestMaskedIfVector(TestMaskedIf):
+    engine = VectorEvaluator
+
+
 class TestMaskedLoop:
+    engine = CodegenEvaluator
+
     def test_data_dependent_bound(self):
         e = map_(
             lambda x: loop_(x, to_i64(x), lambda i, acc: acc * 2.0 + 1.0),
@@ -185,7 +199,7 @@ class TestMaskedLoop:
         )
         xs = arr([1.2, 3.7, 0.4, 2.0, 5.9])
         ref = SCALAR.eval(e, {"xs": xs})
-        ev = CodegenEvaluator()
+        ev = self.engine()
         got = ev.eval(e, {"xs": xs})
         assert np.asarray(ref[0]).tobytes() == np.asarray(got[0]).tobytes()
         assert ev.scalar_fallbacks == 0
@@ -197,7 +211,7 @@ class TestMaskedLoop:
         )
         xs = arr([0.0, 2.5, -1.0, 1.0])  # bounds 0, 2, -1, 1
         ref = SCALAR.eval(e, {"xs": xs})
-        got = CodegenEvaluator().eval(e, {"xs": xs})
+        got = self.engine().eval(e, {"xs": xs})
         assert np.asarray(ref[0]).tobytes() == np.asarray(got[0]).tobytes()
 
     def test_accumulator_dtype_drift(self):
@@ -212,7 +226,7 @@ class TestMaskedLoop:
         )
         xs = arr([0.0, 3.0, 1.0, 0.0])
         ref = SCALAR.eval(e, {"xs": xs})
-        got = CodegenEvaluator().eval(e, {"xs": xs})
+        got = self.engine().eval(e, {"xs": xs})
         ra, ga = np.asarray(ref[0]), np.asarray(got[0])
         assert ra.dtype == ga.dtype and ra.tobytes() == ga.tobytes()
 
@@ -225,11 +239,17 @@ class TestMaskedLoop:
         )
         xs = arr([2.0, 4.0, 1.0])
         ref = SCALAR.eval(e, {"xs": xs})
-        got = CodegenEvaluator().eval(e, {"xs": xs})
+        got = self.engine().eval(e, {"xs": xs})
         assert np.asarray(ref[0]).tobytes() == np.asarray(got[0]).tobytes()
 
 
+class TestMaskedLoopVector(TestMaskedLoop):
+    engine = VectorEvaluator
+
+
 class TestIntrinsicLowering:
+    engine = CodegenEvaluator
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_thomas_tridag_vector_lowering(self, dtype):
         import repro.bench.references  # noqa: F401  (registers thomas_tridag)
@@ -238,12 +258,71 @@ class TestIntrinsicLowering:
         xss = (rng.standard_normal((4, 9)) * 8).astype(dtype)
         e = map_(lambda row: intrinsic("thomas_tridag", row), v("xss"))
         ref = SCALAR.eval(e, {"xss": xss})
-        ev = CodegenEvaluator()
+        ev = self.engine()
+        before = perf.counters().get("exec.intrinsic", 0)
         got = ev.eval(e, {"xss": xss})
         ra, ga = np.asarray(ref[0]), np.asarray(got[0])
         assert ra.dtype == ga.dtype and ra.tobytes() == ga.tobytes()
         assert ev.scalar_fallbacks == 0
-        assert perf.counters().get("exec.codegen.intrinsic", 0) > 0
+        assert perf.counters().get("exec.intrinsic", 0) > before
+
+
+class TestIntrinsicLoweringVector(TestIntrinsicLowering):
+    engine = VectorEvaluator
+
+
+def _branchy_pow():
+    """Non-total batched ``if``: pow is off the totality whitelist."""
+    e = map_(
+        lambda x: if_(
+            S.BinOp(">", x, i64(0)),
+            S.BinOp("pow", i64(2), S.BinOp("min", x, i64(30))),
+            S.BinOp("*", x, i64(-3)),
+        ),
+        v("xs"),
+    )
+    xs = np.random.default_rng(0).integers(-40, 40, size=400).astype(np.int64)
+    return e, {"xs": xs}
+
+
+def _databound_loop():
+    """Batched-bound ``loop``: per-lane trip counts 0..8."""
+    e = map_(
+        lambda x: loop_(
+            x,
+            to_i64(min_(abs_(x) * 4.0, f32(8.0))),
+            lambda i, acc: acc * 1.5 + 0.25,
+        ),
+        v("xs"),
+    )
+    xs = np.random.default_rng(1).standard_normal(400).astype(np.float32)
+    return e, {"xs": xs}
+
+
+def _tridag_rows():
+    """Batched-argument intrinsic: thomas_tridag over every row."""
+    import repro.bench.references  # noqa: F401  (registers thomas_tridag)
+
+    e = map_(lambda row: intrinsic("thomas_tridag", row), v("xss"))
+    xss = np.random.default_rng(2).standard_normal((60, 32)).astype(np.float32)
+    return e, {"xss": xss}
+
+
+@pytest.mark.parametrize(
+    "engine", [VectorEvaluator, CodegenEvaluator], ids=["vector", "codegen"]
+)
+@pytest.mark.parametrize(
+    "workload",
+    [_branchy_pow, _databound_loop, _tridag_rows],
+    ids=["branchy_pow", "databound_loop", "tridag_rows"],
+)
+def test_masked_workload_parity(workload, engine):
+    """Workloads built only from the masked constructs, hundreds of lanes
+    wide: bit-identical to the oracle with no per-lane fallback."""
+    e, env = workload()
+    ev = engine()
+    same_bits(SCALAR.eval(e, env), ev.eval(e, env))
+    assert ev.scalar_fallbacks == 0
 
 
 class TestCompileCacheFlow:
@@ -348,6 +427,8 @@ class TestPlumbing:
 
 
 class TestObsAndPerf:
+    engine = CodegenEvaluator
+
     def test_masked_spans_emitted(self):
         from repro import obs
 
@@ -358,53 +439,20 @@ class TestObsAndPerf:
             v("xs"),
         )
         with obs.tracing() as tracer:
-            CodegenEvaluator().eval(e, {"xs": np.asarray([-1, 2], dtype=np.int64)})
-        masked = [s for s in tracer.spans if s.name == "exec.codegen.masked"]
+            self.engine().eval(e, {"xs": np.asarray([-1, 2], dtype=np.int64)})
+        masked = [s for s in tracer.spans if s.name == "exec.masked"]
         assert masked and masked[0].args.get("construct") == "if"
 
     def test_fallback_histogram_flushed_to_perf(self):
-        # satellite: the per-construct histogram surfaces through perf
-        e = map_(
-            lambda x: if_(
-                S.BinOp(">", x, i64(0)), S.BinOp("pow", i64(2), x), i64(0)
-            ),
-            v("xs"),
-        )
-        before = perf.counters().get("exec.fallback.if", 0)
-        VectorEvaluator().eval(e, {"xs": np.asarray([1, 2], dtype=np.int64)})
-        after = perf.counters().get("exec.fallback.if", 0)
+        # the per-construct histogram surfaces through perf; a batched
+        # iota extent is irregular, so it still runs per lane
+        e = map_(lambda n: reduce_(lambda a, b: a + b, i64(0), iota(n)), v("ns"))
+        before = perf.counters().get("exec.fallback.iota", 0)
+        self.engine().eval(e, {"ns": np.asarray([1, 3], dtype=np.int64)})
+        after = perf.counters().get("exec.fallback.iota", 0)
         assert after > before
 
 
-class TestNativeTier:
-    def test_native_parity_when_toolchain_present(self, monkeypatch):
-        from repro.exec import native
+class TestObsAndPerfVector(TestObsAndPerf):
+    engine = VectorEvaluator
 
-        if native.toolchain() is None:
-            pytest.skip("no C toolchain on PATH")
-        monkeypatch.setenv("REPRO_NATIVE", "1")
-        e = map_(lambda x: S.UnOp("abs", x * 2.0 + 1.0 - x * 0.5), v("xs"))
-        xs = np.asarray([-1.5, 2.25, 3.5, -0.0], dtype=np.float64)
-        ref = SCALAR.eval(e, {"xs": xs})
-        before = perf.counters().get("exec.codegen.native_launch", 0)
-        got = CodegenEvaluator().eval(e, {"xs": xs})
-        assert np.asarray(ref[0]).tobytes() == np.asarray(got[0]).tobytes()
-        assert perf.counters().get("exec.codegen.native_launch", 0) > before
-
-    def test_f32_inputs_skip_native_launch(self, monkeypatch):
-        from repro.exec import native
-
-        if native.toolchain() is None:
-            pytest.skip("no C toolchain on PATH")
-        monkeypatch.setenv("REPRO_NATIVE", "1")
-        # launch guard: non-f64 arrays take the generated-Python path
-        both(
-            map_(lambda x: S.UnOp("abs", x * 2.0 + 1.0 - x * 0.5), v("xs")),
-            xs=arr([-1.5, 2.25, 3.5]),
-        )
-
-    def test_native_disabled_by_default(self, monkeypatch):
-        from repro.exec import native
-
-        monkeypatch.delenv("REPRO_NATIVE", raising=False)
-        assert not native.enabled()

@@ -74,17 +74,6 @@ class TestDemotionLadder:
         assert perf.counters()["exec.guard.demotions"] == before + 1
         assert perf.counters().get("exec.guard.demotions.codegen", 0) >= 1
 
-    def test_not_eligible_declines_without_breaker(self):
-        def decline(env, n):
-            return guard.NOT_ELIGIBLE
-
-        low = _rung(_vals(3.0))
-        launch = guard.wrap_kernel("k3", [("native", decline), ("scalar", low)])
-        for _ in range(10):
-            assert launch({}, 4)[0][0] == 3.0
-        assert guard.demotion_count() == 0
-        assert guard.snapshot()["breakers"] == []
-
     def test_last_rung_propagates(self):
         bad = _rung(None, fail=True)
         launch = guard.wrap_kernel("k4", [("codegen", bad), ("scalar", bad)])
@@ -282,8 +271,13 @@ class TestPersistence:
             lambda d: d.update(device="riscv128-py9.9"),
             lambda d: d.update(format=99),
             lambda d: d.update(kind="something-else"),
+            # format 1 predates the three-rung ladder: an open breaker for
+            # the deleted native tier would never be probed, so never close
+            lambda d: d.update(format=1, breakers=[
+                {**d["breakers"][0], "key": "kn", "tier": "native"}
+            ]),
         ],
-        ids=["cache_version", "device", "format", "kind"],
+        ids=["cache_version", "device", "format", "kind", "format1_native"],
     )
     def test_stale_file_discarded_not_errored(self, monkeypatch, mutate):
         self._trip(monkeypatch)

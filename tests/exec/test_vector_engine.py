@@ -2,13 +2,17 @@
 
 The heavy parity proof lives in ``tests/check/test_differential.py`` (every
 forced path of every benchmark now runs under *both* engines).  These tests
-cover the engine directly: construct-level parity, the per-construct scalar
-fallback (and its counters), engine selection, and error surfaces.
+cover the engine directly: construct-level parity, the masked lowerings
+that replace the per-lane fallback, the per-construct scalar fallback that
+remains (and its counters), engine selection, and error surfaces.  The
+masked lowerings' full case list is in ``test_codegen_engine.py``, which
+runs it on both batched engines.
 """
 
 import numpy as np
 import pytest
 
+from repro import perf
 from repro.compiler import compile_program
 from repro.exec import VectorEvaluator
 from repro.interp import Evaluator, InterpError, default_engine, run_program
@@ -133,31 +137,56 @@ class TestConstructParity:
 
 
 class TestFallbacks:
-    def test_nontotal_if_falls_back(self):
+    def test_nontotal_if_is_masked(self):
         # ``pow`` is excluded from the totality whitelist (negative integer
-        # exponents raise), so a batched non-total ``if`` goes per-lane.
+        # exponents raise), so a batched non-total ``if`` runs each branch
+        # on its own lanes only — masked, not per lane.
         e = map_(
             lambda x: if_(S.BinOp(">", x, i64(0)), S.BinOp("pow", i64(2), x), i64(0)),
             v("xs"),
         )
         ev = VectorEvaluator()
+        before = perf.counters().get("exec.masked_if", 0)
         ref = SCALAR.eval(e, {"xs": np.asarray([-1, 2, 3], dtype=np.int64)})
         got = ev.eval(e, {"xs": np.asarray([-1, 2, 3], dtype=np.int64)})
         assert np.asarray(ref[0]).tobytes() == np.asarray(got[0]).tobytes()
-        assert ev.scalar_fallbacks > 0
-        assert ev.fallback_counts["if"] > 0
+        assert ev.scalar_fallbacks == 0
+        assert ev.masked_ifs > 0
+        assert perf.counters().get("exec.masked_if", 0) > before
 
-    def test_batched_intrinsic_falls_back(self):
+    def test_batched_intrinsic_lowered(self):
         import repro.bench.references  # noqa: F401  (registers thomas_tridag)
 
         rng = np.random.default_rng(0)
         xss = rng.standard_normal((3, 8)).astype(np.float32)
         e = map_(lambda row: intrinsic("thomas_tridag", row), v("xss"))
         ev = VectorEvaluator()
+        before = perf.counters().get("exec.intrinsic", 0)
         ref = SCALAR.eval(e, {"xss": xss})
         got = ev.eval(e, {"xss": xss})
         assert np.asarray(ref[0]).tobytes() == np.asarray(got[0]).tobytes()
-        assert ev.fallback_counts["intrinsic:thomas_tridag"] > 0
+        assert ev.scalar_fallbacks == 0
+        assert perf.counters().get("exec.intrinsic", 0) > before
+
+    def test_batched_intrinsic_falls_back(self, monkeypatch):
+        # an intrinsic registered without a ``vector`` lowering still runs
+        # once per lane through the oracle when an argument is batched
+        from repro.interp import intrinsics
+
+        monkeypatch.setitem(intrinsics.INTRINSICS, "_test_triple", intrinsics.IntrinsicDef(
+            name="_test_triple",
+            type_rule=lambda ts: ts,
+            interp=lambda x: x * np.float32(3.0),
+            cost=lambda avals, sizes: (1.0, 0.0, 0.0),
+        ))
+        e = map_(lambda x: intrinsic("_test_triple", x), v("xs"))
+        xs = arr([1.5, -2.0, 0.1])
+        ev = VectorEvaluator()
+        ref = SCALAR.eval(e, {"xs": xs})
+        got = ev.eval(e, {"xs": xs})
+        ra, ga = np.asarray(ref[0]), np.asarray(got[0])
+        assert ra.dtype == ga.dtype and ra.tobytes() == ga.tobytes()
+        assert ev.fallback_counts["intrinsic:_test_triple"] > 0
 
     def test_batched_iota_falls_back(self):
         e = map_(lambda n: reduce_(lambda a, b: a + b, i64(0), iota(n)), v("ns"))
@@ -169,14 +198,9 @@ class TestFallbacks:
         assert ev.fallback_counts["iota"] > 0
 
     def test_fallback_counter_flushed_to_perf(self):
-        from repro import perf
-
-        e = map_(
-            lambda x: if_(S.BinOp(">", x, i64(0)), S.BinOp("pow", i64(2), x), i64(0)),
-            v("xs"),
-        )
+        e = map_(lambda n: reduce_(lambda a, b: a + b, i64(0), iota(n)), v("ns"))
         before = perf.counters().get("exec.scalar_fallbacks", 0)
-        VectorEvaluator().eval(e, {"xs": np.asarray([1, 2], dtype=np.int64)})
+        VectorEvaluator().eval(e, {"ns": np.asarray([1, 2], dtype=np.int64)})
         after = perf.counters().get("exec.scalar_fallbacks", 0)
         assert after > before
 
@@ -264,11 +288,8 @@ class TestObs:
     def test_fallback_spans_annotated(self):
         from repro import obs
 
-        e = map_(
-            lambda x: if_(S.BinOp(">", x, i64(0)), S.BinOp("pow", i64(2), x), i64(0)),
-            v("xs"),
-        )
+        e = map_(lambda n: reduce_(lambda a, b: a + b, i64(0), iota(n)), v("ns"))
         with obs.tracing() as tracer:
-            VectorEvaluator().eval(e, {"xs": np.asarray([1], dtype=np.int64)})
+            VectorEvaluator().eval(e, {"ns": np.asarray([1, 2], dtype=np.int64)})
         fb = [s for s in tracer.spans if s.name == "exec.fallback"]
         assert fb and all(s.args.get("fallback") for s in fb)

@@ -86,6 +86,11 @@ def test_tune_request_loads_no_numpy_or_execute_layer(tmp_path, name):
     assert "repro.gpu.cost" in mods and "repro.tuning.tuner" in mods
     assert within(mods, "numpy", "repro.exec", "repro.interp.evaluator",
                   "repro.bench.runner", "repro.tuning.online") == []
+    # no other program's module, for its IR or its dataset sizes; matmul's
+    # is the one exception, since datasets.FIG2_SWEEP is built at import
+    assert within(mods, "repro.bench.programs") == sorted(
+        ["repro.bench.programs", "repro.bench.programs.matmul",
+         f"repro.bench.programs.{name.lower()}"])
 
 
 def test_codegen_run_request_loads_no_simulator_or_tuner(tmp_path):

@@ -18,8 +18,9 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import replace
 
-from repro import perf
+from repro import config, perf
 from repro.bench.programs.locvolcalib import locvolcalib_program, locvolcalib_sizes
 from repro.compiler import compile_program_cached
 from repro.gpu import K40
@@ -36,20 +37,12 @@ def _tune_once(cached: bool):
     """One cold-start compile+tune run; returns (result, wall seconds, perf)."""
     perf.clear_caches()
     perf.reset()
-    old = os.environ.pop("REPRO_NO_CACHE", None)
-    if not cached:
-        os.environ["REPRO_NO_CACHE"] = "1"
-    try:
+    with config.use(replace(config.current(), cache=cached)):
         t0 = time.perf_counter()
         compiled = compile_program_cached(locvolcalib_program(), "incremental")
         tuner = Autotuner(compiled, DATASETS, K40, seed=SEED, cache=cached)
         result = tuner.tune(max_proposals=MAX_PROPOSALS, technique="bandit")
         elapsed = time.perf_counter() - t0
-    finally:
-        if old is not None:
-            os.environ["REPRO_NO_CACHE"] = old
-        else:
-            os.environ.pop("REPRO_NO_CACHE", None)
     return result, elapsed, perf.snapshot()
 
 

@@ -5,8 +5,8 @@ engine:
 
 **Overhead.**  Six Fig. 8 bulk programs (the ones whose bodies lower to
 emitted kernels) run warm — compile cache and ``_CODE_CACHE`` populated,
-lower rungs never built — as alternating guard-on / ``REPRO_GUARD=0``
-suite passes.  A shared host steals time in bursts, so the estimator is
+lower rungs never built — as alternating guard-on / guard-off
+(``REPRO_GUARD=0``) suite passes.  A shared host steals time in bursts, so the estimator is
 built for spiky, drifting noise: passes are timed in adjacent A/B pairs
 whose within-pair order alternates (so monotone drift cancels instead of
 always landing on one side), the collector is disabled across the timed
@@ -16,7 +16,8 @@ bootstrap confidence interval of that median is tighter than the floor
 margin (or a hard cap), so a noisy host buys more samples rather than a
 flaky verdict.  The acceptance floor is on the aggregate ratio: guarded
 wall time must stay within ``FLOOR`` of unguarded (2% on the full run).
-Guard-on and guard-off results must be bit-identical, launch for launch.
+Guard-on and guard-off results must be bit-identical, launch for launch,
+and a counted pass shows that the guard-off side wraps no kernel.
 
 **Recovery.**  A kernel ladder with an injected persistently-failing top
 tier is driven through the full breaker cycle — closed → open (trip) →
@@ -40,6 +41,7 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import replace
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -108,14 +110,17 @@ def _workloads():
     return out
 
 
+def _guard(on: bool):
+    """The config with the launch guard switched on or off."""
+    from repro import config
+
+    return config.use(replace(config.current(), guard=on))
+
+
 def _suite_pass(workloads, guard_on: bool, per_prog: dict) -> float:
     """One timed pass over the whole suite; per-program seconds append
     into ``per_prog[name]``, the return value is the pass total."""
-    if guard_on:
-        os.environ.pop("REPRO_GUARD", None)
-    else:
-        os.environ["REPRO_GUARD"] = "0"
-    try:
+    with _guard(guard_on):
         total = 0.0
         for name, cp, inputs in workloads:
             t0 = time.perf_counter()
@@ -124,8 +129,6 @@ def _suite_pass(workloads, guard_on: bool, per_prog: dict) -> float:
             per_prog[name].append(dt)
             total += dt
         return total
-    finally:
-        os.environ.pop("REPRO_GUARD", None)
 
 
 def _median_ci_hw(ratios, draws: int = 400) -> float:
@@ -177,17 +180,25 @@ def _time_paired(workloads):
 
 def _run_bits(workloads, guard_on: bool) -> dict:
     """Output bits of one run per program under the given setting."""
-    if guard_on:
-        os.environ.pop("REPRO_GUARD", None)
-    else:
-        os.environ["REPRO_GUARD"] = "0"
-    try:
+    with _guard(guard_on):
         return {
             name: _bits(cp.run(inputs, engine="codegen"))
             for name, cp, inputs in workloads
         }
+
+
+def _wrap_calls(workloads, guard_on: bool) -> int:
+    """How many kernels one run of the suite wraps in the launch guard."""
+    from repro.exec import guard
+
+    calls = []
+    real = guard.wrap_kernel
+    guard.wrap_kernel = lambda *a, **kw: calls.append(1) or real(*a, **kw)
+    try:
+        _run_bits(workloads, guard_on)
     finally:
-        os.environ.pop("REPRO_GUARD", None)
+        guard.wrap_kernel = real
+    return len(calls)
 
 
 def _overhead_leg() -> dict:
@@ -200,13 +211,14 @@ def _overhead_leg() -> dict:
     for _, cp, inputs in workloads:
         cp.run(inputs, engine="codegen")
 
-    assert guard.active()
+    # the guard-off side must really launch unwrapped kernels
+    assert _wrap_calls(workloads, True) > 0
+    assert _wrap_calls(workloads, False) == 0, "guard-off pass wrapped kernels"
     dem0 = guard.demotion_count()
     ratios, prog_on, prog_off = _time_paired(workloads)
     on_bits = _run_bits(workloads, True)
     off_bits = _run_bits(workloads, False)
     assert guard.demotion_count() == dem0, "healthy run must not demote"
-    assert guard.active()
 
     for name in off_bits:
         assert on_bits[name] == off_bits[name], (
@@ -237,12 +249,10 @@ def _overhead_leg() -> dict:
 
 def _recovery_leg() -> dict:
     """Drive one breaker through trip -> quarantine -> probe -> re-close."""
-    from repro import perf
+    from repro import config, perf
     from repro.exec import guard
 
-    trip, cooldown = 3, 4
-    os.environ["REPRO_GUARD_TRIP"] = str(trip)
-    os.environ["REPRO_GUARD_COOLDOWN"] = str(cooldown)
+    trip, cooldown = 3, guard.COOLDOWN
     try:
         calls = {"top": 0, "bottom": 0}
         want = np.arange(8.0)
@@ -262,9 +272,10 @@ def _recovery_leg() -> dict:
         )
         c0 = perf.counters()
         launches = trip + cooldown + 4  # past the probe, into steady state
-        for i in range(launches):
-            (out,) = launch({}, 8)
-            assert out.tobytes() == want.tobytes(), f"launch {i} diverged"
+        with config.use(replace(config.current(), guard_trip=trip)):
+            for i in range(launches):
+                (out,) = launch({}, 8)
+                assert out.tobytes() == want.tobytes(), f"launch {i} diverged"
         c1 = perf.counters()
 
         def delta(name):
@@ -296,18 +307,15 @@ def _recovery_leg() -> dict:
         assert calls["top"] == launches - (cooldown - 1), calls
         return doc
     finally:
-        os.environ.pop("REPRO_GUARD_TRIP", None)
-        os.environ.pop("REPRO_GUARD_COOLDOWN", None)
         guard.reset(drop_disk=True)
 
 
 def run() -> dict:
-    from repro.exec import guard
+    from repro.exec import compile_cache, guard
 
     # isolated compile cache: the bench must not inherit this checkout's
     # breaker file or evict a developer's warm kernels
-    cache = tempfile.mkdtemp(prefix="repro-bench-guard-")
-    os.environ["REPRO_CODEGEN_CACHE"] = cache
+    compile_cache.set_dir(tempfile.mkdtemp(prefix="repro-bench-guard-"))
     guard.reset(drop_disk=True)
 
     overhead = _overhead_leg()

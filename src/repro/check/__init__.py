@@ -6,7 +6,8 @@ equivalent to the source program:
 
 * :mod:`repro.check.validate` — an IR well-formedness validator (scoping,
   typing, level nesting, version-guard placement) that the compiler runs
-  after every pass when ``REPRO_VALIDATE=1`` (and always under pytest);
+  after every pass when ``REPRO_VALIDATE=1`` (and always under ``repro
+  check`` and pytest);
 * :mod:`repro.check.differential` — a forced-path differential executor
   that enumerates the branching tree of a multi-versioned program, pins
   threshold assignments so as to force each code version, and asserts that
@@ -28,8 +29,6 @@ _LAZY = {
     # the submodule of the same name would shadow it as soon as the compiler
     # imports ``repro.check.validate``; import the function from there.
     "ValidationError": "repro.check.validate",
-    "validation_enabled": "repro.check.validate",
-    "set_validation": "repro.check.validate",
     "differential_check": "repro.check.differential",
     "check_all": "repro.check.differential",
     "enumerate_forced_paths": "repro.check.differential",

@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro import config
 from repro.check.validate import ValidationError
 from repro.compiler import compile_program
 from repro.flatten import branching_trees
@@ -53,13 +54,10 @@ __all__ = [
 
 MODES = ("moderate", "incremental", "full")
 
-#: execution engines the differential check exercises per forced path
-ENGINES = ("scalar", "vector", "codegen")
-
-#: fusion modes checked by default: both legs are compared against the same
-#: unfused source-program reference, so passing both proves ILP fusion
-#: bit-identical to ``--fusion off`` on every forced path × engine
-FUSIONS = ("ilp", "off")
+#: engines and fusion modes checked by default: both fusion legs are
+#: compared against the same unfused source-program reference, so passing
+#: both proves ILP fusion bit-identical to ``--fusion off``
+ENGINES, FUSIONS = config.ENGINES, config.FUSIONS
 
 #: ``Par ≥ 0`` always holds; ``Par ≥ 2^62`` never does (sizes are moderate).
 FORCE_TRUE = 0

@@ -19,14 +19,13 @@ preserve but that nothing previously enforced mechanically:
 * **context sizes** — every mapnest binding pairs as many parameters as
   arrays, and constant binding extents agree with the bound arrays.
 
-The validator is invoked after every pass in :mod:`repro.compiler` when
-``REPRO_VALIDATE=1`` is set (or :func:`set_validation` has been called,
-which the test suite does unconditionally), and by ``repro check``.
+The validator is invoked after every pass in :mod:`repro.compiler` when the
+config's ``validate`` is on: ``REPRO_VALIDATE=1``, ``repro check``, and
+always under the test suite.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Mapping, Sequence
 
 from repro.ir import source as S
@@ -38,8 +37,6 @@ from repro.ir.types import ArrayType, Type
 __all__ = [
     "ValidationError",
     "validate",
-    "validation_enabled",
-    "set_validation",
 ]
 
 
@@ -52,23 +49,6 @@ class ValidationError(Exception):
         self.path = tuple(path)
         where = "/".join(self.path) or "<root>"
         super().__init__(f"[{stage or 'ir'}] {invariant} at {where}: {message}")
-
-
-# -- enable flag -------------------------------------------------------------
-
-_FORCED: bool | None = None  # None -> consult the environment variable
-
-
-def set_validation(on: bool | None) -> None:
-    """Force validation on/off; ``None`` restores the ``REPRO_VALIDATE`` default."""
-    global _FORCED
-    _FORCED = on if on is None else bool(on)
-
-
-def validation_enabled() -> bool:
-    if _FORCED is not None:
-        return _FORCED
-    return os.environ.get("REPRO_VALIDATE", "") not in ("", "0")
 
 
 # -- scope checking ----------------------------------------------------------

@@ -10,10 +10,9 @@ Commands
 * ``run PROG --size n=4 --size m=3 [--seed S] [--threshold t0=V]
   [--exec scalar|vector] [--online TABLE [--device D]]`` — run a program
   on random inputs with the reference interpreter or the vectorizing
-  executor (``docs/execution.md``); ``--online`` (or ``REPRO_ONLINE``)
-  lets the online tuner choose the thresholds from the dataset's shape
-  class, persisting what it learns to ``TABLE``
-  (``docs/online-tuning.md``).
+  executor (``docs/execution.md``); ``--online`` lets the online tuner
+  choose the thresholds from the dataset's shape class, persisting what
+  it learns to ``TABLE`` (``docs/online-tuning.md``).
 * ``simulate PROG --size ... [--device K40|Vega64] [--threshold t0=V]
   [--exec scalar|vector]`` — estimate the run time with the GPU cost
   model; with ``--exec`` also execute the program with that engine and
@@ -31,7 +30,7 @@ Commands
 * ``figures [NAMES...]`` — regenerate the paper's tables (fig2, fig7, fig8,
   ablation, code, autotuner-free).
 * ``check [PROGS...] [--fuzz] [--max-examples N] [--report out.json]
-  [--exec scalar|vector|both] [--fusion ilp|greedy|off|both|all]
+  [--exec scalar|vector|both] [--fusion ilp|off|both]
   [--chaos]`` — differential correctness harness: validate the IR after
   every pass and assert every forced code-version path computes
   bit-identical results to the source interpreter, under the selected
@@ -67,24 +66,24 @@ Commands
   breakers and demotion/verification counters
   (``docs/guarded-execution.md``).
 
-``show``, ``run``, ``simulate``, ``tune`` and ``profile`` accept
-``--fusion ilp|greedy|off`` to select the fusion pass (default: the
-``REPRO_FUSION`` environment variable, else ``ilp`` — see
-``docs/fusion.md``); a ``.tuning`` file records the fusion mode it was
+Settings come from :mod:`repro.config`: the ``REPRO_*`` environment
+variables (README.md, "Configuration"), with a command's flags applied on
+top for that command only.  ``show``, ``run``, ``simulate``, ``tune`` and
+``profile`` accept ``--fusion ilp|off`` to select the fusion pass
+(``docs/fusion.md``); a ``.tuning`` file records the fusion mode it was
 tuned under and is rejected when replayed under a different one.
 
 ``show``, ``simulate``, ``tune`` and ``check`` also accept
 ``--trace out.json`` to capture a trace of that command.
 
 ``run``, ``simulate``, ``tune``, ``check`` and ``profile`` accept
-``--faults PLAN`` (a fault-plan JSON file or inline JSON; also settable
-via the ``REPRO_FAULTS`` environment variable) to run under seeded fault
-injection — see ``docs/robustness.md`` for the fault model, sites and
-plan format.
+``--faults PLAN`` (a fault-plan JSON file or inline JSON) to run under
+seeded fault injection — see ``docs/robustness.md`` for the fault
+model, sites and plan format.
 
 Exit codes: 0 success, 1 check/run failure, 2 user error (unknown
-program, malformed file, device mismatch, ...) reported as a single
-``repro: error: ...`` line on stderr.
+program, malformed file, device mismatch, malformed ``REPRO_*``
+variable, ...) reported as a single ``repro: error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -93,6 +92,9 @@ import argparse
 import json as _json
 import os
 import sys
+from dataclasses import replace
+
+from repro import config
 
 __all__ = ["main", "UserError"]
 
@@ -151,18 +153,6 @@ def _parse_kv(items: list[str] | None) -> dict[str, int]:
     return out
 
 
-def _fusion(args) -> str:
-    """Resolve ``--fusion`` / ``REPRO_FUSION`` to an effective fusion mode,
-    reporting a bad value (e.g. a typo in the environment variable) as a
-    :class:`UserError` rather than a traceback."""
-    from repro.compiler import resolve_fusion
-
-    try:
-        return resolve_fusion(getattr(args, "fusion", None))
-    except ValueError as exc:
-        raise UserError(str(exc)) from None
-
-
 def _check_sizes(prog, sizes: dict[str, int], flag: str = "--size") -> None:
     """User-supplied size bindings must cover the program's size variables
     (extras are allowed: scalar parameters are bound the same way)."""
@@ -217,7 +207,7 @@ def cmd_show(args) -> int:
     from repro.flatten import branching_trees, render_tree
 
     prog = _resolve_program(args.program)
-    cp = compile_program(prog, args.mode, fusion=_fusion(args))
+    cp = compile_program(prog, args.mode)
     print(
         f"-- {prog.name}: mode={args.mode}, fusion={cp.fusion}, "
         f"{len(cp.registry)} thresholds, {cp.code_size()} AST nodes"
@@ -234,28 +224,23 @@ def cmd_run(args) -> int:
 
     from repro.compiler import compile_program
 
-    if args.verify_rate is not None:
-        from repro.exec import guard
-
-        guard.set_verify_rate(args.verify_rate)
     prog = _resolve_program(args.program)
     sizes = _parse_kv(args.size)
     _check_sizes(prog, sizes)
-    cp = compile_program(prog, args.mode, fusion=_fusion(args))
+    cp = compile_program(prog, args.mode)
     inputs = _random_inputs(prog, sizes, args.seed)
     th = _parse_kv(args.threshold)
-    online_path = args.online or os.environ.get("REPRO_ONLINE")
     tuner = None
-    if online_path:
+    if args.online:
         if th:
             raise UserError("--online and --threshold are mutually exclusive")
         from repro.tuning.online import OnlineTuner
 
         device = _devices()[args.device]
-        tuner = OnlineTuner(cp, device, table_path=online_path)
-        if os.path.exists(online_path):
-            tuner.load(online_path)
-        outs = cp.run(inputs, engine=args.exec, online=tuner, sizes=sizes)
+        tuner = OnlineTuner(cp, device, table_path=args.online)
+        if os.path.exists(args.online):
+            tuner.load(args.online)
+        outs = cp.run(inputs, online=tuner, sizes=sizes)
         d = tuner.last_decision
         print(
             f"online: shape={d.shape} "
@@ -265,8 +250,7 @@ def cmd_run(args) -> int:
             f"observations={tuner.total_observations()}"
         )
     else:
-        outs = cp.run(inputs, thresholds=th or None, engine=args.exec,
-                      sizes=sizes)
+        outs = cp.run(inputs, thresholds=th or None, sizes=sizes)
     for i, out in enumerate(outs):
         if hasattr(out, "shape"):
             print(f"result[{i}]: shape={out.shape} dtype={out.dtype}")
@@ -285,7 +269,7 @@ def cmd_simulate(args) -> int:
     sizes = _parse_kv(args.size)
     _check_sizes(prog, sizes)
     device = _devices()[args.device]
-    cp = compile_program(prog, args.mode, fusion=_fusion(args))
+    cp = compile_program(prog, args.mode)
     th = _parse_kv(args.threshold)
     if args.tuning:
         from repro.tuning import load_thresholds
@@ -341,7 +325,7 @@ def cmd_tune(args) -> int:
         else:
             raise UserError("tune needs at least one --dataset n=...,m=...")
     device = _devices()[args.device]
-    cp = compile_program(prog, "incremental", fusion=_fusion(args))
+    cp = compile_program(prog, "incremental")
     if args.technique == "exhaustive":
         try:
             res = exhaustive_tune(cp, datasets, device)
@@ -496,7 +480,7 @@ def cmd_profile(args) -> int:
         _check_sizes(prog, ds, flag="--dataset")
     device = _devices()[args.device]
 
-    cp = compile_program(prog, args.mode, fusion=_fusion(args))
+    cp = compile_program(prog, args.mode)
     code = generate_opencl(cp)
     tuner = Autotuner(cp, datasets, device, seed=args.seed)
     res = tuner.tune(max_proposals=args.proposals)
@@ -560,110 +544,101 @@ def cmd_profile(args) -> int:
 def cmd_check(args) -> int:
     import json
 
-    from repro.check import check_all, run_fuzz, set_validation
+    from repro.check import check_all, run_fuzz
 
-    set_validation(True)
+    names = args.programs or None
+    modes = tuple(args.mode) if args.mode else ("moderate", "incremental", "full")
+    if args.exec == "all":
+        engines = ("scalar", "vector", "codegen")
+    elif args.exec == "both":
+        engines = ("scalar", "vector")
+    else:
+        engines = (args.exec,)
+    fusions = config.FUSIONS if args.fusions == "both" else (args.fusions,)
     try:
-        names = args.programs or None
-        modes = tuple(args.mode) if args.mode else ("moderate", "incremental", "full")
-        if args.exec == "all":
-            engines = ("scalar", "vector", "codegen")
-        elif args.exec == "both":
-            engines = ("scalar", "vector")
+        reports = check_all(names, modes=modes, seed=args.seed,
+                            max_paths=args.max_paths, engines=engines,
+                            fusions=fusions)
+    except KeyError as ex:
+        raise UserError(ex.args[0]) from None
+    ok = True
+    for rep in reports:
+        status = "ok" if rep.ok else "FAIL"
+        print(f"  {rep.program:15} {rep.paths_checked:4} forced paths  {status}")
+        if not rep.ok:
+            ok = False
+            for ds in rep.datasets:
+                if ds.error:
+                    print(f"    {ds.sizes}: {ds.error}")
+                for mr in ds.modes:
+                    leg = f"{mr.mode}/{mr.fusion}"
+                    if mr.error:
+                        print(f"    {leg} {ds.sizes}: {mr.error}")
+                    for po in mr.failures:
+                        print(f"    {leg} {ds.sizes}: path "
+                              f"{po.thresholds}: {po.detail}")
+    doc = {
+        "kind": "check",
+        "ok": ok,
+        "programs": [rep.to_json() for rep in reports],
+    }
+
+    if args.fuzz:
+        print(f"fuzzing {args.max_examples} generated programs "
+              f"(seed {args.seed}, style {args.fuzz_style}) ...")
+        frep = run_fuzz(args.max_examples, args.seed, modes=modes,
+                        max_paths=args.max_paths, engines=engines,
+                        fusions=fusions, style=args.fuzz_style,
+                        corpus_dir=args.corpus_out)
+        doc["fuzz"] = frep.to_json()
+        if frep.ok:
+            print(f"  fuzz: {frep.examples} examples, no counterexample")
         else:
-            engines = (args.exec,)
-        if args.fusion == "all":
-            fusions = ("ilp", "greedy", "off")
-        elif args.fusion == "both":
-            fusions = ("ilp", "off")
-        else:
-            fusions = (args.fusion,)
+            ok = False
+            doc["ok"] = False
+            for f in frep.failures:
+                print(f"  fuzz FAIL (example {f.index}): {f.error}")
+                print(f"    shrunk recipe: {json.dumps(f.shrunk)}")
+
+    if args.chaos:
+        from repro.check.chaos import chaos_tune_check
+
         try:
-            reports = check_all(names, modes=modes, seed=args.seed,
-                                max_paths=args.max_paths, engines=engines,
-                                fusions=fusions)
+            chaos_reports = chaos_tune_check(
+                args.programs or None, seed=args.seed
+            )
         except KeyError as ex:
             raise UserError(ex.args[0]) from None
-        ok = True
-        for rep in reports:
-            status = "ok" if rep.ok else "FAIL"
-            print(f"  {rep.program:15} {rep.paths_checked:4} forced paths  {status}")
-            if not rep.ok:
-                ok = False
-                for ds in rep.datasets:
-                    if ds.error:
-                        print(f"    {ds.sizes}: {ds.error}")
-                    for mr in ds.modes:
-                        leg = f"{mr.mode}/{mr.fusion}"
-                        if mr.error:
-                            print(f"    {leg} {ds.sizes}: {mr.error}")
-                        for po in mr.failures:
-                            print(f"    {leg} {ds.sizes}: path "
-                                  f"{po.thresholds}: {po.detail}")
-        doc = {
-            "kind": "check",
-            "ok": ok,
-            "programs": [rep.to_json() for rep in reports],
-        }
-
-        if args.fuzz:
-            print(f"fuzzing {args.max_examples} generated programs "
-                  f"(seed {args.seed}, style {args.fuzz_style}) ...")
-            frep = run_fuzz(args.max_examples, args.seed, modes=modes,
-                            max_paths=args.max_paths, engines=engines,
-                            fusions=fusions, style=args.fuzz_style,
-                            corpus_dir=args.corpus_out)
-            doc["fuzz"] = frep.to_json()
-            if frep.ok:
-                print(f"  fuzz: {frep.examples} examples, no counterexample")
-            else:
+        except Exception as ex:
+            # a crash in the harness itself is NOT a differential
+            # divergence: report it as a usage/infrastructure error
+            # (exit 2, "repro: error:") so CI can tell the two apart
+            raise UserError(
+                f"chaos harness error: {type(ex).__name__}: {ex}"
+            ) from None
+        doc["chaos"] = [r.to_json() for r in chaos_reports]
+        for crep in chaos_reports:
+            status = "ok" if crep.ok else "FAIL"
+            legs = " ".join(
+                f"{leg.name}={'ok' if leg.ok else 'FAIL'}"
+                for leg in crep.legs
+            )
+            print(f"  chaos {crep.program:15} seed {crep.seed}: "
+                  f"{legs}  {status}")
+            if not crep.ok:
                 ok = False
                 doc["ok"] = False
-                for f in frep.failures:
-                    print(f"  fuzz FAIL (example {f.index}): {f.error}")
-                    print(f"    shrunk recipe: {json.dumps(f.shrunk)}")
+                for leg in crep.legs:
+                    if not leg.ok and leg.detail:
+                        print(f"    {leg.name}: {leg.detail}")
 
-        if args.chaos:
-            from repro.check.chaos import chaos_tune_check
+    if args.report:
+        from repro.ioutil import atomic_write_json
 
-            try:
-                chaos_reports = chaos_tune_check(
-                    args.programs or None, seed=args.seed
-                )
-            except KeyError as ex:
-                raise UserError(ex.args[0]) from None
-            except Exception as ex:
-                # a crash in the harness itself is NOT a differential
-                # divergence: report it as a usage/infrastructure error
-                # (exit 2, "repro: error:") so CI can tell the two apart
-                raise UserError(
-                    f"chaos harness error: {type(ex).__name__}: {ex}"
-                ) from None
-            doc["chaos"] = [r.to_json() for r in chaos_reports]
-            for crep in chaos_reports:
-                status = "ok" if crep.ok else "FAIL"
-                legs = " ".join(
-                    f"{leg.name}={'ok' if leg.ok else 'FAIL'}"
-                    for leg in crep.legs
-                )
-                print(f"  chaos {crep.program:15} seed {crep.seed}: "
-                      f"{legs}  {status}")
-                if not crep.ok:
-                    ok = False
-                    doc["ok"] = False
-                    for leg in crep.legs:
-                        if not leg.ok and leg.detail:
-                            print(f"    {leg.name}: {leg.detail}")
-
-        if args.report:
-            from repro.ioutil import atomic_write_json
-
-            atomic_write_json(args.report, doc, indent=2)
-            print(f"wrote {args.report}")
-        print("check:", "ok" if ok else "FAILED")
-        return 0 if ok else 1
-    finally:
-        set_validation(None)
+        atomic_write_json(args.report, doc, indent=2)
+        print(f"wrote {args.report}")
+    print("check:", "ok" if ok else "FAILED")
+    return 0 if ok else 1
 
 
 # -- tuning service (docs/service.md) ------------------------------------------
@@ -685,11 +660,6 @@ def cmd_serve(args) -> int:
 
     if args.socket is None and args.port is None:
         raise UserError("serve needs --socket PATH and/or --port N")
-    _fusion(args)  # the daemon's mode: a bad REPRO_FUSION exits 2 here
-    if args.verify_rate is not None:
-        from repro.exec import guard
-
-        guard.set_verify_rate(args.verify_rate)
 
     def log(msg: str) -> None:
         print(f"[serve] {msg}", flush=True)
@@ -742,7 +712,7 @@ def _submit_spec(args) -> dict:
         )
     elif args.kind == "run":
         job.update(
-            sizes=_parse_kv(args.size), seed=args.seed, engine=args.engine,
+            sizes=_parse_kv(args.size), seed=args.seed, engine=args.job_engine,
             thresholds=_parse_kv(args.threshold),
         )
     elif args.kind == "online":
@@ -751,7 +721,7 @@ def _submit_spec(args) -> dict:
                 "--kind online chooses thresholds itself; drop --threshold"
             )
         job.update(
-            sizes=_parse_kv(args.size), seed=args.seed, engine=args.engine,
+            sizes=_parse_kv(args.size), seed=args.seed, engine=args.job_engine,
             device=args.device,
         )
     return job
@@ -898,6 +868,13 @@ BATCH_SIZE_HELP = ("proposals drawn per search round before any is fed back "
                    "(a search parameter: results depend on it)")
 
 
+def _rate(text: str) -> float:
+    p = float(text)  # argparse reports a ValueError as an invalid value
+    if not 0.0 <= p <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a fraction in [0, 1], got {text!r}")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro",
@@ -909,10 +886,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list built-in benchmark programs")
 
     def fusion_flag(sp_):
-        sp_.add_argument("--fusion", default=None,
-                         choices=("ilp", "greedy", "off"),
-                         help="fusion pass: ILP-based global fusion "
-                         "(default), the greedy local-rule pass, or none "
+        sp_.add_argument("--fusion", default=None, choices=config.FUSIONS,
+                         help="fusion pass: ILP-based global fusion or none "
                          "(default: REPRO_FUSION or ilp)")
 
     sp = sub.add_parser("show", help="compile and print target code")
@@ -934,16 +909,15 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--online", metavar="TABLE",
                     help="choose thresholds with the online tuner, "
                     "persisting its shape-class table to this file "
-                    "(also via REPRO_ONLINE; docs/online-tuning.md)")
+                    "(docs/online-tuning.md)")
     rp.add_argument("--device", default="K40", choices=("K40", "Vega64"),
                     help="device model for online cost observations")
-    rp.add_argument("--exec", default=None,
-                    choices=("scalar", "vector", "codegen"),
+    rp.add_argument("--exec", dest="engine", default=None, choices=config.ENGINES,
                     help="executor (default: REPRO_EXEC or scalar)")
-    rp.add_argument("--verify-rate", type=float, default=None, metavar="P",
+    rp.add_argument("--verify-rate", type=_rate, default=None, metavar="P",
                     help="spot-verify this fraction of guarded kernel "
                     "launches against the vector oracle "
-                    "(also via REPRO_VERIFY_RATE; docs/guarded-execution.md)")
+                    "(docs/guarded-execution.md)")
     rp.add_argument("--faults", metavar="PLAN",
                     help="inject faults from a plan (JSON file or inline)")
 
@@ -957,8 +931,7 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--device", default="K40", choices=("K40", "Vega64"))
     mp.add_argument("--kernels", action="store_true", help="per-kernel stats")
     mp.add_argument("--tuning", help="read thresholds from a .tuning file")
-    mp.add_argument("--exec", default=None,
-                    choices=("scalar", "vector", "codegen"),
+    mp.add_argument("--exec", default=None, choices=config.ENGINES,
                     help="also execute with this engine and report wall time")
     mp.add_argument("--faults", metavar="PLAN",
                     help="inject faults from a plan (JSON file or inline)")
@@ -1023,12 +996,11 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("scalar", "vector", "codegen", "both", "all"),
                     help="executor(s) for forced paths: one engine, 'both' "
                     "(scalar+vector) or 'all' (default: all three)")
-    cp.add_argument("--fusion", default="both",
-                    choices=("ilp", "greedy", "off", "both", "all"),
-                    help="fusion mode(s) for forced paths: one mode, 'both' "
-                    "(ilp+off, the default) or 'all' (ilp+greedy+off); "
-                    "every leg must be bit-identical to the source "
-                    "interpreter")
+    cp.add_argument("--fusion", dest="fusions", default="both",
+                    choices=(*config.FUSIONS, "both"),
+                    help="fusion mode(s) for forced paths: one mode or "
+                    "'both' (ilp+off, the default); every leg must be "
+                    "bit-identical to the source interpreter")
     cp.add_argument("--fuzz-style", default="default",
                     choices=("default", "fusion"),
                     help="recipe grammar weighting for --fuzz ('fusion' "
@@ -1059,8 +1031,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--proposals", type=int, default=48,
                     help="tuner proposals for the traced tuning run")
     pp.add_argument("--seed", type=int, default=0)
-    pp.add_argument("--exec", default=None,
-                    choices=("scalar", "vector", "codegen"),
+    pp.add_argument("--exec", default=None, choices=config.ENGINES,
                     help="also execute the program with this engine under "
                     "the tracer (adds exec.* spans and counters)")
     pp.add_argument("--faults", metavar="PLAN",
@@ -1089,15 +1060,13 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--store", metavar="DIR",
                     help="artifact store directory (default: <spool>/store)")
     sv.add_argument("--store-max", type=int, default=None, metavar="N",
-                    help="artifact store LRU bound "
-                    "(default: REPRO_SERVICE_STORE_MAX or 256)")
+                    help="artifact store LRU bound (default 256)")
     sv.add_argument("--shed-watermark", type=float, default=5.0, metavar="S",
                     help="shed normal-priority jobs while queue wait EWMA "
                     "is over S seconds (0 disables; default 5)")
-    sv.add_argument("--verify-rate", type=float, default=None, metavar="P",
+    sv.add_argument("--verify-rate", type=_rate, default=None, metavar="P",
                     help="spot-verify this fraction of guarded kernel "
-                    "launches against the vector oracle "
-                    "(also via REPRO_VERIFY_RATE)")
+                    "launches against the vector oracle")
     sv.add_argument("--faults", metavar="PLAN",
                     help="inject faults from a plan (JSON file or inline)")
     sv.add_argument("--trace", help="write a Chrome-trace JSON file")
@@ -1126,9 +1095,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="run: size binding n=4 (repeatable)")
     sb.add_argument("--threshold", action="append",
                     help="run: threshold t0=128 (repeatable)")
-    sb.add_argument("--engine", default="scalar",
-                    choices=("scalar", "vector", "codegen"),
-                    help="run: executor engine")
+    sb.add_argument("--engine", dest="job_engine", default="scalar",
+                    choices=config.ENGINES, help="run: executor engine")
     sb.add_argument("--stream", action="store_true",
                     help="stream the job's progress events as JSON lines")
     sb.add_argument("--wait", type=float, default=None, metavar="S",
@@ -1157,6 +1125,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+#: flags whose argparse destination is the config field they set
+CONFIG_FLAGS = ("fusion", "engine", "verify_rate")
+
+
 def _run_command(args) -> int:
     from repro import faults
 
@@ -1176,31 +1148,35 @@ def _run_command(args) -> int:
         "cancel": cmd_cancel,
         "fetch": cmd_fetch,
     }[args.command]
-    # fault injection: --faults wins over REPRO_FAULTS; the previous
-    # injector is restored afterwards so in-process callers (tests) do
-    # not leak an active plan between invocations
+    # the command's flags apply on top of the process config for this
+    # command only; repro check validates after every pass.  The previous
+    # config and fault injector are restored afterwards, so in-process
+    # callers (tests) do not leak either between invocations
+    flags = {name: getattr(args, name) for name in CONFIG_FLAGS
+             if getattr(args, name, None) is not None}
+    if args.command == "check":
+        flags["validate"] = True
     saved = faults.current()
     try:
         plan_src = getattr(args, "faults", None)
-        try:
-            if plan_src:
+        if plan_src:
+            try:
                 faults.activate(faults.load_plan(plan_src))
-            else:
-                faults.activate_from_env()
-        except faults.FaultPlanError as exc:
-            raise UserError(str(exc)) from None
+            except faults.FaultPlanError as exc:
+                raise UserError(str(exc)) from None
 
-        trace_path = getattr(args, "trace", None)
-        if trace_path or args.command == "profile":
-            from repro import obs
+        with config.use(replace(config.current(), **flags)):
+            trace_path = getattr(args, "trace", None)
+            if trace_path or args.command == "profile":
+                from repro import obs
 
-            with obs.tracing(process_name=f"repro {args.command}") as tracer:
-                code = handler(args)
-            if trace_path:
-                obs.write_chrome_trace(tracer, trace_path)
-                print(f"wrote {trace_path}")
-            return code
-        return handler(args)
+                with obs.tracing(process_name=f"repro {args.command}") as tracer:
+                    code = handler(args)
+                if trace_path:
+                    obs.write_chrome_trace(tracer, trace_path)
+                    print(f"wrote {trace_path}")
+                return code
+            return handler(args)
     finally:
         if saved is not None:
             faults.activate(saved.plan)
@@ -1212,7 +1188,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run_command(args)
-    except UserError as exc:
+    except (UserError, config.ConfigError) as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

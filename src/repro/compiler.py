@@ -13,23 +13,22 @@ passes stay module globals (``normalize``, ``ilp_fuse``, ``fuse``,
 ``simplify``, ``validate``, ``Flattener``), looked up on every compile, so a
 profiler can wrap them by attribute.
 
-With ``REPRO_VALIDATE=1`` (always on under the test suite) the IR
-well-formedness validator (:mod:`repro.check.validate`) runs after every
-pass, so a pass that breaks scoping, typing, level nesting, or version-guard
-placement fails at the pass that introduced the violation rather than at
-some downstream consumer.
+With ``validate`` on in :mod:`repro.config` (``REPRO_VALIDATE=1``, ``repro
+check``, and always under the test suite) the IR well-formedness validator
+(:mod:`repro.check.validate`) runs after every pass, so a pass that breaks
+scoping, typing, level nesting, or version-guard placement fails at the
+pass that introduced the violation rather than at some downstream consumer.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
-from repro import perf
+from repro import config, perf
 from repro.obs import trace as obs
-from repro.check.validate import validate, validation_enabled
+from repro.check.validate import validate
 from repro.flatten import Flattener, ThresholdRegistry, branching_trees
 from repro.ir import source as S
 from repro.ir.builder import Program
@@ -45,26 +44,23 @@ __all__ = [
     "CompiledProgram",
     "compile_program",
     "compile_program_cached",
-    "resolve_fusion",
     "FUSION_MODES",
 ]
 
 #: fusion pass selection: ILP-based global fusion (default), the greedy
-#: local-rule pass, or no fusion at all
+#: local-rule pass (the ILP's seed and reference; users select from
+#: :data:`repro.config.FUSIONS`), or no fusion at all
 FUSION_MODES = ("ilp", "greedy", "off")
 
 
-def resolve_fusion(fusion: str | None = None, do_fuse: bool = True) -> str:
-    """Resolve the effective fusion mode.
-
-    Explicit argument wins, then the ``REPRO_FUSION`` environment variable,
-    then the default (``"ilp"``).  ``do_fuse=False`` (the paper's Backprop
-    moderate-flattening experiment) forces ``"off"``.
-    """
+def _fusion_mode(fusion: str | None, do_fuse: bool) -> str:
+    """The effective fusion mode: ``do_fuse=False`` (the paper's Backprop
+    moderate-flattening experiment) forces ``"off"``, then the explicit
+    argument, then the config."""
     if not do_fuse:
         return "off"
     if fusion is None:
-        fusion = os.environ.get("REPRO_FUSION") or "ilp"
+        return config.current().fusion
     if fusion not in FUSION_MODES:
         raise ValueError(
             f"unknown fusion mode {fusion!r} "
@@ -104,7 +100,7 @@ class CompiledProgram:
         ``engine`` selects the executor: ``"scalar"`` (tree-walking
         oracle), ``"vector"`` (batched NumPy kernels), ``"codegen"``
         (generated-source kernels + compile cache) — all bit-identical —
-        or ``None`` to follow ``REPRO_EXEC``.
+        or ``None`` to follow the configured engine (``REPRO_EXEC``).
 
         ``sizes`` supplies size-variable bindings that cannot be inferred
         from the input array shapes (e.g. loop bounds like NW's
@@ -249,14 +245,14 @@ def compile_program(
     """Compile a source program with the selected flattening mode.
 
     ``fusion`` selects the fusion pass (see :data:`FUSION_MODES`;
-    default ``"ilp"``, overridable via ``REPRO_FUSION``).
+    ``None`` follows the configured mode, ``"ilp"`` by default).
     ``do_fuse=False`` reproduces the paper's Backprop experiment, where
     map/reduce fusion was explicitly disabled for moderate flattening.
     """
-    fusion = resolve_fusion(fusion, do_fuse)
+    fusion = _fusion_mode(fusion, do_fuse)
     t0 = time.perf_counter()
     env = prog.type_env()
-    checking = validation_enabled()
+    checking = config.current().validate
     tracing = obs.enabled()
 
     def _checked(body, stage, **kwargs):
@@ -341,9 +337,9 @@ def compile_program_cached(
             prog, mode, num_levels=num_levels, do_fuse=do_fuse,
             do_simplify=do_simplify, fusion=fusion,
         )
-    # resolve the env-dependent fusion default *before* keying, so a cached
-    # entry is never served across a REPRO_FUSION change
-    resolved_fusion = resolve_fusion(fusion, do_fuse)
+    # resolve the configured fusion default *before* keying, so a cached
+    # entry is never served across a fusion-mode change
+    resolved_fusion = _fusion_mode(fusion, do_fuse)
     key = (prog.name, mode, num_levels, resolved_fusion, do_simplify)
     hit = _COMPILE_CACHE.get(key)
     if hit is not None:

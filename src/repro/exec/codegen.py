@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro import faults, perf
+from repro import config, faults, perf
 from repro.exec import compile_cache, guard
 from repro.exec.vector import (
     _VBINOPS,
@@ -375,9 +375,6 @@ class CodegenEvaluator(VectorEvaluator):
     def __init__(self, sizes=None, thresholds=None, dtype_sig=()):
         super().__init__(sizes, thresholds)
         self.dtype_sig = tuple(dtype_sig or ())
-        # sampled once per evaluation: os.environ lookups are ~1us and
-        # _guard_kernel runs per emitted kernel
-        self._guard_active = guard.active()
 
     # -- generated-source kernels ------------------------------------------
 
@@ -398,7 +395,7 @@ class CodegenEvaluator(VectorEvaluator):
         kernel unwrapped.
         """
         fn, flags = hit
-        if not self._guard_active:
+        if not config.current().guard:
             return hit
         ev = self
         arity = len(flags)

@@ -5,8 +5,9 @@ The codegen executor (:mod:`repro.exec.codegen`) specialises kernels per
 the generated source once.  This module persists those compilations so
 *other processes* — repeated CLI invocations, daemon restarts, CI's
 warm-cache leg — never recompile the same kernel: every process resolves
-the same directory (override > ``REPRO_CODEGEN_CACHE`` > a per-user temp
-dir) and exchanges entries through it.
+the same directory (the config's ``codegen_cache``, from
+``REPRO_CODEGEN_CACHE`` or :func:`set_dir`, else a per-user temp dir) and
+exchanges entries through it.
 
 Layout: one ``<key>.json`` file per kernel, where ``key`` is the SHA-256
 of the kernel's full fingerprint string.  Each entry records the
@@ -20,9 +21,8 @@ fingerprint it was stored under and a checksum of its payload, so
   is rejected (``exec.codegen.cache_bad``).
 
 The directory is bounded: after every store, entries beyond
-``REPRO_CODEGEN_CACHE_MAX`` (default 512) are evicted oldest-mtime-first
-(reads touch mtime, so this is LRU).  ``REPRO_NO_CACHE`` disables the
-whole layer.
+:data:`MAX_ENTRIES` are evicted oldest-mtime-first (reads touch mtime, so
+this is LRU).  ``REPRO_NO_CACHE`` disables the whole layer.
 
 Writes go through :func:`repro.ioutil.atomic_write_json`; concurrent
 writers of the same key race benignly (last rename wins, both wrote the
@@ -35,8 +35,9 @@ import hashlib
 import json
 import os
 import tempfile
+from dataclasses import replace
 
-from repro import perf
+from repro import config, perf
 from repro.ioutil import atomic_write_json
 
 __all__ = [
@@ -48,39 +49,34 @@ __all__ = [
     "store",
     "evict_lru",
     "clear",
-    "max_entries",
+    "MAX_ENTRIES",
     "breaker_path",
 ]
 
-DEFAULT_MAX_ENTRIES = 512
+#: LRU bound on the number of entries in the directory
+MAX_ENTRIES = 512
 
 #: the guard's circuit-breaker table lives beside the kernels it judges
 #: (same staleness domain: wiping the cache wipes the verdicts about it);
 #: it is not a cache entry and is exempt from LRU eviction
 BREAKER_FILE = "breakers.json"
 
-#: explicit override (set_dir) — beats the environment for this process
-_DIR_OVERRIDE: str | None = None
-
 
 def set_dir(path: str | None) -> None:
-    """Pin this process's cache directory (``None`` restores resolution).
+    """Pin this process's cache directory (``None``: the per-user default).
 
-    Beats ``REPRO_CODEGEN_CACHE``; the repository benchmark uses it to give
-    each cold-start repetition a fresh directory.
+    Rebinds the config's ``codegen_cache``; the repository benchmark uses
+    it to give each cold-start repetition a fresh directory.
     """
-    global _DIR_OVERRIDE
-    _DIR_OVERRIDE = os.fspath(path) if path is not None else None
+    codegen_cache = None if path is None else os.fspath(path)
+    config.install(replace(config.current(), codegen_cache=codegen_cache))
 
 
 def cache_dir() -> str:
-    """The cache directory path (not created); override > env > default."""
-    if _DIR_OVERRIDE is not None:
-        return _DIR_OVERRIDE
-    env = os.environ.get("REPRO_CODEGEN_CACHE")
-    if env:
-        return env
-    return os.path.join(tempfile.gettempdir(), "repro-codegen-cache")
+    """The cache directory path (not created)."""
+    return config.current().codegen_cache or os.path.join(
+        tempfile.gettempdir(), "repro-codegen-cache"
+    )
 
 
 def shared_dir() -> str:
@@ -91,14 +87,6 @@ def shared_dir() -> str:
     except OSError:
         pass
     return d
-
-
-def max_entries() -> int:
-    """LRU size cap (``REPRO_CODEGEN_CACHE_MAX``, default 512)."""
-    try:
-        return max(1, int(os.environ.get("REPRO_CODEGEN_CACHE_MAX", "")))
-    except ValueError:
-        return DEFAULT_MAX_ENTRIES
 
 
 def breaker_path() -> str:
@@ -179,7 +167,7 @@ def store(key: str, fingerprint: str, payload: dict) -> bool:
 
 def evict_lru(cap: int | None = None) -> int:
     """Drop oldest entries beyond the size cap; returns how many went."""
-    cap = max_entries() if cap is None else cap
+    cap = MAX_ENTRIES if cap is None else cap
     d = cache_dir()
     try:
         names = [
@@ -210,15 +198,18 @@ def evict_lru(cap: int | None = None) -> int:
 
 
 def clear() -> None:
-    """Remove every entry (tests; cold-start benchmarking)."""
+    """Remove every file but the breaker table (tests; cold-start
+    benchmarking), also files that are not entries, such as the
+    ``.c``/``.so`` files of an older cache format."""
     d = cache_dir()
     try:
         names = os.listdir(d)
     except OSError:
         return
     for nm in names:
-        if nm.endswith(".json") and nm != BREAKER_FILE:
+        path = os.path.join(d, nm)
+        if nm != BREAKER_FILE and os.path.isfile(path):
             try:
-                os.unlink(os.path.join(d, nm))
+                os.unlink(path)
             except OSError:
                 pass

@@ -21,10 +21,11 @@ and wraps each launch:
   records a failure against that kernel fingerprint's circuit breaker
   and re-executes on the next rung down (one ``exec.guard.demotions``
   per hop; the bottom rung has no net and propagates);
-* ``trip_threshold`` failures trip the breaker: the fingerprint is
+* ``guard_trip`` consecutive failures (:mod:`repro.config`,
+  ``REPRO_GUARD_TRIP``) trip the breaker: the fingerprint is
   *quarantined* to the lower tier and the failing rung is skipped
   outright (no fault boundary, no re-raise churn);
-* after ``cooldown`` quarantined launches the breaker goes *half-open*:
+* after :data:`COOLDOWN` quarantined launches the breaker goes *half-open*:
   the next launch probes the higher tier again, re-closing the breaker
   on success and re-opening it (cooldown restarted) on failure;
 * breaker state persists crash-safely next to the compile cache
@@ -34,7 +35,7 @@ and wraps each launch:
   or another device signature are *discarded*, never an error —
   mirroring the tuning-file staleness rules.
 
-Opt-in spot verification (``REPRO_VERIFY_RATE=p``) re-runs a
+Opt-in spot verification (``--verify-rate p``) re-runs a
 deterministically sampled fraction of higher-tier launches on the vector
 oracle and compares bit-exactly; a divergence counts as a launch failure
 (breaker + demotion), returns the oracle's values, and lands the
@@ -59,17 +60,13 @@ import threading
 
 import numpy as np
 
-from repro import faults, perf
+from repro import config, faults, perf
 from repro.obs import trace as obs
 
 __all__ = [
-    "active",
+    "COOLDOWN",
     "wrap_kernel",
     "Breaker",
-    "trip_threshold",
-    "cooldown",
-    "verify_rate",
-    "set_verify_rate",
     "demotion_count",
     "demotion_active",
     "snapshot",
@@ -88,8 +85,8 @@ BREAKER_FORMAT = 2
 #: interned fault-site names for the standard tiers (wrap-time lookup)
 _SITES = {t: f"exec.launch.{t}" for t in ("codegen", "vector", "scalar")}
 
-DEFAULT_TRIP_THRESHOLD = 3
-DEFAULT_COOLDOWN = 16
+#: quarantined launches before an open breaker probes its tier again
+COOLDOWN = 16
 
 _lock = threading.RLock()
 _breakers: dict[tuple[str, str], "Breaker"] = {}
@@ -101,51 +98,9 @@ _launches: dict[str, int] = {}  # per-kernel launch count (verify sampling)
 _wrapped: dict[str, "object"] = {}
 _demotions = 0  # process-wide demotion events (ladder hops + quarantine)
 _loaded = False
-_verify_rate: float | None = None
 
 
 # -- configuration -----------------------------------------------------------
-
-
-def active() -> bool:
-    """The guard wraps codegen kernels unless ``REPRO_GUARD=0``."""
-    return os.environ.get("REPRO_GUARD", "") not in ("0",)
-
-
-def trip_threshold() -> int:
-    """Failures before a breaker trips (``REPRO_GUARD_TRIP``, default 3)."""
-    try:
-        return max(1, int(os.environ.get("REPRO_GUARD_TRIP", "")))
-    except ValueError:
-        return DEFAULT_TRIP_THRESHOLD
-
-
-def cooldown() -> int:
-    """Quarantined launches before a half-open probe
-    (``REPRO_GUARD_COOLDOWN``, default 16)."""
-    try:
-        return max(1, int(os.environ.get("REPRO_GUARD_COOLDOWN", "")))
-    except ValueError:
-        return DEFAULT_COOLDOWN
-
-
-def verify_rate() -> float:
-    """Fraction of launches spot-verified against the vector oracle."""
-    global _verify_rate
-    if _verify_rate is None:
-        try:
-            _verify_rate = min(1.0, max(0.0, float(
-                os.environ.get("REPRO_VERIFY_RATE", "0") or "0"
-            )))
-        except ValueError:
-            _verify_rate = 0.0
-    return _verify_rate
-
-
-def set_verify_rate(p: float | None) -> None:
-    """Pin the spot-verification rate (``None`` re-reads the environment)."""
-    global _verify_rate
-    _verify_rate = None if p is None else min(1.0, max(0.0, float(p)))
 
 
 def device_sig() -> str:
@@ -164,13 +119,13 @@ def device_sig() -> str:
 def corpus_dir() -> str:
     """Where verify-divergence counterexamples land.
 
-    ``REPRO_CORPUS_DIR`` wins; otherwise ``tests/corpus`` when invoked
-    from a checkout that has one, else a ``corpus/`` directory next to
-    the compile cache.
+    The configured ``corpus_dir`` (``REPRO_CORPUS_DIR``) wins; otherwise
+    ``tests/corpus`` when invoked from a checkout that has one, else a
+    ``corpus/`` directory next to the compile cache.
     """
-    env = os.environ.get("REPRO_CORPUS_DIR")
-    if env:
-        return env
+    configured = config.current().corpus_dir
+    if configured:
+        return configured
     checkout = os.path.join(os.getcwd(), "tests", "corpus")
     if os.path.isdir(checkout):
         return checkout
@@ -207,7 +162,7 @@ class Breaker:
         if self.state == "closed" or self.state == "half_open":
             return True
         self.skips += 1
-        if self.skips >= cooldown():
+        if self.skips >= COOLDOWN:
             self.state = "half_open"
             perf.inc("exec.guard.half_open")
             _persist_locked()
@@ -223,7 +178,7 @@ class Breaker:
             _persist_locked()
             return
         self.fails += 1
-        if self.state == "closed" and self.fails >= trip_threshold():
+        if self.state == "closed" and self.fails >= config.current().guard_trip:
             self.state = "open"
             self.skips = 0
             self.trips += 1
@@ -387,7 +342,6 @@ def reset(*, drop_disk: bool = False) -> None:
         _wrapped.clear()
         _demotions = 0
         _loaded = False
-        set_verify_rate(None)
         if drop_disk:
             try:
                 os.unlink(_path())
@@ -425,9 +379,10 @@ def snapshot() -> dict:
     counters = {
         k: v for k, v in perf.counters().items() if k.startswith("exec.guard.")
     }
+    cfg = config.current()
     return {
-        "active": active(),
-        "verify_rate": verify_rate(),
+        "active": cfg.guard,
+        "verify_rate": cfg.verify_rate,
         "demotions": _demotions,
         "breakers": sorted(breakers, key=lambda b: (b["key"], b["tier"])),
         "counters": counters,
@@ -450,10 +405,10 @@ def _bits(vals) -> tuple:
     return tuple(out)
 
 
-def _verify_due(key: str) -> bool:
-    """Deterministic sampling: launch ``i`` of a kernel verifies iff
-    ``floor(i*p)`` advanced — no RNG, so a verified run stays replayable."""
-    p = verify_rate()
+def _verify_due(key: str, p: float) -> bool:
+    """Deterministic sampling at rate ``p``: launch ``i`` of a kernel
+    verifies iff ``floor(i*p)`` advanced — no RNG, so a verified run stays
+    replayable."""
     if p <= 0.0:
         return False
     i = _launches.get(key, 0) + 1
@@ -537,6 +492,7 @@ def wrap_kernel(key: str, rungs, *, source: str | None = None):
         source,
         _breakers.get,
         faults.inject,
+        config.current,
     )
     cached = _wrapped.get(key)
     if cached is not None:
@@ -557,6 +513,7 @@ def wrap_kernel(key: str, rungs, *, source: str | None = None):
         _source=None,
         _br_get=None,
         _faults=None,
+        _config=None,
     ):
         global _demotions
         if not _loaded:
@@ -598,8 +555,8 @@ def wrap_kernel(key: str, rungs, *, source: str | None = None):
             if (
                 _oracle is not None
                 and fn is not _oracle
-                and _verify_rate != 0.0  # fast gate; None = env not read yet
-                and _verify_due(key)
+                and (rate := _config().verify_rate) > 0.0
+                and _verify_due(key, rate)
             ):
                 perf.inc("exec.guard.verified")
                 with obs.span(

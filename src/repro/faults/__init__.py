@@ -31,7 +31,6 @@ from repro.faults.errors import (
 from repro.faults.inject import (
     Injector,
     activate,
-    activate_from_env,
     active_plan,
     check,
     current,
@@ -48,7 +47,6 @@ from repro.faults.plan import (
     FaultRule,
     default_chaos_plan,
     load_plan,
-    plan_from_env,
 )
 
 __all__ = [
@@ -65,10 +63,8 @@ __all__ = [
     "FaultRule",
     "default_chaos_plan",
     "load_plan",
-    "plan_from_env",
     "Injector",
     "activate",
-    "activate_from_env",
     "active_plan",
     "check",
     "current",

@@ -41,7 +41,7 @@ from repro.faults.errors import (
     KernelTimeoutFault,
     TransientFault,
 )
-from repro.faults.plan import DETERMINISTIC_KINDS, FaultPlan, plan_from_env
+from repro.faults.plan import DETERMINISTIC_KINDS, FaultPlan
 
 __all__ = [
     "Injector",
@@ -51,7 +51,6 @@ __all__ = [
     "enabled",
     "injected",
     "suspended",
-    "activate_from_env",
     "check",
     "retrying",
 ]
@@ -206,14 +205,6 @@ class suspended:
     def __exit__(self, *exc) -> None:
         global _INJECTOR
         _INJECTOR = self._saved
-
-
-def activate_from_env() -> Injector | None:
-    """Activate the ``REPRO_FAULTS`` plan, if the variable is set."""
-    plan = plan_from_env()
-    if plan is None:
-        return None
-    return activate(plan)
 
 
 # -- site helpers --------------------------------------------------------------

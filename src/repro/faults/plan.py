@@ -18,15 +18,13 @@ Plans are plain JSON::
       {"site": "tuner.batch", "kind": "process_kill", "at": [6]}
     ]}
 
-and are activated via ``repro ... --faults plan.json`` or the
-``REPRO_FAULTS`` environment variable (a path, or inline JSON starting
-with ``{``).
+and are activated via ``repro ... --faults PLAN`` (a path, or inline
+JSON starting with ``{``).
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, replace
 
 __all__ = [
@@ -37,7 +35,6 @@ __all__ = [
     "FaultRule",
     "FaultPlan",
     "load_plan",
-    "plan_from_env",
     "default_chaos_plan",
 ]
 
@@ -211,14 +208,6 @@ def load_plan(source: str) -> FaultPlan:
     except json.JSONDecodeError as exc:
         raise FaultPlanError(f"{source}: not a fault plan ({exc})") from None
     return FaultPlan.from_json(doc)
-
-
-def plan_from_env() -> FaultPlan | None:
-    """The plan selected by ``REPRO_FAULTS`` (path or inline JSON), if any."""
-    source = os.environ.get("REPRO_FAULTS")
-    if not source:
-        return None
-    return load_plan(source)
 
 
 def default_chaos_plan(seed: int = 0) -> FaultPlan:

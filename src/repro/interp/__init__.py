@@ -14,7 +14,6 @@ _LAZY = {
     "Evaluator": "repro.interp.evaluator",
     "InterpError": "repro.interp.evaluator",
     "bind_sizes": "repro.interp.evaluator",
-    "default_engine": "repro.interp.evaluator",
     "program_env": "repro.interp.evaluator",
     "run_program": "repro.interp.evaluator",
 }

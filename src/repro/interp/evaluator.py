@@ -14,12 +14,11 @@ are bit-identical across source and flattened programs.
 
 from __future__ import annotations
 
-import os
 from typing import Mapping
 
 import numpy as np
 
-from repro import faults
+from repro import config, faults
 from repro.flatten.versions import DEFAULT_THRESHOLD
 from repro.interp import intrinsics
 from repro.interp.scalar import BINOPS as _BINOPS  # eager ``&&``/``||``: see there
@@ -35,7 +34,6 @@ __all__ = [
     "run_program",
     "program_env",
     "bind_sizes",
-    "default_engine",
     "InterpError",
 ]
 
@@ -418,15 +416,6 @@ def program_env(
     return env, all_sizes
 
 
-def default_engine() -> str:
-    """The engine ``run_program`` uses when none is requested.
-
-    ``REPRO_EXEC`` selects it process-wide (``scalar`` | ``vector`` |
-    ``codegen``); the default is the scalar tree-walking oracle.
-    """
-    return os.environ.get("REPRO_EXEC") or "scalar"
-
-
 def run_program(
     prog: Program,
     inputs: Mapping[str, Value],
@@ -444,10 +433,10 @@ def run_program(
     tree-walking oracle, ``"vector"`` the batched-NumPy compiler in
     :mod:`repro.exec`, ``"codegen"`` the generated-source tier on top of it
     (both bit-identical to the oracle, see ``docs/execution.md``).
-    ``None`` defers to the ``REPRO_EXEC`` environment variable, defaulting
-    to ``"scalar"``.
+    ``None`` follows the configured engine (``REPRO_EXEC``, ``run
+    --exec``), ``"scalar"`` by default.
     """
-    eng = engine or default_engine()
+    eng = engine or config.current().engine
     env, all_sizes = program_env(prog, inputs, sizes)
     target = body if body is not None else prog.body
     if eng == "vector":

@@ -13,22 +13,22 @@ It is the metrics backbone of the observability layer
   Thread-safe and reentrant: when the same stage name nests (directly or
   indirectly) in one thread, only the outermost block adds its elapsed
   time, so accumulated time never exceeds wall time.
-* :func:`caching_enabled` — ``False`` when the ``REPRO_NO_CACHE``
-  environment variable is set (non-empty), which disables every cache layer
-  for debugging; read dynamically so tests can flip it at run time.
+* :func:`caching_enabled` — ``False`` when the config's ``cache`` is off
+  (``REPRO_NO_CACHE=1``), which disables every cache layer for debugging;
+  in-process callers switch it with :func:`repro.config.use`.
 * :func:`register_cache` / :func:`clear_caches` — modules register their
   cache dicts here so all layers can be dropped in one call.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import defaultdict
 from contextlib import contextmanager
 from typing import Iterator, MutableMapping
 
+from repro import config as _config
 from repro.obs import trace as _trace
 
 __all__ = [
@@ -121,7 +121,7 @@ def reset() -> None:
 
 def caching_enabled() -> bool:
     """Global cache switch: ``REPRO_NO_CACHE=1`` disables every layer."""
-    return not os.environ.get("REPRO_NO_CACHE")
+    return _config.current().cache
 
 
 def register_cache(name: str, cache: MutableMapping) -> MutableMapping:

@@ -7,8 +7,9 @@ tune/compile/run/online jobs as JSON lines over a Unix or TCP socket, the
 tenants, runner threads execute them, and finished artifacts land in the
 content-addressed :class:`~repro.service.store.ArtifactStore`, so an
 identical job from any tenant returns without evaluating a proposal.
-Every job compiles under the fusion mode the daemon recorded in its spec
-at admission (``REPRO_FUSION`` or ``ilp``), so the store key covers it.
+Every job compiles under the settings the daemon recorded in its spec at
+admission (``Config.result_affecting()``: the fusion mode), so the store
+key covers them.
 A daemon compiles each (program, mode, fusion) once and keeps the result
 in a bounded memo, and a job record carries its artifact fingerprint, so
 a store hit and a fetch cost store reads, not a compile.
@@ -64,7 +65,7 @@ import time
 from collections import OrderedDict
 from typing import Any
 
-from repro import perf
+from repro import config, perf
 from repro.exec import guard
 from repro.obs import trace as obs
 from repro.service.jobs import (
@@ -160,10 +161,8 @@ class ServiceDaemon:
     ):
         if socket_path is None and port is None:
             raise ValueError("daemon needs a --socket path or a --port")
-        from repro.compiler import resolve_fusion
-
-        #: the fusion mode admitted jobs record in their spec
-        self.fusion = resolve_fusion()
+        #: the result-affecting settings admitted jobs record in their spec
+        self.result_affecting = config.current().result_affecting()
         self.spool = Spool(spool_dir)
         self.store = ArtifactStore(
             store_dir or os.path.join(self.spool.root, "store"), store_max
@@ -465,7 +464,7 @@ class ServiceDaemon:
         tenant = str(req.get("tenant") or "default")
         priority = str(req.get("priority") or "normal")
         try:
-            spec = normalize_spec(req.get("job"), self.fusion)
+            spec = normalize_spec(req.get("job"), self.result_affecting)
         except JobSpecError as exc:
             perf.inc("service.jobs.rejected")
             self._send(wr, {"ok": False, "code": 400, "error": str(exc)})

@@ -37,6 +37,7 @@ import threading
 import time
 from typing import Any, Callable
 
+from repro.config import ENGINES as _ENGINES
 from repro.ioutil import atomic_write_json
 from repro.service.queue import PRIORITIES
 from repro.service.store import job_key
@@ -59,7 +60,6 @@ TERMINAL_STATES = ("done", "failed", "canceled")
 _DEVICES = ("K40", "Vega64")
 _MODES = ("moderate", "incremental", "full")
 _TECHNIQUES = ("bandit", "random", "hillclimb")
-_ENGINES = ("scalar", "vector", "codegen")
 
 
 class JobSpecError(Exception):
@@ -84,16 +84,17 @@ def _choice(doc: dict, field: str, allowed: tuple, default: str) -> str:
     return value
 
 
-def normalize_spec(doc: Any, fusion: str) -> dict:
+def normalize_spec(doc: Any, result_affecting: dict) -> dict:
     """Validate a submitted job spec and return its canonical form.
 
     The canonical form has a fixed field set per kind (defaults filled
     in), so two submissions meaning the same work normalise — and
-    therefore fingerprint — identically.  ``fusion`` is the fusion mode
-    the job compiles under.  It is not a client field: the daemon records
-    its own mode at admission, so the fingerprint covers it and every
-    later compile for the job (run, resume after a restart, fetch) uses
-    the same mode, whatever ``REPRO_FUSION`` a restarted daemon has.
+    therefore fingerprint — identically.  ``result_affecting`` is the
+    daemon's ``Config.result_affecting()``: the fusion mode the job
+    compiles under.  It is not a client field, so the fingerprint covers
+    it and every later compile for the job (run, resume after a restart,
+    fetch) uses the same mode, whatever ``REPRO_FUSION`` a restarted
+    daemon has.
     """
     if not isinstance(doc, dict):
         raise JobSpecError("job must be an object")
@@ -108,7 +109,7 @@ def normalize_spec(doc: Any, fusion: str) -> dict:
         "program": str(program) if program else None,
         "source": str(source) if source else None,
         "mode": _choice(doc, "mode", _MODES, "incremental"),
-        "fusion": fusion,
+        **result_affecting,
     }
     known = {"kind", "program", "source", "mode"}
     if kind == "tune":
@@ -303,10 +304,10 @@ class Job:
     def from_record(cls, doc: dict) -> "Job":
         spec = dict(doc["spec"])
         # records from before jobs carried their fusion mode: the default
-        fusion = str(spec.pop("fusion", "ilp"))
+        recorded = {"fusion": str(spec.pop("fusion", "ilp"))}
         job = cls(
             str(doc["id"]), str(doc.get("tenant", "default")),
-            str(doc.get("priority", "normal")), normalize_spec(spec, fusion),
+            str(doc.get("priority", "normal")), normalize_spec(spec, recorded),
         )
         job.state = str(doc.get("state", "queued"))
         job.error = doc.get("error")

@@ -25,8 +25,8 @@ so verifying an entry never re-serialises it, and
 * an entry of another format version is a plain miss, overwritten when
   the job's artifact is stored again.
 
-The directory is mtime-LRU bounded (reads touch mtime) at
-``REPRO_SERVICE_STORE_MAX`` entries (default 256).  Writes go through
+The directory is mtime-LRU bounded (reads touch mtime) at ``max_entries``
+entries (``repro serve --store-max``, default 256).  Writes go through
 :func:`repro.ioutil.atomic_write_text`; concurrent writers of one key
 race benignly (both wrote the same deterministic content).  Every
 filesystem error degrades to a miss.  ``REPRO_NO_CACHE`` disables the
@@ -56,21 +56,13 @@ def job_key(fingerprint: str) -> str:
     return hashlib.sha256(fingerprint.encode("utf-8")).hexdigest()
 
 
-def default_max_entries() -> int:
-    """LRU size cap (``REPRO_SERVICE_STORE_MAX``, default 256)."""
-    try:
-        return max(1, int(os.environ.get("REPRO_SERVICE_STORE_MAX", "")))
-    except ValueError:
-        return DEFAULT_MAX_ENTRIES
-
-
 class ArtifactStore:
     """One artifact directory with integrity checks and an LRU bound."""
 
     def __init__(self, directory: str, max_entries: int | None = None):
         self.directory = os.fspath(directory)
         self.max_entries = (
-            default_max_entries() if max_entries is None else max(1, int(max_entries))
+            DEFAULT_MAX_ENTRIES if max_entries is None else max(1, int(max_entries))
         )
 
     def _path(self, key: str) -> str:

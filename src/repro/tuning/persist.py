@@ -23,6 +23,7 @@ import json
 from typing import Mapping, Sequence
 
 from repro.compiler import CompiledProgram
+from repro.config import FUSIONS
 from repro.flatten import render_tree
 from repro.ioutil import atomic_write_json
 
@@ -152,10 +153,12 @@ def load_thresholds(
             # thresholds tuned against one fusion mode's branching tree are
             # meaningless under another; files predating the fusion field
             # (no "fusion" key) are still caught by the tree hash below
+            fix = (f"re-tune or pass --fusion {stored_fusion}"
+                   if stored_fusion in FUSIONS else "re-tune")
             raise TuningFileError(
                 f"{path}: tuned with fusion mode {stored_fusion!r}, but the "
                 f"program is compiled with {compiled.fusion!r} "
-                f"(stale tuning file? re-tune or pass --fusion {stored_fusion})"
+                f"(stale tuning file? {fix})"
             )
         stored_tree = doc.get("branching_tree")
         if stored_tree is not None and stored_tree != branching_tree_hash(compiled):

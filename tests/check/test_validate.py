@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.check import ValidationError, set_validation, validation_enabled
+from repro import config
+from repro.check import ValidationError
 from repro.check.validate import validate
 from repro.compiler import compile_program
 from repro.flatten import ThresholdRegistry
@@ -85,16 +86,9 @@ def test_compiled_program_validates_clean():
     cp.check()  # must not raise
 
 
-def test_set_validation_overrides_env(monkeypatch):
-    monkeypatch.delenv("REPRO_VALIDATE", raising=False)
-    try:
-        set_validation(True)
-        assert validation_enabled()
-        set_validation(False)
-        assert not validation_enabled()
-        set_validation(None)
-        assert not validation_enabled()
-        monkeypatch.setenv("REPRO_VALIDATE", "1")
-        assert validation_enabled()
-    finally:
-        set_validation(True)  # restore the suite-wide fixture's state
+def test_set_validation_overrides_env(configure):
+    assert not config.Config.from_env({}).validate
+    assert config.Config.from_env({"REPRO_VALIDATE": "1"}).validate
+    assert config.current().validate  # the suite-wide fixture's setting
+    configure(validate=False)
+    assert not config.current().validate

@@ -25,8 +25,8 @@ from repro.ir.builder import map_, v
 
 
 @pytest.fixture(autouse=True)
-def _isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "kcache"))
+def _isolated_cache(tmp_path, configure):
+    configure(codegen_cache=str(tmp_path / "kcache"))
     _CODE_CACHE.clear()
     yield
 
@@ -98,8 +98,8 @@ class TestEntryIntegrity:
         json.dump(doc, open(path, "w"))
         assert compile_cache.load(key, "fp-A") is None
 
-    def test_no_cache_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    def test_no_cache_env(self, configure):
+        configure(cache=False)
         key = compile_cache.entry_key("fp-A")
         assert not compile_cache.store(key, "fp-A", {"x": 1})
         assert compile_cache.load(key, "fp-A") is None
@@ -107,7 +107,7 @@ class TestEntryIntegrity:
 
 class TestLRUBound:
     def test_eviction_beyond_cap(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CODEGEN_CACHE_MAX", "3")
+        monkeypatch.setattr(compile_cache, "MAX_ENTRIES", 3)
         for i in range(6):
             fp = f"fp-{i}"
             compile_cache.store(compile_cache.entry_key(fp), fp, {"i": i})
@@ -117,7 +117,7 @@ class TestLRUBound:
     def test_reads_refresh_lru_order(self, monkeypatch):
         import time
 
-        monkeypatch.setenv("REPRO_CODEGEN_CACHE_MAX", "2")
+        monkeypatch.setattr(compile_cache, "MAX_ENTRIES", 2)
         fps = ["fp-0", "fp-1"]
         for fp in fps:
             compile_cache.store(compile_cache.entry_key(fp), fp, {"fp": fp})
@@ -128,6 +128,28 @@ class TestLRUBound:
         names = _entry_files()
         assert compile_cache.entry_key("fp-0") + ".json" in names  # survived
         assert compile_cache.entry_key("fp-1") + ".json" not in names  # evicted
+
+    def test_explicit_cap(self):
+        for i in range(4):
+            fp = f"fp-{i}"
+            compile_cache.store(compile_cache.entry_key(fp), fp, {"i": i})
+        assert compile_cache.evict_lru(cap=1) == 3
+        assert len(_entry_files()) == 1
+
+
+class TestClear:
+    def test_clear_removes_former_native_files_keeps_breakers(self):
+        # the native tier, deleted since, wrote <key>.c and <key>.so beside
+        # each entry; a cache directory it used must come clean
+        key = compile_cache.entry_key("fp-A")
+        compile_cache.store(key, "fp-A", {"x": 1})
+        d = compile_cache.cache_dir()
+        for name in (key + ".c", key + ".so", compile_cache.BREAKER_FILE):
+            with open(os.path.join(d, name), "w") as fh:
+                fh.write("x")
+        os.makedirs(os.path.join(d, "corpus"))
+        compile_cache.clear()
+        assert sorted(os.listdir(d)) == [compile_cache.BREAKER_FILE, "corpus"]
 
 
 # -- cross-process sharing ---------------------------------------------------
@@ -143,7 +165,7 @@ def _worker_eval() -> dict:
     from repro.ir.builder import v as wv
 
     # the spawned child resolves the directory from REPRO_CODEGEN_CACHE,
-    # which it inherits from the fixture, like a second CLI invocation
+    # which it inherits from the test, like a second CLI invocation
     e = wmap(lambda x: WS.UnOp("abs", x * 2.0 + 1.0 - x * 0.5), wv("xs"))
     xs = np.linspace(-2.0, 3.0, 5).astype(np.float32)
     WEvaluator().eval(e, {"xs": xs})
@@ -151,7 +173,9 @@ def _worker_eval() -> dict:
 
 
 class TestCrossProcessSharing:
-    def test_two_spawn_workers_one_compile(self):
+    def test_two_spawn_workers_one_compile(self, tmp_path, monkeypatch):
+        # the children read the directory from their environment
+        monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "kcache"))
         ctx = multiprocessing.get_context("spawn")
         merged: dict = {}
         for _ in range(2):  # two distinct worker processes, sequentially
@@ -163,10 +187,11 @@ class TestCrossProcessSharing:
         assert merged.get("exec.codegen.cache_hits", 0) >= 1
 
     def test_set_dir_pins_cache_dir(self, tmp_path):
+        from repro import config
+
         target = str(tmp_path / "pinned-kcache")
-        try:
-            compile_cache.set_dir(target)  # beats REPRO_CODEGEN_CACHE
-            assert compile_cache.cache_dir() == target
-        finally:
-            compile_cache.set_dir(None)
-        assert compile_cache.cache_dir() == os.environ["REPRO_CODEGEN_CACHE"]
+        compile_cache.set_dir(target)
+        assert compile_cache.cache_dir() == target
+        assert config.current().codegen_cache == target
+        compile_cache.set_dir(None)
+        assert compile_cache.cache_dir().endswith("repro-codegen-cache")

@@ -17,9 +17,10 @@ import pytest
 
 from repro import perf
 from repro.compiler import compile_program
+from repro.config import Config
 from repro.exec import CodegenEvaluator, VectorEvaluator
 from repro.exec.codegen import _CODE_CACHE
-from repro.interp import Evaluator, default_engine, run_program
+from repro.interp import Evaluator, run_program
 from repro.ir import source as S
 from repro.ir.builder import (
     abs_,
@@ -40,9 +41,9 @@ SCALAR = Evaluator()
 
 
 @pytest.fixture(autouse=True)
-def _isolated_cache(tmp_path, monkeypatch):
+def _isolated_cache(tmp_path, configure):
     """Point the disk cache at a per-test dir and drop in-memory kernels."""
-    monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "kcache"))
+    configure(codegen_cache=str(tmp_path / "kcache"))
     _CODE_CACHE.clear()
     yield
 
@@ -368,13 +369,12 @@ class TestCompileCacheFlow:
             "exec.codegen.compile", 0
         )
 
-    def test_no_cache_env_disables_persistence(self, tmp_path, monkeypatch):
+    def test_no_cache_env_disables_persistence(self, configure):
         import os
 
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        d = configure(cache=False).codegen_cache
         e = self.E()
         both(e, xs=arr([1, 2, 3]))
-        d = os.environ["REPRO_CODEGEN_CACHE"]
         assert not os.path.isdir(d) or not os.listdir(d)
 
 
@@ -406,9 +406,17 @@ class TestPlumbing:
                 engine="turbo",
             )
 
-    def test_default_engine_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC", "codegen")
-        assert default_engine() == "codegen"
+    def test_default_engine_env(self, configure, monkeypatch):
+        import repro.exec
+        from repro.bench.programs.matmul import matmul_program
+
+        assert Config.from_env({"REPRO_EXEC": "codegen"}).engine == "codegen"
+        built = []
+        monkeypatch.setattr(repro.exec, "CodegenEvaluator",
+                            lambda **kw: built.append(kw) or CodegenEvaluator(**kw))
+        configure(engine="codegen")
+        run_program(matmul_program(), self._matmul_inputs())  # no engine=
+        assert len(built) == 1
 
     def test_compiled_program_run_engine(self):
         from repro.bench.programs.matmul import matmul_program

@@ -23,12 +23,9 @@ from repro.ir.builder import map_, v
 
 
 @pytest.fixture(autouse=True)
-def _isolated_guard(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "kcache"))
-    monkeypatch.delenv("REPRO_GUARD", raising=False)
-    monkeypatch.delenv("REPRO_VERIFY_RATE", raising=False)
-    monkeypatch.delenv("REPRO_GUARD_TRIP", raising=False)
-    monkeypatch.delenv("REPRO_GUARD_COOLDOWN", raising=False)
+def _isolated_guard(tmp_path, configure):
+    configure(codegen_cache=str(tmp_path / "kcache"), guard=True,
+              guard_trip=3, verify_rate=0.0)
     _CODE_CACHE.clear()
     guard.reset()
     yield
@@ -95,9 +92,9 @@ class TestDemotionLadder:
 
 
 class TestBreaker:
-    def test_trips_after_threshold_then_quarantines(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GUARD_TRIP", "2")
-        monkeypatch.setenv("REPRO_GUARD_COOLDOWN", "100")
+    def test_trips_after_threshold_then_quarantines(self, configure, monkeypatch):
+        configure(guard_trip=2)
+        monkeypatch.setattr(guard, "COOLDOWN", 100)
         top, low = _rung(None, fail=True), _rung(_vals(1.0))
         launch = guard.wrap_kernel("kb", [("codegen", top), ("scalar", low)])
         launch({}, 4)
@@ -112,9 +109,9 @@ class TestBreaker:
         assert len(top.calls) == before
         assert perf.counters()["exec.guard.quarantined"] == quarantined0 + 1
 
-    def test_half_open_probe_recloses_on_success(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GUARD_TRIP", "1")
-        monkeypatch.setenv("REPRO_GUARD_COOLDOWN", "2")
+    def test_half_open_probe_recloses_on_success(self, configure, monkeypatch):
+        configure(guard_trip=1)
+        monkeypatch.setattr(guard, "COOLDOWN", 2)
         state = {"fail": True}
         low = _rung(_vals(1.0))
 
@@ -135,9 +132,9 @@ class TestBreaker:
         assert not guard.demotion_active()
         assert perf.counters().get("exec.guard.reclosed", 0) >= 1
 
-    def test_half_open_probe_reopens_on_failure(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GUARD_TRIP", "1")
-        monkeypatch.setenv("REPRO_GUARD_COOLDOWN", "2")
+    def test_half_open_probe_reopens_on_failure(self, configure, monkeypatch):
+        configure(guard_trip=1)
+        monkeypatch.setattr(guard, "COOLDOWN", 2)
         top, low = _rung(None, fail=True), _rung(_vals(1.0))
         launch = guard.wrap_kernel("kr", [("codegen", top), ("scalar", low)])
         launch({}, 4)  # trip
@@ -147,8 +144,8 @@ class TestBreaker:
         assert br["state"] == "open" and br["skips"] == 0  # cooldown restarted
         assert perf.counters().get("exec.guard.reopened", 0) >= 1
 
-    def test_intermittent_failure_heals_without_trip(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GUARD_TRIP", "3")
+    def test_intermittent_failure_heals_without_trip(self, configure):
+        configure(guard_trip=3)
         state = {"fail": True}
         low = _rung(_vals(1.0))
 
@@ -170,18 +167,15 @@ class TestBreaker:
 
 class TestVerify:
     def test_sampling_density(self):
-        guard.set_verify_rate(0.25)
-        due = sum(guard._verify_due("ks") for _ in range(100))
+        due = sum(guard._verify_due("ks", 0.25) for _ in range(100))
         assert due == 25
-        guard.set_verify_rate(0.0)
-        assert not guard._verify_due("ks")
+        assert not guard._verify_due("ks", 0.0)
 
     def test_divergence_returns_oracle_and_lands_corpus(
-        self, tmp_path, monkeypatch
+        self, tmp_path, configure
     ):
         corpus = tmp_path / "corpus"
-        monkeypatch.setenv("REPRO_CORPUS_DIR", str(corpus))
-        guard.set_verify_rate(1.0)
+        configure(corpus_dir=str(corpus), verify_rate=1.0)
         wrong = _rung(_vals(666.0))
         oracle = _rung(_vals(1.0))
         low = _rung(_vals(1.0))
@@ -203,9 +197,8 @@ class TestVerify:
         (br,) = guard.snapshot()["breakers"]
         assert br["fails"] >= 1 or br["state"] != "closed"
 
-    def test_matching_verification_passes_through(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CORPUS_DIR", "/nonexistent-unused")
-        guard.set_verify_rate(1.0)
+    def test_matching_verification_passes_through(self, configure):
+        configure(corpus_dir="/nonexistent-unused", verify_rate=1.0)
         top = _rung(_vals(1.0))
         oracle = _rung(_vals(1.0))
         launch = guard.wrap_kernel(
@@ -230,15 +223,15 @@ class TestVerify:
 
 
 class TestPersistence:
-    def _trip(self, monkeypatch, key="kp"):
-        monkeypatch.setenv("REPRO_GUARD_TRIP", "1")
+    def _trip(self, configure, key="kp"):
+        configure(guard_trip=1)
         top, low = _rung(None, fail=True), _rung(_vals(1.0))
         launch = guard.wrap_kernel(key, [("codegen", top), ("scalar", low)])
         launch({}, 4)
         return launch
 
-    def test_trip_persists_and_reload_resumes(self, monkeypatch):
-        self._trip(monkeypatch)
+    def test_trip_persists_and_reload_resumes(self, configure):
+        self._trip(configure)
         path = compile_cache.breaker_path()
         doc = json.loads(open(path).read())
         assert doc["kind"] == "guard-breakers"
@@ -252,11 +245,11 @@ class TestPersistence:
         assert perf.counters().get("exec.guard.breaker_resumed", 0) >= 1
 
     def test_breaker_file_survives_cache_eviction_and_clear(
-        self, monkeypatch
+        self, configure, monkeypatch
     ):
-        self._trip(monkeypatch)
+        self._trip(configure)
         path = compile_cache.breaker_path()
-        monkeypatch.setenv("REPRO_CODEGEN_CACHE_MAX", "1")
+        monkeypatch.setattr(compile_cache, "MAX_ENTRIES", 1)
         for i in range(4):
             fp = f"fp-{i}"
             compile_cache.store(compile_cache.entry_key(fp), fp, {"i": i})
@@ -279,8 +272,8 @@ class TestPersistence:
         ],
         ids=["cache_version", "device", "format", "kind", "format1_native"],
     )
-    def test_stale_file_discarded_not_errored(self, monkeypatch, mutate):
-        self._trip(monkeypatch)
+    def test_stale_file_discarded_not_errored(self, configure, mutate):
+        self._trip(configure)
         path = compile_cache.breaker_path()
         doc = json.loads(open(path).read())
         mutate(doc)
@@ -292,8 +285,8 @@ class TestPersistence:
         assert perf.counters()["exec.guard.breaker_stale"] == before + 1
         assert not guard.demotion_active()
 
-    def test_torn_file_discarded(self, monkeypatch):
-        self._trip(monkeypatch)
+    def test_torn_file_discarded(self, configure):
+        self._trip(configure)
         path = compile_cache.breaker_path()
         blob = open(path, "rb").read()
         with open(path, "wb") as fh:
@@ -306,11 +299,11 @@ class TestPersistence:
         assert guard.load() == 0
         assert guard.snapshot()["breakers"] == []
 
-    def test_flush_writes_probe_outcome(self, monkeypatch):
+    def test_flush_writes_probe_outcome(self, configure):
         # a half-open probe that *closes* a breaker persists eagerly, but
         # a plain fail-count change only reaches disk via flush (the
         # daemon calls it in its drain path)
-        monkeypatch.setenv("REPRO_GUARD_TRIP", "5")
+        configure(guard_trip=5)
         top, low = _rung(None, fail=True), _rung(_vals(1.0))
         launch = guard.wrap_kernel("kf", [("codegen", top), ("scalar", low)])
         launch({}, 4)  # fails=1, below threshold: no transition, no write
@@ -327,8 +320,8 @@ class TestCodegenIntegration:
     def _xs(self, n=6):
         return np.linspace(-2.0, 3.0, n).astype(np.float32)
 
-    def test_persistent_launch_faults_stay_bit_identical(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GUARD_TRIP", "1")
+    def test_persistent_launch_faults_stay_bit_identical(self, configure):
+        configure(guard_trip=1)
         e, xs = self._chain(), self._xs()
         ref = Evaluator().eval(e, {"xs": xs})
         plan = faults.FaultPlan(seed=1, rules=(
@@ -352,8 +345,8 @@ class TestCodegenIntegration:
             got = CodegenEvaluator().eval(e, {"xs": xs})
         assert np.asarray(ref[0]).tobytes() == np.asarray(got[0]).tobytes()
 
-    def test_guard_off_is_a_passthrough(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GUARD", "0")
+    def test_guard_off_is_a_passthrough(self, configure):
+        configure(guard=False)
         e, xs = self._chain(), self._xs()
         ref = Evaluator().eval(e, {"xs": xs})
         got = CodegenEvaluator().eval(e, {"xs": xs})
@@ -361,8 +354,8 @@ class TestCodegenIntegration:
         assert guard.demotion_count() == 0
         assert guard.snapshot()["breakers"] == []
 
-    def test_spot_verification_passes_on_healthy_engine(self):
-        guard.set_verify_rate(1.0)
+    def test_spot_verification_passes_on_healthy_engine(self, configure):
+        configure(verify_rate=1.0)
         e, xs = self._chain(), self._xs()
         before = perf.counters().get("exec.guard.verified", 0)
         div0 = perf.counters().get("exec.guard.verify_divergence", 0)

@@ -14,8 +14,9 @@ import pytest
 
 from repro import perf
 from repro.compiler import compile_program
+from repro.config import Config
 from repro.exec import VectorEvaluator
-from repro.interp import Evaluator, InterpError, default_engine, run_program
+from repro.interp import Evaluator, InterpError, run_program
 from repro.ir import source as S
 from repro.ir.builder import (
     f32,
@@ -228,11 +229,15 @@ class TestPlumbing:
             run_program(prog, {"xss": arr([[1.0]]), "yss": arr([[1.0]])},
                         engine="turbo")
 
-    def test_default_engine_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXEC", raising=False)
-        assert default_engine() == "scalar"
-        monkeypatch.setenv("REPRO_EXEC", "vector")
-        assert default_engine() == "vector"
+    def test_default_engine_env(self, configure):
+        from repro.bench.programs.matmul import matmul_program
+
+        assert Config.from_env({}).engine == "scalar"
+        assert Config.from_env({"REPRO_EXEC": "vector"}).engine == "vector"
+        configure(engine="vector")
+        before = perf.counters().get("exec.vector_ops", 0)
+        run_program(matmul_program(), {"xss": arr([[1.0]]), "yss": arr([[1.0]])})
+        assert perf.counters().get("exec.vector_ops", 0) > before
 
     def test_compiled_program_run_engine(self):
         from repro.bench.programs.matmul import matmul_program

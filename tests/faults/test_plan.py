@@ -11,7 +11,6 @@ from repro.faults import (
     FaultRule,
     default_chaos_plan,
     load_plan,
-    plan_from_env,
 )
 
 
@@ -102,14 +101,6 @@ class TestLoadPlan:
         with pytest.raises(FaultPlanError, match="not a fault plan"):
             load_plan(str(p))
 
-    def test_env_plan(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", '{"seed": 9, "rules": []}')
-        plan = plan_from_env()
-        assert plan is not None and plan.seed == 9
-
-    def test_env_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        assert plan_from_env() is None
 
 
 class TestBudgets:

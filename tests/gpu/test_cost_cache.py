@@ -135,10 +135,10 @@ class TestKernelCache:
                 _reports_equal(plain, cold)
                 _reports_equal(plain, warm)
 
-    def test_no_cache_env_disables(self, matmul_if, monkeypatch):
+    def test_no_cache_env_disables(self, matmul_if, configure):
         sizes = matmul_sizes(5, 20)
         cfg = {t: 2**15 for t in matmul_if.thresholds()}
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        configure(cache=False)
         perf.clear_caches()
         perf.reset()
         matmul_if._sim_memo.clear()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.compiler import FUSION_MODES, compile_program, resolve_fusion
+from repro.compiler import FUSION_MODES, compile_program
 from repro.interp import Evaluator
 from repro.ir import builder as B
 from repro.ir import source as S
@@ -117,20 +117,15 @@ class TestPipelineWiring:
             (outs[fusion],) = cp.run({"xs": XS})
         assert outs["ilp"] == outs["off"] == outs["greedy"]
 
-    def test_resolve_fusion_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSION", "greedy")
-        assert resolve_fusion() == "greedy"
-        assert resolve_fusion("off") == "off"  # explicit arg wins
-        assert resolve_fusion(do_fuse=False) == "off"
-        monkeypatch.setenv("REPRO_FUSION", "bogus")
-        with pytest.raises(ValueError, match="unknown fusion mode"):
-            resolve_fusion()
-
-    def test_env_selects_pipeline_pass(self, monkeypatch):
+    def test_env_selects_pipeline_pass(self, configure):
         prog = self._prog()
-        monkeypatch.setenv("REPRO_FUSION", "off")
+        configure(fusion="off")
         cp = compile_program(prog, "incremental")
         assert cp.fusion == "off"
+        # an explicit argument wins over the config
+        assert compile_program(prog, "incremental", fusion="ilp").fusion == "ilp"
+        with pytest.raises(ValueError, match="unknown fusion mode"):
+            compile_program(prog, "incremental", fusion="bogus")
 
     def test_do_fuse_false_still_wins(self):
         # the paper's Backprop MF experiment: do_fuse=False forces off

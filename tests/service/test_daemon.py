@@ -390,18 +390,18 @@ class TestRecovery:
             assert json.load(fh)["state"] == "done"
 
     def test_restart_under_other_fusion_mode_misses_the_store(
-        self, tmp, monkeypatch
+        self, tmp, configure
     ):
         # matmul's branching tree is the same under ilp and off, so only
         # the fusion mode recorded in the spec tells the two artifacts apart
-        monkeypatch.setenv("REPRO_FUSION", "ilp")
+        configure(fusion="ilp")
         daemon, client = start(tmp)
         try:
             first = client.submit(TUNE)["job"]
             assert client.result(first, wait=30)["state"] == "done"
         finally:
             daemon.stop()
-        monkeypatch.setenv("REPRO_FUSION", "off")
+        configure(fusion="off")
         daemon2, client2 = start(tmp)
         try:
             res = client2.result(client2.submit(TUNE)["job"], wait=30)
@@ -424,7 +424,7 @@ class TestJobOrder:
         from repro.service.jobs import Job, Spool, normalize_spec
 
         spool = Spool(os.path.join(tmp, "spool"))
-        spec = normalize_spec(RUN, "ilp")
+        spec = normalize_spec(RUN, {"fusion": "ilp"})
         for job_id in reversed(self.IDS):
             spool.save(Job(job_id, "t1", "normal", spec))
         # the order a restarted daemon re-enqueues unfinished jobs in
@@ -462,8 +462,8 @@ class TestCompileOncePerDaemon:
         finally:
             daemon2.stop()
 
-    def test_no_cache_compiles_every_job(self, tmp, compiles, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    def test_no_cache_compiles_every_job(self, tmp, compiles, configure):
+        configure(cache=False)
         daemon, client = start(tmp)
         try:
             for seed in (0, 1):

@@ -35,8 +35,8 @@ def tmp():
 
 
 @pytest.fixture(autouse=True)
-def _isolated_guard(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "kcache"))
+def _isolated_guard(tmp_path, configure):
+    configure(codegen_cache=str(tmp_path / "kcache"))
     _CODE_CACHE.clear()
     guard.reset()
     yield
@@ -71,8 +71,8 @@ class TestHealthOp:
         finally:
             daemon.stop()
 
-    def test_health_reports_tripped_breaker(self, tmp, monkeypatch):
-        monkeypatch.setenv("REPRO_GUARD_TRIP", "1")
+    def test_health_reports_tripped_breaker(self, tmp, configure):
+        configure(guard_trip=1)
 
         def boom(env, n):
             raise RuntimeError("bad tier")
@@ -144,11 +144,11 @@ class TestShedding:
 
 
 class TestDrainFlush:
-    def test_stop_flushes_untransitioned_breaker_state(self, tmp, monkeypatch):
+    def test_stop_flushes_untransitioned_breaker_state(self, tmp, configure):
         # a sub-threshold failure count has no eager persist — only the
         # drain-path flush writes it (satellite: shutdown must not lose
         # an in-flight probe outcome)
-        monkeypatch.setenv("REPRO_GUARD_TRIP", "5")
+        configure(guard_trip=5)
         daemon, _client = start(tmp)
 
         def boom(env, n):

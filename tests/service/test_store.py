@@ -103,12 +103,12 @@ class TestEntryIntegrity:
         assert store.store(key, "fp-A", payload)  # the re-run overwrites it
         assert store.load(key, "fp-A") == payload
 
-    def test_no_cache_env_disables_store(self, store, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    def test_no_cache_env_disables_store(self, store, configure):
+        configure(cache=False)
         assert not store.store(job_key("fp-A"), "fp-A", {"x": 1})
-        monkeypatch.delenv("REPRO_NO_CACHE")
+        configure(cache=True)
         key = _put(store, "fp-B")
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        configure(cache=False)
         assert store.load(key, "fp-B") is None
 
 
@@ -134,11 +134,6 @@ class TestLRUBound:
         time.sleep(0.01)
         _put(store, "fp-2")  # evicts fp-1, not the freshly-read fp-0
         assert store.load(k0, "fp-0") is not None
-
-    def test_env_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE_STORE_MAX", "2")
-        store = ArtifactStore(str(tmp_path / "s"))
-        assert store.max_entries == 2
 
     def test_clear(self, store):
         _put(store, "fp-A")

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from repro import config
 from repro.cli import main
+from tests.test_config import fresh
 
 
 def run(capsys, *argv):
@@ -140,7 +142,7 @@ class TestSimulate:
 
 class TestFusionFlag:
     def test_show_reports_fusion_mode(self, capsys):
-        for fusion in ("ilp", "greedy", "off"):
+        for fusion in ("ilp", "off"):
             code, out = run(capsys, "show", "matmul", "--fusion", fusion)
             assert code == 0
             assert f"fusion={fusion}" in out
@@ -149,25 +151,34 @@ class TestFusionFlag:
         outs = {
             fusion: run(capsys, "run", "NN", "--size", "numB=4,numP=16",
                         "--fusion", fusion)
-            for fusion in ("ilp", "greedy", "off")
+            for fusion in ("ilp", "off")
         }
         assert all(code == 0 for code, _ in outs.values())
-        assert outs["ilp"][1] == outs["greedy"][1] == outs["off"][1]
+        assert outs["ilp"][1] == outs["off"][1]
 
-    def test_bad_fusion_env_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSION", "bogus")
-        assert main(["show", "matmul"]) == 2
-        assert "unknown fusion mode" in capsys.readouterr().err
+    def test_bad_fusion_env_exits_2(self):
+        # a fresh interpreter: this one resolved its config already
+        proc = fresh({"REPRO_FUSION": "bogus"}, "-m", "repro", "show", "matmul")
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "repro: error: REPRO_FUSION='bogus': expected one of ilp, off\n"
+        )
+
+    def test_greedy_is_not_a_user_fusion_mode(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["show", "matmul", "--fusion", "greedy"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'greedy'" in capsys.readouterr().err
 
     def test_stale_tuning_file_from_other_fusion_mode_exits_2(
-        self, capsys, tmp_path, monkeypatch
+        self, capsys, tmp_path, configure
     ):
         # the replay leg must resolve to the default (ilp) pipeline even
         # when the suite runs under an exported REPRO_FUSION
-        monkeypatch.delenv("REPRO_FUSION", raising=False)
+        configure(fusion="ilp")
         out_file = tmp_path / "m.tuning"
         assert main(["tune", "matmul", "--dataset", "n=32,m=1024",
-                     "--proposals", "6", "--fusion", "greedy",
+                     "--proposals", "6", "--fusion", "off",
                      "--output", str(out_file)]) == 0
         capsys.readouterr()
         # replaying under the (default) ILP pipeline must refuse loudly
@@ -177,10 +188,11 @@ class TestFusionFlag:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("repro: error:")
-        assert "fusion mode 'greedy'" in err and "'ilp'" in err
+        assert "fusion mode 'off'" in err and "'ilp'" in err
+        assert "pass --fusion off" in err
         # the matching mode still accepts it
         assert main(["simulate", "matmul", "--size", "n=8,m=8",
-                     "--fusion", "greedy", "--tuning", str(out_file)]) == 0
+                     "--fusion", "off", "--tuning", str(out_file)]) == 0
 
     def test_check_single_fusion_leg(self, capsys):
         code, out = run(
@@ -519,30 +531,37 @@ class TestCheckChaosExitCodes:
 
 
 class TestVerifyRate:
-    def test_run_verify_rate_flag_pins_rate(self, capsys):
-        from repro.exec import guard
+    def test_run_verify_rate_flag_pins_rate(self, monkeypatch):
+        import repro.cli as cli
 
-        try:
-            code, _ = run(capsys, "run", "matmul", "--size", "n=3,m=4",
-                          "--exec", "codegen", "--verify-rate", "0.5")
-            assert code == 0
-            assert guard.verify_rate() == 0.5
-        finally:
-            guard.set_verify_rate(None)
+        seen = []
+        monkeypatch.setattr(
+            cli, "cmd_run", lambda args: seen.append(config.current()) or 0
+        )
+        assert main(["run", "matmul", "--size", "n=3,m=4",
+                     "--exec", "codegen", "--verify-rate", "0.5"]) == 0
+        assert [(c.verify_rate, c.engine) for c in seen] == [(0.5, "codegen")]
+
+    def test_verify_rate_lasts_only_for_its_command(self, capsys):
+        assert config.current().verify_rate == 0.0
+        code, _ = run(capsys, "run", "matmul", "--size", "n=4,m=3",
+                      "--exec", "codegen", "--verify-rate", "1")
+        assert code == 0
+        assert config.current().verify_rate == 0.0
+
+    def test_verify_rate_outside_unit_interval_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "matmul", "--size", "n=3,m=4", "--verify-rate", "1.5"])
+        assert exc.value.code == 2
+        assert "expected a fraction in [0, 1]" in capsys.readouterr().err
 
     def test_verified_run_stays_correct(self, capsys):
-        from repro.exec import guard
-
-        try:
-            code, out1 = run(capsys, "run", "Heston", "--size",
-                             "numQuotes=16,numCand=4,numInt=8",
-                             "--exec", "codegen", "--verify-rate", "1.0")
-            assert code == 0
-            guard.set_verify_rate(None)
-            code, out2 = run(capsys, "run", "Heston", "--size",
-                             "numQuotes=16,numCand=4,numInt=8",
-                             "--exec", "scalar")
-            assert code == 0
-            assert out1 == out2  # sampled oracle re-runs change nothing
-        finally:
-            guard.set_verify_rate(None)
+        code, out1 = run(capsys, "run", "Heston", "--size",
+                         "numQuotes=16,numCand=4,numInt=8",
+                         "--exec", "codegen", "--verify-rate", "1.0")
+        assert code == 0
+        code, out2 = run(capsys, "run", "Heston", "--size",
+                         "numQuotes=16,numCand=4,numInt=8",
+                         "--exec", "scalar")
+        assert code == 0
+        assert out1 == out2  # sampled oracle re-runs change nothing

@@ -43,7 +43,7 @@ def _kernel_seq(report):
 
 @pytest.mark.parametrize("case", list(_cases()), ids=lambda c: c[0])
 @pytest.mark.parametrize("devname", list(DEVICES))
-def test_memoized_simulate_bit_identical(case, devname, monkeypatch):
+def test_memoized_simulate_bit_identical(case, devname, configure):
     name, program, kwargs, datasets = case
     device = DEVICES[devname]
     cp = compile_program(program(), "incremental", **kwargs)
@@ -52,9 +52,9 @@ def test_memoized_simulate_bit_identical(case, devname, monkeypatch):
     for sizes in datasets:
         for cfg in (cfg_default, cfg_intra):
             # cold, with every cache layer disabled
-            monkeypatch.setenv("REPRO_NO_CACHE", "1")
+            configure(cache=False)
             cold = cp.simulate(sizes, device, thresholds=cfg)
-            monkeypatch.delenv("REPRO_NO_CACHE")
+            configure(cache=True)
             # cache-enabled: first (populating) and second (replaying) run
             perf.clear_caches()
             cp._sim_memo.clear()

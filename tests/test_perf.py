@@ -114,12 +114,12 @@ def test_snapshot_shape():
     assert "compile" in snap["cache_sizes"]
 
 
-def test_caching_enabled_reads_env_dynamically(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+def test_caching_enabled_follows_config(configure):
+    configure(cache=True)
     assert perf.caching_enabled()
-    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    configure(cache=False)
     assert not perf.caching_enabled()
-    monkeypatch.delenv("REPRO_NO_CACHE")
+    configure(cache=True)
     assert perf.caching_enabled()
 
 

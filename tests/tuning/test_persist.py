@@ -68,6 +68,16 @@ class TestStaleness:
         with pytest.raises(TuningFileError, match="branching tree"):
             load_thresholds(str(path), matmul_if)
 
+    def test_greedy_file_asks_for_a_retune(self, matmul_if, tuning_file):
+        # no user setting selects greedy, so the error must not suggest one
+        path, _ = tuning_file
+        doc = json.loads(path.read_text())
+        doc["fusion"] = "greedy"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TuningFileError, match="fusion mode 'greedy'") as exc:
+            load_thresholds(str(path), matmul_if)
+        assert str(exc.value).endswith("(stale tuning file? re-tune)")
+
     def test_rejects_unknown_threshold_names(self, matmul_if, tuning_file):
         path, _ = tuning_file
         doc = json.loads(path.read_text())

@@ -206,14 +206,15 @@ def _overhead_leg() -> dict:
     from repro.exec.codegen import _CODE_CACHE
 
     workloads = _workloads()
-    # compile everything once so both sides measure pure execution
     _CODE_CACHE.clear()
-    for _, cp, inputs in workloads:
-        cp.run(inputs, engine="codegen")
-
-    # the guard-off side must really launch unwrapped kernels
+    # the guard-off side must really launch unwrapped kernels.  Wraps
+    # happen only when a program compiles: a compiled program keeps one
+    # evaluator per config, so count them on each side's first pass
     assert _wrap_calls(workloads, True) > 0
     assert _wrap_calls(workloads, False) == 0, "guard-off pass wrapped kernels"
+    # compile everything once so both sides measure pure execution
+    for _, cp, inputs in workloads:
+        cp.run(inputs, engine="codegen")
     dem0 = guard.demotion_count()
     ratios, prog_on, prog_off = _time_paired(workloads)
     on_bits = _run_bits(workloads, True)

@@ -343,32 +343,19 @@ def differential_check(
         }
         exec_engines = [e for e in ("vector", "codegen") if e in engines]
         if exec_engines:
-            from repro.exec import (
-                CodegenEvaluator,
-                VectorEvaluator,
-                dtype_signature,
-            )
+            from repro.exec import new_evaluator, set_thresholds
             from repro.interp.evaluator import program_env
 
             env, all_sizes = program_env(prog, inputs, sizes)
             gate_failed = False
             for engine in exec_engines:
-                if engine == "vector":
-                    xev = VectorEvaluator(sizes=all_sizes, thresholds={})
-                else:
-                    xev = CodegenEvaluator(
-                        sizes=all_sizes,
-                        thresholds={},
-                        dtype_sig=dtype_signature(inputs),
-                    )
+                xev = new_evaluator(engine, all_sizes, inputs)
 
                 def engine_run(body, th, _xev=xev, _env=env):
                     # one evaluator per (dataset, engine): kernels compile
                     # once, launch once per forced path (thresholds swap
                     # between launches)
-                    _xev.thresholds.clear()
-                    if th:
-                        _xev.thresholds.update(th)
+                    set_thresholds(_xev, th)
                     return _xev.eval(body, _env)
 
                 runners[engine] = engine_run

@@ -8,10 +8,13 @@ per (kernel fingerprint, batchedness, sizes, dtype signature) and compiled
 with ``compile()``/``exec`` — collapsing a whole closure tree into a single
 frame.  Every other construct, the masked ``if``/``loop``/intrinsic
 lowerings included, is the vector engine's.  Compilations are memoised
-three deep: per instance (inherited kernel cache), per process (code-object
-cache), and on disk (:mod:`repro.exec.compile_cache`, shared across
-processes).  Each emitted kernel launches through the guard's demotion
-ladder codegen -> vector -> scalar (:mod:`repro.exec.guard`).
+four deep: per compiled program (its evaluator memo,
+:func:`repro.exec.run_batched`, which keeps whole evaluators), per
+instance (inherited kernel cache), per process (code-object cache), and
+on disk (:mod:`repro.exec.compile_cache`, shared across processes).  Each
+emitted kernel launches through the guard's demotion ladder codegen ->
+vector -> scalar (:mod:`repro.exec.guard`), in a launch closure of its
+own: a kernel's generated function reads its own evaluator's thresholds.
 
 Counters: ``exec.codegen.compile`` (fresh source compilations — the
 cross-process cache keeps this at one per kernel *fleet-wide*),

@@ -91,11 +91,6 @@ COOLDOWN = 16
 _lock = threading.RLock()
 _breakers: dict[tuple[str, str], "Breaker"] = {}
 _launches: dict[str, int] = {}  # per-kernel launch count (verify sampling)
-#: per-kernel wrapped launches, reused across evaluations — the codegen
-#: evaluator re-wraps every emitted kernel per run, so allocating a fresh
-#: closure each time churns the GC for no behaviour change; a re-wrap
-#: just rebinds the cached closure's ``__defaults__``
-_wrapped: dict[str, "object"] = {}
 _demotions = 0  # process-wide demotion events (ladder hops + quarantine)
 _loaded = False
 
@@ -339,7 +334,6 @@ def reset(*, drop_disk: bool = False) -> None:
     with _lock:
         _breakers.clear()
         _launches.clear()
-        _wrapped.clear()
         _demotions = 0
         _loaded = False
         if drop_disk:
@@ -480,40 +474,23 @@ def wrap_kernel(key: str, rungs, *, source: str | None = None):
             for tier, fn in rungs[:-1]
         ]
     )
-    # everything launch-varying rides in the defaults tuple, so a re-wrap
-    # of a known kernel (the codegen evaluator re-wraps every emitted
-    # kernel per run, with freshly exec'd rung functions) reuses the
-    # cached closure and just rebinds __defaults__ — one tuple instead of
-    # a function object + cells of GC churn per kernel per evaluation
-    defaults = (
-        guarded,
-        rungs[-1][1],
-        oracle,
-        source,
-        _breakers.get,
-        faults.inject,
-        config.current,
-    )
-    cached = _wrapped.get(key)
-    if cached is not None:
-        cached.__defaults__ = defaults
-        return cached
-
-    # hot-path locals bound at wrap time (the dicts are only ever mutated
-    # in place, never rebound): the happy path below must stay in the
-    # hundreds of nanoseconds — launch counts scale with the data on
+    # hot-path locals bound at wrap time as defaults (the dicts are only
+    # ever mutated in place, never rebound): the happy path below must stay
+    # in the hundreds of nanoseconds — launch counts scale with the data on
     # batched programs, so every global lookup here is multiplied by the
-    # workload
+    # workload.  Each wrap owns its closure: two evaluators that emit the
+    # same kernel key launch their own generated functions, which read
+    # their own thresholds and counters.
     def launch(
         env,
         n,
-        _guarded=None,
-        _last_fn=None,
-        _oracle=None,
-        _source=None,
-        _br_get=None,
-        _faults=None,
-        _config=None,
+        _guarded=guarded,
+        _last_fn=rungs[-1][1],
+        _oracle=oracle,
+        _source=source,
+        _br_get=_breakers.get,
+        _faults=faults.inject,
+        _config=config.current,
     ):
         global _demotions
         if not _loaded:
@@ -586,7 +563,5 @@ def wrap_kernel(key: str, rungs, *, source: str | None = None):
             return vals
         return _last_fn(env, n)
 
-    launch.__defaults__ = defaults
     launch._guard_wrapped = True  # introspection for tests
-    _wrapped[key] = launch
     return launch

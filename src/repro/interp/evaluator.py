@@ -423,6 +423,7 @@ def run_program(
     thresholds: Mapping[str, int] | None = None,
     sizes: Mapping[str, int] | None = None,
     engine: str | None = None,
+    memo: dict | None = None,
 ) -> tuple[Value, ...]:
     """Run a program (or an alternative ``body`` over its parameters).
 
@@ -435,27 +436,17 @@ def run_program(
     (both bit-identical to the oracle, see ``docs/execution.md``).
     ``None`` follows the configured engine (``REPRO_EXEC``, ``run
     --exec``), ``"scalar"`` by default.
+
+    ``memo`` is an evaluator memo for ``body`` (a compiled program's): a
+    batched engine then reuses the evaluator that compiled it for the
+    same sizes, dtypes and config (:func:`repro.exec.run_batched`).
     """
     eng = engine or config.current().engine
     env, all_sizes = program_env(prog, inputs, sizes)
     target = body if body is not None else prog.body
-    if eng == "vector":
-        from repro.exec import VectorEvaluator
+    if eng == "scalar":
+        ev = Evaluator(sizes=all_sizes, thresholds=thresholds)
+        return ev.eval(target, env)
+    from repro.exec import run_batched
 
-        vev = VectorEvaluator(sizes=all_sizes, thresholds=thresholds)
-        return vev.eval(target, env)
-    if eng == "codegen":
-        from repro.exec import CodegenEvaluator, dtype_signature
-
-        cev = CodegenEvaluator(
-            sizes=all_sizes,
-            thresholds=thresholds,
-            dtype_sig=dtype_signature(inputs),
-        )
-        return cev.eval(target, env)
-    if eng != "scalar":
-        raise ValueError(
-            f"unknown engine {eng!r} (expected 'scalar', 'vector' or 'codegen')"
-        )
-    ev = Evaluator(sizes=all_sizes, thresholds=thresholds)
-    return ev.eval(target, env)
+    return run_batched(eng, target, env, all_sizes, inputs, thresholds, memo)

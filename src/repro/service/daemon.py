@@ -533,14 +533,19 @@ class ServiceDaemon:
             self._stream_events(job, wr)
 
     def _stream_events(self, job: Job, wr) -> None:
-        """Forward the job's events as JSON lines through its terminal one."""
+        """Forward the job's events as JSON lines through its terminal one.
+
+        The stream ends on the terminal event, not the terminal state: a
+        runner sets the state before it emits the event, so a stream that
+        stopped on the state could miss the event its client waits for.
+        """
         seq = 0
         while True:
             for ev in job.events_from(seq, timeout=0.5):
                 self._send(wr, ev)
                 seq = ev["seq"] + 1
-            if job.state in TERMINAL_STATES and seq >= len(job.events):
-                return
+                if ev["event"] in TERMINAL_STATES:
+                    return
 
     def _op_result(self, req: dict, wr) -> None:
         job = self._job_or_error(req, wr)
@@ -680,7 +685,10 @@ class ServiceDaemon:
         spec = job.spec
         prog, shared, tree = self._compiled(spec)
         # the simulate memo dies with the job, as when each job compiled:
-        # kept on the shared program it would grow with every tune
+        # kept on the shared program it would grow with every tune.  The
+        # evaluator memo is shared on purpose: it is bounded, and a run job
+        # for the same (program, sizes, engine) only executes the closures
+        # an earlier job compiled
         cp = dataclasses.replace(shared, _sim_memo={}, _shape_memo={})
         if spec["kind"] == "online":
             # never cached: each submission is also an observation that

@@ -15,11 +15,13 @@ import numpy as np
 import pytest
 
 from repro import faults, perf
-from repro.exec import CodegenEvaluator, compile_cache, guard
+from repro.exec import CodegenEvaluator, compile_cache, dtype_signature, guard
 from repro.exec.codegen import _CODE_CACHE, CACHE_VERSION
 from repro.interp import Evaluator
 from repro.ir import source as S
-from repro.ir.builder import map_, v
+from repro.ir import target as T
+from repro.ir.builder import if_, map_, v
+from repro.sizes import SizeConst, SizeVar
 
 
 @pytest.fixture(autouse=True)
@@ -364,3 +366,19 @@ class TestCodegenIntegration:
         assert np.asarray(ref[0]).tobytes() == np.asarray(got[0]).tobytes()
         assert perf.counters().get("exec.guard.verified", 0) > before
         assert perf.counters().get("exec.guard.verify_divergence", 0) == div0
+
+    def test_evaluators_sharing_a_kernel_keep_their_own_closures(self):
+        # two evaluators emit the same kernel key (same body, sizes and
+        # dtypes); the branches are deliberately not equivalent, so the
+        # version that ran shows which evaluator's thresholds were read
+        body = if_(T.ParCmp(SizeConst(100), "t"), v("x") * 2 + 1, v("x") * 3 + 1)
+        e = T.SegMap(1, T.Ctx([T.Binding(("x",), (v("xs"),), SizeVar("n"))]), body)
+        env = {"xs": np.arange(4, dtype=np.int64)}
+        sig = dtype_signature(env)
+        a = CodegenEvaluator(sizes={"n": 4}, thresholds={"t": 1}, dtype_sig=sig)
+        assert a.eval(e, env)[0].tolist() == [1, 3, 5, 7]
+        b = CodegenEvaluator(sizes={"n": 4}, thresholds={"t": 1000}, dtype_sig=sig)
+        assert b.eval(e, env)[0].tolist() == [1, 4, 7, 10]
+        ops = b.vector_ops
+        assert a.eval(e, env)[0].tolist() == [1, 3, 5, 7]
+        assert b.vector_ops == ops  # a's launch counted into a, not b

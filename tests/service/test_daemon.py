@@ -9,6 +9,7 @@ fault-free daemon's.
 """
 
 import gc
+import io
 import json
 import os
 import shutil
@@ -23,6 +24,7 @@ import pytest
 
 from repro import perf
 from repro.service import ServiceClient, ServiceDaemon, ServiceError
+from repro.service.jobs import Job
 
 TUNE = {"kind": "tune", "program": "matmul", "datasets": [{"n": 16, "m": 16}],
         "proposals": 40, "batch_size": 4}
@@ -232,6 +234,26 @@ class TestJobs:
             unblock.cancel()
             client.cancel(big)
             daemon.stop()
+
+    def test_stream_ends_on_the_terminal_event(self, tmp):
+        # a runner sets the terminal state, then emits the terminal event;
+        # a stream that checked the state in between used to stop without
+        # the event, and its client read forever
+        daemon = ServiceDaemon(os.path.join(tmp, "spool"),
+                               socket_path=os.path.join(tmp, "spool.sock"))
+        job = Job("j1", "t", "normal", dict(RUN))
+        job.emit("queued")
+        job.set_state("done")
+        emit = threading.Timer(0.2, job.emit, args=("done",))
+        emit.start()
+        wr = io.StringIO()
+        try:
+            daemon._stream_events(job, wr)
+        finally:
+            emit.join(timeout=5.0)
+        assert not emit.is_alive()
+        events = [json.loads(line)["event"] for line in wr.getvalue().splitlines()]
+        assert events == ["queued", "done"]
 
     def test_unknown_program_fails_the_job(self, tmp):
         daemon, client = start(tmp)

@@ -1,14 +1,31 @@
 """Tests of the top-level compilation pipeline."""
 
+import sys
+import threading
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.compiler import compile_program
+from repro import config, perf
+from repro.check.differential import (
+    CHECK_DATASETS,
+    bit_equal,
+    builtin_programs,
+    enumerate_forced_paths,
+    make_inputs,
+)
+from repro.compiler import CompiledProgram, compile_program
+from repro.exec import MEMO_MAX
+from repro.flatten import ThresholdRegistry
 from repro.gpu import K40, VEGA64
+from repro.interp import run_program
 from repro.ir import source as S
-from repro.ir.builder import Program, f32, map_, op2, redomap_, v
-from repro.ir.types import F32, array_of
-from repro.sizes import SizeVar
+from repro.ir import target as T
+from repro.ir.builder import Program, f32, i64, if_, iota, map_, op2, redomap_, v
+from repro.ir.types import F32, I64, array_of
+from repro.sizes import SizeConst, SizeVar
 
 from repro.bench.programs.matmul import matmul_program, matmul_sizes
 
@@ -164,3 +181,173 @@ class TestTypePreservation:
                 assert type(a) is type(b)
                 if hasattr(a, "rank"):
                     assert a.rank == b.rank and a.elem == b.elem
+
+
+def _delta(before: dict, name: str) -> float:
+    return perf.counters().get(name, 0) - before.get(name, 0)
+
+
+def _versioned(name: str, body) -> CompiledProgram:
+    """A compiled program over ``xs: [n]i64`` whose body is ``body`` as
+    written.  Its ``ParCmp`` branches need not be equivalent, so the
+    version that ran shows in the result."""
+    prog = Program(name, [("xs", array_of(I64, SizeVar("n")))], body)
+    return CompiledProgram(prog, "incremental", body, ThresholdRegistry(), 2)
+
+
+def _par_ge_t():
+    return T.ParCmp(SizeConst(100), "t")
+
+
+class TestEvaluatorMemo:
+    """A batched ``run`` compiles the body once per (engine, sizes, input
+    dtypes, config); later calls with that key only execute, with their
+    thresholds written into the kept evaluator."""
+
+    @pytest.mark.parametrize("name", ["LocVolCalib", "Heston"])
+    def test_forced_paths_match_fresh_runs(self, name):
+        prog = builtin_programs()[name]()
+        cp = compile_program(prog, "incremental")
+        sizes = CHECK_DATASETS[name][0]
+        inputs = make_inputs(prog, sizes, seed=3)
+        paths, _ = enumerate_forced_paths(cp.branching_trees())
+        assert len(paths) > 1
+        # forward, then backward: the thresholds change between calls
+        for th in paths + paths[::-1]:
+            for engine in ("vector", "codegen"):
+                got = cp.run(inputs, thresholds=th, engine=engine, sizes=sizes)
+                ref = run_program(prog, inputs, body=cp.body, thresholds=th,
+                                  sizes=sizes, engine=engine)
+                assert len(got) == len(ref)
+                assert all(bit_equal(g, r) for g, r in zip(got, ref)), (engine, th)
+        assert len(cp._evaluators) == 2
+
+    @pytest.mark.parametrize("engine", ["vector", "codegen"])
+    def test_warm_run_compiles_nothing(self, engine):
+        cp = compile_program(matmul_program(), "incremental")
+        inputs = make_inputs(cp.prog, dict(n=4, m=8))
+        cp.run(inputs, engine=engine)
+        before = perf.counters()
+        cp.run(inputs, engine=engine, thresholds={"t0": 1})
+        assert _delta(before, "exec.compile") == 0
+        assert _delta(before, "exec.memo.hits") == 1
+
+    def test_no_cache_compiles_every_call(self, configure):
+        configure(cache=False)
+        cp = compile_program(matmul_program(), "incremental")
+        inputs = make_inputs(cp.prog, dict(n=4, m=8))
+        for _ in range(3):
+            before = perf.counters()
+            cp.run(inputs, engine="vector")
+            assert _delta(before, "exec.compile") > 0
+        assert cp._evaluators == {}
+
+    def test_config_is_in_the_key(self, configure, monkeypatch):
+        from repro.exec import guard
+
+        configure(guard=True)
+        wraps = []
+        real = guard.wrap_kernel
+        monkeypatch.setattr(
+            guard, "wrap_kernel", lambda *a, **kw: wraps.append(1) or real(*a, **kw)
+        )
+        prog = builtin_programs()["Heston"]()
+        cp = compile_program(prog, "incremental")
+        sizes = CHECK_DATASETS["Heston"][0]
+        inputs = make_inputs(prog, sizes)
+        on = cp.run(inputs, engine="codegen", sizes=sizes)
+        assert wraps
+        wraps.clear()
+        before = perf.counters()
+        with config.use(replace(config.current(), guard=False)):
+            off = cp.run(inputs, engine="codegen", sizes=sizes)
+        # its own evaluator, compiled without the guard
+        assert _delta(before, "exec.memo.misses") == 1
+        assert _delta(before, "exec.compile") > 0
+        assert wraps == []
+        assert len(cp._evaluators) == 2
+        before = perf.counters()
+        again = cp.run(inputs, engine="codegen", sizes=sizes)
+        assert wraps == []
+        assert _delta(before, "exec.compile") == 0
+        assert _delta(before, "exec.memo.hits") == 1
+        for a, b, c in zip(on, off, again):
+            assert bit_equal(a, b) and bit_equal(a, c)
+
+    def test_memo_keeps_the_most_recently_used(self):
+        cp = compile_program(matmul_program(), "incremental")
+        inputs = [make_inputs(cp.prog, dict(n=n, m=3)) for n in range(1, MEMO_MAX + 2)]
+        for inp in inputs:
+            cp.run(inp, engine="vector")
+        assert len(cp._evaluators) == MEMO_MAX
+        before = perf.counters()
+        cp.run(inputs[-1], engine="vector")
+        assert _delta(before, "exec.compile") == 0
+        before = perf.counters()
+        cp.run(inputs[0], engine="vector")  # evicted first
+        assert _delta(before, "exec.compile") > 0
+
+    def test_fallback_lanes_follow_the_swap(self):
+        # iota over a batched extent sends the redomap, ParCmp included, to
+        # the per-lane scalar oracle, which reads the evaluator's thresholds
+        body = map_(
+            lambda x: redomap_(
+                op2("+"),
+                lambda i: if_(_par_ge_t(), i * i64(2), i * i64(3)),
+                i64(0),
+                iota(x),
+            ),
+            v("xs"),
+        )
+        cp = _versioned("iota_fallback", body)
+        xs = np.arange(1, 6, dtype=np.int64)
+        top = [int(x * (x - 1)) for x in xs]
+        flat = [int(3 * x * (x - 1) // 2) for x in xs]
+        for engine in ("vector", "codegen"):
+            before = perf.counters()
+            for t, want in ((1, top), (1000, flat), (1, top)):
+                (got,) = cp.run({"xs": xs}, thresholds={"t": t}, engine=engine)
+                assert got.tolist() == want, (engine, t)
+            assert _delta(before, "exec.scalar_fallbacks") == 3
+            assert _delta(before, "exec.memo.hits") == 2
+
+    def test_threads_keep_their_own_thresholds(self):
+        body = map_(
+            lambda x: if_(_par_ge_t(), x * i64(2) + i64(1), x * i64(3) + i64(1)),
+            v("xs"),
+        )
+        cp = _versioned("versions", body)
+        inputs = {"xs": np.arange(64, dtype=np.int64)}
+        engines = ("vector", "codegen")
+        refs = {
+            (e, t): cp.run(inputs, thresholds={"t": t}, engine=e)[0].tobytes()
+            for e in engines for t in (1, 1000)
+        }
+        assert refs[("vector", 1)] != refs[("vector", 1000)]
+        errors: list = []
+        deadline = time.monotonic() + 10.0
+
+        def worker(t):
+            try:
+                for i in range(300):
+                    if time.monotonic() > deadline:
+                        return
+                    e = engines[i % 2]
+                    got = cp.run(inputs, thresholds={"t": t}, engine=e)[0].tobytes()
+                    if got != refs[(e, t)]:
+                        errors.append((e, t, i))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in (1, 1000)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []

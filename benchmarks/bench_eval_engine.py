@@ -40,7 +40,7 @@ def _tune_once(cached: bool):
     with config.use(replace(config.current(), cache=cached)):
         t0 = time.perf_counter()
         compiled = compile_program_cached(locvolcalib_program(), "incremental")
-        tuner = Autotuner(compiled, DATASETS, K40, seed=SEED, cache=cached)
+        tuner = Autotuner(compiled, DATASETS, K40, seed=SEED)
         result = tuner.tune(max_proposals=MAX_PROPOSALS, technique="bandit")
         elapsed = time.perf_counter() - t0
     return result, elapsed, perf.snapshot()

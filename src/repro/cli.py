@@ -371,14 +371,12 @@ def cmd_tune(args) -> int:
         f"{res.simulations} simulations, {res.cache_hits} cache hits "
         f"(dedup {res.dedup_ratio:.0%})"
     )
-    retries = getattr(res, "retries", 0)
-    quarantined = getattr(res, "quarantined", [])
-    if retries or quarantined:
+    if res.retries or res.quarantined:
         print(
-            f"robustness: {retries} transient-fault retries, "
-            f"{len(quarantined)} configuration(s) quarantined"
+            f"robustness: {res.retries} transient-fault retries, "
+            f"{len(res.quarantined)} configuration(s) quarantined"
         )
-        for cfg, reason in quarantined:
+        for cfg, reason in res.quarantined:
             print(f"  quarantined {cfg}: {reason}")
     if args.output:
         from repro.tuning import save_telemetry, save_thresholds, telemetry_path
@@ -388,12 +386,11 @@ def cmd_tune(args) -> int:
             device=device.name, datasets=datasets,
         )
         print(f"wrote {args.output}")
-        if hasattr(res, "telemetry"):
-            tpath = telemetry_path(args.output)
-            save_telemetry(tpath, res, cp, device=device.name)
-            print(f"wrote {tpath}")
+        tpath = telemetry_path(args.output)
+        save_telemetry(tpath, res, cp, device=device.name)
+        print(f"wrote {tpath}")
         if ckpt is not None and os.path.exists(ckpt):
-            if getattr(res, "deadline_hit", False):
+            if res.deadline_hit:
                 # the time budget — not the proposal budget — ended the
                 # search: the checkpoint still holds measurements a later
                 # --resume can extend, so deleting it here would destroy

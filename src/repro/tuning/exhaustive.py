@@ -42,7 +42,7 @@ from typing import Mapping, Sequence
 from repro.compiler import CompiledProgram
 from repro.gpu.device import DeviceSpec
 from repro.tuning.tree import signature_boxes
-from repro.tuning.tuner import Autotuner, CostFn, TuningResult, sum_cost
+from repro.tuning.tuner import PENALTY_COST, Autotuner, CostFn, TuningResult, sum_cost
 
 __all__ = ["exhaustive_tune", "candidate_values", "TooManySignatures"]
 
@@ -85,6 +85,12 @@ def exhaustive_tune(
 ) -> TuningResult:
     """Measure one configuration per behaviourally distinct assignment.
 
+    Each measurement goes through :meth:`Autotuner.measure`, so the
+    active fault plan's retry and quarantine policy applies as in
+    :meth:`Autotuner.tune`: a box whose corner cannot be measured scores
+    :data:`~repro.tuning.tuner.PENALTY_COST`, and when no box can be
+    measured the result is the default configuration at that cost.
+
     Raises :class:`TooManySignatures` when the candidates produce more than
     ``max_configs`` distinct joint path signatures.
     """
@@ -120,7 +126,9 @@ def exhaustive_tune(
             best_cfg, best_cost = cfg, cost
             history.append((rank + 1, cost))
 
-    assert best_cfg is not None
+    if best_cfg is None:
+        # no box could be measured: the defaults, as Autotuner.tune falls back
+        best_cfg, best_cost = tuner.space.default_config(), PENALTY_COST
     return TuningResult(
         best_thresholds=best_cfg,
         best_cost=best_cost,
@@ -129,4 +137,6 @@ def exhaustive_tune(
         cache_hits=tuner.cache_hits,
         history=history,
         full_history=full_history,
+        retries=tuner.retries,
+        quarantined=tuner.quarantine_list(),
     )

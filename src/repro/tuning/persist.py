@@ -108,6 +108,74 @@ def save_thresholds(
     atomic_write_json(path, doc, indent=2, sort_keys=True)
 
 
+def _read(path: str, what: str, kind: str | None, fmt: int) -> dict:
+    """Open and parse one tuning document of ``kind`` (tuning files carry
+    none) and ``format``; ``what`` names the document in errors."""
+    article = "an" if what[0] in "aeiou" else "a"
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise TuningFileError(f"cannot read {what} {path!r}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise TuningFileError(f"{path}: not {article} {what} ({exc})") from None
+    if not isinstance(doc, dict) or doc.get("kind") != kind:
+        raise TuningFileError(f"{path}: not {article} {what}")
+    if doc.get("format") != fmt:
+        raise TuningFileError(
+            f"{path}: unsupported format {doc.get('format')} for {article} {what}"
+        )
+    return doc
+
+
+def _check_identity(
+    doc: dict,
+    path: str,
+    what: str,
+    compiled: CompiledProgram | None,
+    device: str | None,
+) -> None:
+    """Reject a document stamped for another program, fusion mode,
+    branching tree or device than the run reading it.
+
+    A document without a device or a fusion mode passes those checks.  A
+    missing branching-tree hash passes only for a tuning file (the one
+    document without a ``kind``), whose format predates the hash.
+    """
+    if compiled is not None:
+        if doc.get("program") != compiled.prog.name:
+            raise TuningFileError(
+                f"{path}: tuned for program {doc.get('program')!r}, "
+                f"not {compiled.prog.name!r}"
+            )
+        stored_fusion = doc.get("fusion")
+        if stored_fusion is not None and stored_fusion != compiled.fusion:
+            # thresholds tuned against one fusion mode's branching tree are
+            # meaningless under another; documents predating the fusion
+            # field (no "fusion" key) are still caught by the tree hash below
+            fix =(f"re-tune or pass --fusion {stored_fusion}"
+                   if stored_fusion in FUSIONS else "re-tune")
+            raise TuningFileError(
+                f"{path}: tuned with fusion mode {stored_fusion!r}, but the "
+                f"program is compiled with {compiled.fusion!r} "
+                f"(stale {what}? {fix})"
+            )
+        stored_tree = doc.get("branching_tree")
+        if (stored_tree is not None or "kind" in doc) and (
+            stored_tree != branching_tree_hash(compiled)
+        ):
+            raise TuningFileError(
+                f"{path}: branching tree differs from the compiled program "
+                f"(stale {what}?)"
+            )
+    stored_device = doc.get("device")
+    if device and stored_device and stored_device != device:
+        raise TuningFileError(
+            f"{path}: tuned for device {stored_device!r}, not {device!r} "
+            f"(stale {what}?)"
+        )
+
+
 def load_thresholds(
     path: str,
     compiled: CompiledProgram | None = None,
@@ -121,51 +189,14 @@ def load_thresholds(
     silently reproduces the wrong branching-tree paths.  Files written
     without a device (``device=""``) are accepted on any device.
     """
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise TuningFileError(f"{path}: not a tuning file ({exc})") from None
-    if doc.get("format") != _FORMAT:
-        raise TuningFileError(f"{path}: unsupported format {doc.get('format')}")
+    doc = _read(path, "tuning file", None, _FORMAT)
+    _check_identity(doc, path, "tuning file", compiled, device)
     thresholds = {str(k): int(v) for k, v in doc.get("thresholds", {}).items()}
-    if device:
-        stored_device = doc.get("device")
-        if stored_device and stored_device != device:
-            raise TuningFileError(
-                f"{path}: tuned for device {stored_device!r}, not {device!r} "
-                f"(stale tuning file?)"
-            )
-    if compiled is not None:
-        if doc.get("program") != compiled.prog.name:
-            raise TuningFileError(
-                f"{path}: tuned for program {doc.get('program')!r}, "
-                f"not {compiled.prog.name!r}"
-            )
-        expected = set(compiled.thresholds())
-        if not set(thresholds) <= expected:
-            raise TuningFileError(
-                f"{path}: threshold names do not match the compiled program "
-                f"(stale tuning file?)"
-            )
-        stored_fusion = doc.get("fusion")
-        if stored_fusion is not None and stored_fusion != compiled.fusion:
-            # thresholds tuned against one fusion mode's branching tree are
-            # meaningless under another; files predating the fusion field
-            # (no "fusion" key) are still caught by the tree hash below
-            fix = (f"re-tune or pass --fusion {stored_fusion}"
-                   if stored_fusion in FUSIONS else "re-tune")
-            raise TuningFileError(
-                f"{path}: tuned with fusion mode {stored_fusion!r}, but the "
-                f"program is compiled with {compiled.fusion!r} "
-                f"(stale tuning file? {fix})"
-            )
-        stored_tree = doc.get("branching_tree")
-        if stored_tree is not None and stored_tree != branching_tree_hash(compiled):
-            raise TuningFileError(
-                f"{path}: branching tree differs from the compiled program "
-                f"(stale tuning file?)"
-            )
+    if compiled is not None and not set(thresholds) <= set(compiled.thresholds()):
+        raise TuningFileError(
+            f"{path}: threshold names do not match the compiled program "
+            f"(stale tuning file?)"
+        )
     return thresholds
 
 
@@ -281,41 +312,8 @@ def load_checkpoint(
     (program, branching tree, device, training datasets) — resuming a
     checkpoint from a different search would silently corrupt the result.
     """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise TuningFileError(f"cannot read checkpoint {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise TuningFileError(f"{path}: not a checkpoint file ({exc})") from None
-    if doc.get("kind") != "tuning-checkpoint":
-        raise TuningFileError(f"{path}: not a tuning checkpoint")
-    if doc.get("format") != _CKPT_FORMAT:
-        raise TuningFileError(
-            f"{path}: unsupported checkpoint format {doc.get('format')}"
-        )
-    if compiled is not None:
-        if doc.get("program") != compiled.prog.name:
-            raise TuningFileError(
-                f"{path}: checkpoint is for program {doc.get('program')!r}, "
-                f"not {compiled.prog.name!r}"
-            )
-        stored_fusion = doc.get("fusion")
-        if stored_fusion is not None and stored_fusion != compiled.fusion:
-            raise TuningFileError(
-                f"{path}: checkpoint was recorded with fusion mode "
-                f"{stored_fusion!r}, but the program is compiled with "
-                f"{compiled.fusion!r} (stale checkpoint?)"
-            )
-        if doc.get("branching_tree") != branching_tree_hash(compiled):
-            raise TuningFileError(
-                f"{path}: branching tree differs from the compiled program "
-                f"(stale checkpoint?)"
-            )
-    if device and doc.get("device") and doc["device"] != device:
-        raise TuningFileError(
-            f"{path}: checkpoint is for device {doc['device']!r}, not {device!r}"
-        )
+    doc = _read(path, "tuning checkpoint", "tuning-checkpoint", _CKPT_FORMAT)
+    _check_identity(doc, path, "tuning checkpoint", compiled, device)
     if datasets is not None:
         stored = [dict(d) for d in doc.get("datasets", [])]
         if stored != [dict(d) for d in datasets]:
@@ -385,42 +383,8 @@ def load_online_table(
     statistics index arms by position, so resuming a table enumerated from
     a different branching tree would learn garbage silently.
     """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise TuningFileError(f"cannot read online table {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise TuningFileError(f"{path}: not an online table ({exc})") from None
-    if doc.get("kind") != "online-table":
-        raise TuningFileError(f"{path}: not an online tuning table")
-    if doc.get("format") != _ONLINE_FORMAT:
-        raise TuningFileError(
-            f"{path}: unsupported online-table format {doc.get('format')}"
-        )
-    if compiled is not None:
-        if doc.get("program") != compiled.prog.name:
-            raise TuningFileError(
-                f"{path}: online table is for program {doc.get('program')!r}, "
-                f"not {compiled.prog.name!r}"
-            )
-        stored_fusion = doc.get("fusion")
-        if stored_fusion is not None and stored_fusion != compiled.fusion:
-            raise TuningFileError(
-                f"{path}: online table was learned under fusion mode "
-                f"{stored_fusion!r}, but the program is compiled with "
-                f"{compiled.fusion!r} (stale online table?)"
-            )
-        if doc.get("branching_tree") != branching_tree_hash(compiled):
-            raise TuningFileError(
-                f"{path}: branching tree differs from the compiled program "
-                f"(stale online table?)"
-            )
-    if device and doc.get("device") and doc["device"] != device:
-        raise TuningFileError(
-            f"{path}: online table is for device {doc['device']!r}, "
-            f"not {device!r}"
-        )
+    doc = _read(path, "online table", "online-table", _ONLINE_FORMAT)
+    _check_identity(doc, path, "online table", compiled, device)
     try:
         for key, cdoc in doc.get("classes", {}).items():
             [int(n) for n in cdoc["plays"]]

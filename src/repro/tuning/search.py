@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from typing import Protocol
 
 from repro.tuning.params import ParameterSpace
@@ -79,36 +78,19 @@ class AUCBandit:
 
     Each arm's reward is 1 when its proposal improved the incumbent
     (fractional rewards are accepted too — the online tuner feeds
-    cost-normalised values in [0, 1]).  This mirrors OpenTuner's AUC
-    bandit at the granularity we need.
-
-    By default rewards accumulate over the whole history, so an arm that
-    was productive early keeps its high average long after it has gone
-    dry.  ``window=N`` opts into OpenTuner's sliding-window decay: only
-    the last N proposals count toward an arm's average, and an arm whose
-    trials have all slid out of the window is re-explored as if unplayed.
-    ``window=None`` (the default) is bit-identical to the historical
-    behaviour, so existing tuning files and checkpoints replay unchanged.
+    cost-normalised values in [0, 1]).  Rewards accumulate over the whole
+    history.  This mirrors OpenTuner's AUC bandit at the granularity we
+    need.
     """
 
     name = "bandit"
 
-    def __init__(
-        self,
-        techniques: list[Technique] | None = None,
-        c: float = 1.4,
-        window: int | None = None,
-    ):
+    def __init__(self, techniques: list[Technique] | None = None, c: float = 1.4):
         self.techniques = techniques or [RandomSearch(), HillClimb(), PatternSearch()]
         self.c = c
-        if window is not None and window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self.window = window
         self.counts = [0] * len(self.techniques)
         self.rewards = [0.0] * len(self.techniques)
         self._last: int | None = None
-        #: windowed mode only: [arm, reward] per proposal still in the window
-        self._log: deque[list] = deque()
 
     def _pick(self) -> int:
         total = sum(self.counts)
@@ -125,20 +107,11 @@ class AUCBandit:
     def propose(self, space, rng, best):
         self._last = self._pick()
         self.counts[self._last] += 1
-        if self.window is not None:
-            self._log.append([self._last, 0.0])
-            while len(self._log) > self.window:
-                arm, reward = self._log.popleft()
-                self.counts[arm] -= 1
-                self.rewards[arm] -= reward
         return self.techniques[self._last].propose(space, rng, best)
 
     def feedback(self, improved) -> None:
         if self._last is not None:
-            reward = float(improved)
-            self.rewards[self._last] += reward
-            if self.window is not None and self._log and self._log[-1][0] == self._last:
-                self._log[-1][1] = reward
+            self.rewards[self._last] += float(improved)
             self.techniques[self._last].feedback(improved)
 
 

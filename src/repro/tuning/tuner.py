@@ -16,6 +16,14 @@ SignatureEngine`) with a configuration→signature memo in front, and the
 kernel-cost cache inside :mod:`repro.gpu.cost` prices repeated kernels
 once.  With those caches a proposal usually costs microseconds, so
 proposals are evaluated in-process, one after another.
+
+Every configuration — a :meth:`Autotuner.tune` proposal, its fallback, or
+an :meth:`Autotuner.measure` call from the exhaustive technique — takes one
+path: :meth:`~Autotuner._evaluate` reads the caches and simulates on a
+miss without writing tuner state (the fault boundary), and
+:meth:`~Autotuner._commit` does the accounting, in proposal order.
+:meth:`~Autotuner._attempt` wraps the two in the failure policy
+(``docs/robustness.md``): quarantine, watchdog, transient-fault retries.
 """
 
 from __future__ import annotations
@@ -45,6 +53,11 @@ CostFn = Callable[[Sequence[float]], float]
 
 #: path signature type (as produced by :func:`repro.tuning.tree.path_signature`)
 Sig = tuple
+
+#: what :meth:`Autotuner._evaluate` found, per dataset: the signature-memo
+#: key (``None`` when the memo hit), the signature, the time, and whether
+#: the path cache hit
+Evaluation = list[tuple[tuple | None, Sig, float, bool]]
 
 
 def sum_cost(times: Sequence[float]) -> float:
@@ -142,7 +155,6 @@ class Autotuner:
         lo: int = 1,
         hi: int = 2**30,
         noise: float = 0.0,
-        cache: bool | None = None,
     ):
         """``noise`` adds multiplicative Gaussian measurement noise (the
         paper reports up to 3 % run-to-run standard deviation); the cache
@@ -152,9 +164,8 @@ class Autotuner:
         evaluation order — which is what lets a resumed run replay
         checkpointed measurements bit for bit.
 
-        ``cache=None`` follows the global switch (``REPRO_NO_CACHE``);
-        ``cache=False`` disables the duplicate-path cache so every
-        proposal is simulated from scratch (debugging/benchmarking).
+        The caches follow :mod:`repro.config`: under ``REPRO_NO_CACHE=1``
+        every proposal is simulated from scratch.
         """
         self.compiled = compiled
         self.datasets = [dict(d) for d in datasets]
@@ -163,7 +174,7 @@ class Autotuner:
         self.seed = seed
         self.rng = random.Random(seed)
         self.noise = noise
-        self.cache = perf.caching_enabled() if cache is None else bool(cache)
+        self.cache = perf.caching_enabled()
         self.space = ParameterSpace(compiled.thresholds(), lo, hi)
         #: per-dataset precompiled decision trees (fused signature walk)
         self._engines = [
@@ -179,8 +190,8 @@ class Autotuner:
         self.cache_hits = 0
         self.retries = 0
         # per-dataset: path signature -> time preloaded from a checkpoint;
-        # consulted by the robust path before simulating, so a resumed run
-        # replays recorded measurements instead of re-measuring
+        # consulted before simulating, so a resumed run replays recorded
+        # measurements instead of re-measuring
         self._recorded: list[dict[Sig, float]] = [{} for _ in self.datasets]
         # deterministically failing configurations, never re-evaluated:
         # sorted-items key -> (thresholds, reason)
@@ -190,103 +201,176 @@ class Autotuner:
 
     # -- measurement -----------------------------------------------------------
 
-    def _signature(self, i: int, thresholds: Mapping[str, int]) -> Sig:
-        """Path signature of dataset ``i``, via the per-dataset memo."""
-        engine = self._engines[i]
-        if not self.cache:
-            return engine.signature(thresholds)
-        key = engine.config_key(thresholds)
-        memo = self._sig_memo[i]
-        sig = memo.get(key)
-        if sig is None:
-            sig = engine.signature(thresholds)
-            memo[key] = sig
-            perf.inc("signature.cache_misses")
-        else:
-            perf.inc("signature.cache_hits")
-        return sig
-
     def _noise_factor(self, i: int, sig: Sig) -> float:
         """Deterministic per-(dataset, path) measurement noise."""
         rng = random.Random(f"{self.seed}|{self.noise}|{i}|{sig!r}")
         return max(0.0, 1.0 + rng.gauss(0.0, self.noise))
 
-    def _simulate(self, i: int, thresholds: Mapping[str, int], sig: Sig) -> float:
-        perf.inc("tuner.simulations")
-        t = self.compiled.simulate(
-            self.datasets[i], self.device, thresholds=thresholds
-        ).time
-        if self.noise:
-            t *= self._noise_factor(i, sig)
-        return t
+    def _evaluate(self, thresholds: Mapping[str, int]) -> Evaluation:
+        """Evaluate one configuration without touching tuner state.
 
-    def _eval(self, thresholds: Mapping[str, int]) -> list[tuple[Sig, float]]:
-        """Per-dataset (signature, time) of one configuration, via caches."""
-        out: list[tuple[Sig, float]] = []
-        for i in range(len(self.datasets)):
-            sig = self._signature(i, thresholds)
-            self.path_counts[i][sig] = self.path_counts[i].get(sig, 0) + 1
-            if not self.cache:
-                self.simulations += 1
-                out.append((sig, self._simulate(i, thresholds, sig)))
-                continue
-            cached = self._cache[i].get(sig)
-            if cached is None:
-                cached = self._simulate(i, thresholds, sig)
-                self._cache[i][sig] = cached
-                self.simulations += 1
-                perf.inc("tuner.path_cache.misses")
+        The time comes from the path cache, then from the checkpointed
+        measurements, and only then from a simulation.
+
+        This is the fault boundary: an injected fault aborts it with
+        nothing to undo, so a retried or abandoned proposal leaves the
+        tuner exactly as if it had never been attempted.  What it returns
+        is folded in by :meth:`_commit`.
+        """
+        out: Evaluation = []
+        for i, engine in enumerate(self._engines):
+            key: tuple | None = None
+            if self.cache:
+                key = engine.config_key(thresholds)
+                sig = self._sig_memo[i].get(key)
+                if sig is None:
+                    sig = engine.signature(thresholds)
+                else:
+                    key = None
+                t = self._cache[i].get(sig)
+                if t is not None:
+                    out.append((key, sig, t, True))
+                    continue
+                t = self._recorded[i].get(sig)
+                if t is not None:
+                    out.append((key, sig, t, False))
+                    continue
             else:
-                self.cache_hits += 1
-                perf.inc("tuner.path_cache.hits")
-            out.append((sig, cached))
+                sig = engine.signature(thresholds)
+            t = self.compiled.simulate(
+                self.datasets[i], self.device, thresholds=thresholds
+            ).time
+            if self.noise:
+                t *= self._noise_factor(i, sig)
+            out.append((key, sig, t, False))
         return out
 
-    def _merge(
-        self, cfg: Mapping[str, int], evaluated: Sequence[tuple[Sig, float]]
-    ) -> list[float]:
-        """Commit one configuration evaluated by :meth:`_eval_uncounted`.
+    def _commit(self, evaluated: Evaluation) -> list[float]:
+        """Fold one configuration's :meth:`_evaluate` output into the
+        signature memo, the path cache, the path counts and the counters;
+        returns its per-dataset times.
 
-        Times are deterministic functions of the path signature, so the
-        caches decide here — in proposal order — whether the evaluation
-        counts as a simulation or a cache hit, and the signature-memo and
-        path-cache counters end up exactly as :meth:`_eval` would have
-        left them.
+        Commits happen in proposal order, so the counts match a fault-free
+        run's.  A checkpointed measurement counts as a simulation, so a
+        resumed run also reports an uninterrupted run's counts.
         """
         times: list[float] = []
-        for i, (sig, t) in enumerate(evaluated):
-            self.path_counts[i][sig] = self.path_counts[i].get(sig, 0) + 1
-            if not self.cache:
-                self.simulations += 1
-                perf.inc("tuner.simulations")
-                times.append(t)
-                continue
-            # signature-memo accounting, replayed on commit
-            key = self._engines[i].config_key(cfg)
-            memo = self._sig_memo[i]
-            if key in memo:
-                perf.inc("signature.cache_hits")
-            else:
-                memo[key] = sig
-                perf.inc("signature.cache_misses")
-            cached = self._cache[i].get(sig)
-            if cached is None:
+        for i, (key, sig, t, hit) in enumerate(evaluated):
+            counts = self.path_counts[i]
+            counts[sig] = counts.get(sig, 0) + 1
+            times.append(t)
+            if self.cache:
+                if key is None:
+                    perf.inc("signature.cache_hits")
+                else:
+                    self._sig_memo[i][key] = sig
+                    perf.inc("signature.cache_misses")
+                if hit:
+                    self.cache_hits += 1
+                    perf.inc("tuner.path_cache.hits")
+                    continue
                 self._cache[i][sig] = t
-                self.simulations += 1
-                perf.inc("tuner.simulations")
                 perf.inc("tuner.path_cache.misses")
-                cached = t
-            else:
-                self.cache_hits += 1
-                perf.inc("tuner.path_cache.hits")
-            times.append(cached)
+            self.simulations += 1
+            perf.inc("tuner.simulations")
         return times
 
-    def measure(self, thresholds: Mapping[str, int]) -> float:
-        """Cost of one configuration, via the duplicate-path cache."""
-        return self.cost_fn([t for _, t in self._eval(thresholds)])
+    def _timed_eval(
+        self, thresholds: Mapping[str, int], timeout_s: float
+    ) -> Evaluation:
+        """:meth:`_evaluate` under a wall-clock watchdog.
 
-    # -- robustness (fault injection, retries, quarantine, resume) -------------
+        A proposal overrunning ``timeout_s`` raises
+        :class:`~repro.faults.KernelTimeoutFault` (transient, so the retry
+        policy applies).  The overrun evaluation keeps running in its
+        watchdog thread — threads cannot be killed — so the watchdog is
+        abandoned and a fresh one is built for the next proposal; stray
+        completions only warm process-global caches, which is harmless."""
+        if self._watchdog is None:
+            self._watchdog = concurrent.futures.ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="tuner-watchdog"
+            )
+        fut = self._watchdog.submit(self._evaluate, thresholds)
+        try:
+            return fut.result(timeout=timeout_s)
+        except concurrent.futures.TimeoutError:
+            fut.cancel()
+            self._watchdog.shutdown(wait=False)
+            self._watchdog = None
+            raise faults.KernelTimeoutFault(
+                f"proposal exceeded its {timeout_s}s deadline"
+            ) from None
+
+    def _close_watchdog(self) -> None:
+        if self._watchdog is not None:
+            self._watchdog.shutdown(wait=False)
+            self._watchdog = None
+
+    def _attempt(
+        self,
+        thresholds: Mapping[str, int],
+        timeout_s: float | None,
+        retries: int,
+        backoff_s: float,
+    ) -> list[float] | None:
+        """Measure and commit one configuration under the failure policy.
+
+        Returns its per-dataset times, or ``None`` when it cannot be
+        measured.  Deterministic faults fail at once (same configuration,
+        same fault — retrying is wasted work); transient faults (injected,
+        or a watchdog timeout past ``timeout_s``) are retried up to
+        ``retries`` times with exponential ``backoff_s``.  A configuration
+        that fails is quarantined and never evaluated again; the caller
+        scores it :data:`PENALTY_COST`."""
+        if self._quarantine and (
+            tuple(sorted(thresholds.items())) in self._quarantine
+        ):
+            return None
+        attempt = 0
+        while True:
+            try:
+                if timeout_s is None:
+                    evaluated = self._evaluate(thresholds)
+                else:
+                    evaluated = self._timed_eval(thresholds, timeout_s)
+            except faults.DeterministicFault as exc:
+                reason = str(exc)
+                break
+            except faults.TransientFault as exc:
+                attempt += 1
+                self.retries += 1
+                perf.inc("tuner.retries")
+                obs.instant(
+                    "tuner.retry", cat="tuner", attempt=attempt, error=str(exc)
+                )
+                if attempt > retries:
+                    reason = (
+                        f"transient-fault retry budget exhausted "
+                        f"({retries}): {exc}"
+                    )
+                    break
+                if backoff_s:
+                    _time.sleep(min(backoff_s * (2 ** (attempt - 1)), 1.0))
+                continue
+            return self._commit(evaluated)
+        self._quarantine[tuple(sorted(thresholds.items()))] = (
+            dict(thresholds), reason
+        )
+        perf.inc("tuner.quarantined")
+        obs.instant(
+            "tuner.quarantine", cat="tuner",
+            thresholds=dict(thresholds), reason=reason,
+        )
+        return None
+
+    def measure(self, thresholds: Mapping[str, int]) -> float:
+        """Cost of one configuration, via the duplicate-path cache, under
+        the active fault plan's retry policy; :data:`PENALTY_COST` (and
+        quarantine) when it cannot be measured."""
+        times = self._attempt(thresholds, None, *_retry_policy())
+        return PENALTY_COST if times is None else self.cost_fn(times)
+
+    # -- checkpoints and quarantine ----------------------------------------------
 
     def measurements(self) -> list[dict[Sig, float]]:
         """Per-dataset signature→time maps covering everything measured so
@@ -322,140 +406,12 @@ class Autotuner:
                 tuple(sorted(cfg.items())), (dict(cfg), str(reason))
             )
 
-    def _note_quarantine(self, cfg: Mapping[str, int], reason: str) -> None:
-        """Record a deterministically failing configuration (idempotent)."""
-        key = tuple(sorted(cfg.items()))
-        if key not in self._quarantine:
-            self._quarantine[key] = (dict(cfg), reason)
-            perf.inc("tuner.quarantined")
-            obs.instant(
-                "tuner.quarantine", cat="tuner",
-                thresholds=dict(cfg), reason=reason,
-            )
-
-    def _sig_quiet(self, i: int, thresholds: Mapping[str, int]) -> Sig:
-        """Like :meth:`_signature` but with no memo writes and no perf
-        accounting — the canonical accounting is replayed by :meth:`_merge`
-        when (and only when) the evaluation commits."""
-        engine = self._engines[i]
-        if not self.cache:
-            return engine.signature(thresholds)
-        sig = self._sig_memo[i].get(engine.config_key(thresholds))
-        return sig if sig is not None else engine.signature(thresholds)
-
-    def _simulate_quiet(self, i: int, thresholds: Mapping[str, int], sig: Sig) -> float:
-        """Like :meth:`_simulate` but without the canonical simulation
-        counter (again: replayed by :meth:`_merge` on commit)."""
-        t = self.compiled.simulate(
-            self.datasets[i], self.device, thresholds=thresholds
-        ).time
-        if self.noise:
-            t *= self._noise_factor(i, sig)
-        return t
-
-    def _eval_uncounted(self, thresholds: Mapping[str, int]) -> list[tuple[Sig, float]]:
-        """Evaluate one configuration without touching tuner state.
-
-        This is the fault boundary: an injected fault aborts it with *zero*
-        committed side effects (no path counts, no cache writes, no
-        canonical counters), so a retried or abandoned proposal leaves the
-        tuner exactly as if it had never been attempted.  Successful output
-        is committed through :meth:`_merge`, which replays the canonical
-        accounting in proposal order, so a run under recovered faults
-        reports the same counts as a fault-free one."""
-        out: list[tuple[Sig, float]] = []
-        for i in range(len(self.datasets)):
-            sig = self._sig_quiet(i, thresholds)
-            t = None
-            if self.cache:
-                t = self._cache[i].get(sig)
-                if t is None:
-                    t = self._recorded[i].get(sig)
-            if t is None:
-                t = self._simulate_quiet(i, thresholds, sig)
-            out.append((sig, t))
-        return out
-
-    def _timed_eval(
-        self, thresholds: Mapping[str, int], timeout_s: float | None
-    ) -> list[tuple[Sig, float]]:
-        """:meth:`_eval_uncounted` under a wall-clock watchdog.
-
-        A proposal overrunning ``timeout_s`` raises
-        :class:`~repro.faults.KernelTimeoutFault` (transient, so the retry
-        policy applies).  The overrun evaluation keeps running in its
-        watchdog thread — threads cannot be killed — so the watchdog is
-        abandoned and a fresh one is built for the next proposal; stray
-        completions only warm process-global caches, which is harmless."""
-        if timeout_s is None:
-            return self._eval_uncounted(thresholds)
-        if self._watchdog is None:
-            self._watchdog = concurrent.futures.ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="tuner-watchdog"
-            )
-        fut = self._watchdog.submit(self._eval_uncounted, thresholds)
-        try:
-            return fut.result(timeout=timeout_s)
-        except concurrent.futures.TimeoutError:
-            fut.cancel()
-            self._watchdog.shutdown(wait=False)
-            self._watchdog = None
-            raise faults.KernelTimeoutFault(
-                f"proposal exceeded its {timeout_s}s deadline"
-            ) from None
-
-    def _close_watchdog(self) -> None:
-        if self._watchdog is not None:
-            self._watchdog.shutdown(wait=False)
-            self._watchdog = None
-
-    def _eval_robust(
-        self,
-        thresholds: Mapping[str, int],
-        timeout_s: float | None,
-        retry_budget: int,
-        backoff_s: float,
-    ) -> tuple[list[tuple[Sig, float]] | None, str | None]:
-        """Evaluate one configuration under the failure model.
-
-        Returns ``(out, None)`` on success or ``(None, reason)`` when the
-        configuration cannot be measured: deterministic faults fail
-        immediately (same configuration, same fault — retrying is wasted
-        work), transient faults (injected, or a watchdog timeout) are
-        retried up to ``retry_budget`` times with exponential backoff.
-        The caller scores failures with :data:`PENALTY_COST` and
-        quarantines the configuration."""
-        hit = self._quarantine.get(tuple(sorted(thresholds.items())))
-        if hit is not None:
-            return None, hit[1]
-        attempt = 0
-        while True:
-            try:
-                return self._timed_eval(thresholds, timeout_s), None
-            except faults.DeterministicFault as exc:
-                return None, str(exc)
-            except faults.TransientFault as exc:
-                attempt += 1
-                self.retries += 1
-                perf.inc("tuner.retries")
-                obs.instant(
-                    "tuner.retry", cat="tuner", attempt=attempt, error=str(exc)
-                )
-                if attempt > retry_budget:
-                    return None, (
-                        f"transient-fault retry budget exhausted "
-                        f"({retry_budget}): {exc}"
-                    )
-                if backoff_s:
-                    _time.sleep(min(backoff_s * (2 ** (attempt - 1)), 1.0))
-
     # -- search ------------------------------------------------------------------
 
     def tune(
         self,
         max_proposals: int = 300,
         technique: str = "bandit",
-        include_default: bool = True,
         time_budget_s: float | None = None,
         batch_size: int = 1,
         proposal_timeout_s: float | None = None,
@@ -465,7 +421,8 @@ class Autotuner:
         checkpoint_every: int = 10,
         progress: Callable[[int, float], None] | None = None,
     ) -> TuningResult:
-        """Search for the best threshold assignment.
+        """Search for the best threshold assignment, starting from the
+        default configuration.
 
         ``time_budget_s`` caps wall-clock search time (the paper lets the
         tuner run for at most 20 minutes per benchmark, §5.1); the deadline
@@ -480,17 +437,20 @@ class Autotuner:
         ``batch_size=1`` (the default) is the classic one-at-a-time
         search.
 
-        Robustness (``docs/robustness.md``): ``proposal_timeout_s`` puts a
-        wall-clock watchdog on each proposal; a timeout counts as a
-        transient fault.  Transient faults are retried up to ``retries``
-        times with exponential ``backoff_s`` (both default to the active
-        fault plan's policy, or 8 retries / no backoff without one);
-        configurations failing deterministically — or out of retry budget
-        — score :data:`PENALTY_COST`, are quarantined, and are never
-        re-evaluated.  ``checkpoint_path`` atomically persists recoverable
-        state every ``checkpoint_every`` proposals, and a tuner whose
-        measurements were preloaded via :meth:`preload_measurements`
-        replays a checkpointed run to the bit-identical result.
+        Robustness (``docs/robustness.md``): every proposal — and the
+        default-configuration fallback when no proposal was measured —
+        goes through the one evaluation path that :meth:`measure` uses
+        too.  ``proposal_timeout_s`` puts a wall-clock watchdog on each
+        proposal; a timeout counts as a transient fault.  Transient faults
+        are retried up to ``retries`` times with exponential ``backoff_s``
+        (both default to the active fault plan's policy, or 8 retries / no
+        backoff without one); configurations failing deterministically —
+        or out of retry budget — score :data:`PENALTY_COST`, are
+        quarantined, and are never re-evaluated.  ``checkpoint_path``
+        atomically persists recoverable state every ``checkpoint_every``
+        proposals, and a tuner whose measurements were preloaded via
+        :meth:`preload_measurements` replays a checkpointed run to the
+        bit-identical result.
 
         ``progress`` is called after each batch with ``(proposals,
         best_cost)`` — the service daemon streams these to clients.  An
@@ -498,20 +458,7 @@ class Autotuner:
         (after the final checkpoint), which is how job cancellation
         interrupts a running search without losing its measurements.
         """
-        plan = faults.active_plan()
-        if retries is None:
-            retries = plan.retries if plan is not None else 8
-        if backoff_s is None:
-            backoff_s = plan.backoff_s if plan is not None else 0.0
-        # the robust path composes with every feature below, but the plain
-        # path stays the default: no watchdog machinery, no quarantine
-        # lookups when nothing can fail and there is nothing to replay
-        robust = (
-            faults.enabled()
-            or proposal_timeout_s is not None
-            or any(self._recorded)
-            or bool(self._quarantine)
-        )
+        retries, backoff_s = _retry_policy(retries, backoff_s)
         deadline = (
             _time.monotonic() + time_budget_s
             if time_budget_s is not None
@@ -523,10 +470,6 @@ class Autotuner:
         deadline_hit = False
         history: list[tuple[int, float]] = []
         full_history: list[tuple[dict[str, int], float]] = []
-
-        candidates: list[dict[str, int]] = []
-        if include_default:
-            candidates.append(self.space.default_config())
 
         proposals = 0
         last_checkpoint = 0
@@ -563,27 +506,16 @@ class Autotuner:
                         len(batch) < batch_size
                         and proposals + len(batch) < max_proposals
                     ):
-                        if candidates:
-                            batch.append(candidates.pop())
+                        if proposals + len(batch) == 0:
+                            batch.append(self.space.default_config())
                         else:
                             batch.append(tech.propose(self.space, self.rng, best_cfg))
                     with obs.span("tuner.eval_batch", cat="tuner",
                                   size=len(batch)):
-                        if robust:
-                            all_times = []
-                            for cfg in batch:
-                                out, failure = self._eval_robust(
-                                    cfg, proposal_timeout_s, retries, backoff_s
-                                )
-                                if failure is not None:
-                                    self._note_quarantine(cfg, failure)
-                                    all_times.append(None)
-                                else:
-                                    all_times.append(self._merge(cfg, out))
-                        else:
-                            all_times = [
-                                [t for _, t in self._eval(cfg)] for cfg in batch
-                            ]
+                        all_times = [
+                            self._attempt(cfg, proposal_timeout_s, retries, backoff_s)
+                            for cfg in batch
+                        ]
                     for cfg, times in zip(batch, all_times):
                         with obs.span("tuner.proposal", cat="tuner") as psp:
                             cost = (
@@ -621,29 +553,22 @@ class Autotuner:
                 tsp["proposals"] = proposals
                 tsp["simulations"] = self.simulations
                 tsp["cache_hits"] = self.cache_hits
-        finally:
-            self._close_watchdog()
 
-        if best_cfg is None:
-            # every round timed out before a measurement: fall back to the
-            # defaults, and account the fallback like any other proposal
-            best_cfg = self.space.default_config()
-            if robust:
-                out, failure = self._eval_robust(
+            if best_cfg is None:
+                # nothing was measured (the deadline struck first, or every
+                # proposal failed): fall back to the defaults, and account
+                # the fallback like any other proposal
+                best_cfg = self.space.default_config()
+                times = self._attempt(
                     best_cfg, proposal_timeout_s, retries, backoff_s
                 )
-                self._close_watchdog()
-                if failure is not None:
-                    self._note_quarantine(best_cfg, failure)
-                    best_cost = PENALTY_COST
-                else:
-                    best_cost = self.cost_fn(self._merge(best_cfg, out))
-            else:
-                best_cost = self.measure(best_cfg)
-            proposals += 1
-            full_history.append((dict(best_cfg), best_cost))
-            history.append((proposals, best_cost))
-            checkpoint(force=True)
+                best_cost = PENALTY_COST if times is None else self.cost_fn(times)
+                proposals += 1
+                full_history.append((dict(best_cfg), best_cost))
+                history.append((proposals, best_cost))
+                checkpoint(force=True)
+        finally:
+            self._close_watchdog()
         return TuningResult(
             best_thresholds=best_cfg,
             best_cost=best_cost,
@@ -657,3 +582,16 @@ class Autotuner:
             quarantined=self.quarantine_list(),
             deadline_hit=deadline_hit,
         )
+
+
+def _retry_policy(
+    retries: int | None = None, backoff_s: float | None = None
+) -> tuple[int, float]:
+    """Fill unset retry settings from the active fault plan's policy, or
+    8 retries and no backoff without a plan."""
+    plan = faults.active_plan()
+    if retries is None:
+        retries = plan.retries if plan is not None else 8
+    if backoff_s is None:
+        backoff_s = plan.backoff_s if plan is not None else 0.0
+    return retries, backoff_s

@@ -1,6 +1,7 @@
 """CLI tests (direct main() invocation)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -317,6 +318,35 @@ class TestTune:
         ta = json.loads((tmp_path / "a.tuning.telemetry.json").read_text())
         tb = json.loads((tmp_path / "b.tuning.telemetry.json").read_text())
         assert ta == tb
+
+    def test_exhaustive_under_ci_chaos_plan_matches_fault_free(
+        self, capsys, tmp_path
+    ):
+        plan = Path(__file__).resolve().parents[1] / "benchmarks" / "ci-chaos.json"
+        argv = ["tune", "matmul", "--technique", "exhaustive"]
+        assert main(argv + ["--output", str(tmp_path / "a.tuning")]) == 0
+        code, out = run(capsys, *argv, "--output", str(tmp_path / "b.tuning"),
+                        "--faults", str(plan))
+        assert code == 0
+        assert "transient-fault retries, 0 configuration(s)" in out
+        for name in ("{}.tuning", "{}.tuning.telemetry.json"):
+            assert (tmp_path / name.format("b")).read_bytes() == \
+                (tmp_path / name.format("a")).read_bytes()
+
+    def test_exhaustive_with_every_launch_failing_writes_defaults(
+        self, capsys, tmp_path
+    ):
+        plan = tmp_path / "oom.json"
+        plan.write_text(json.dumps({"rules": [
+            {"site": "sim.kernel", "kind": "oom", "p": 1.0},
+        ]}))
+        out_file = tmp_path / "m.tuning"
+        code, out = run(capsys, "tune", "matmul", "--technique", "exhaustive",
+                        "--output", str(out_file), "--faults", str(plan))
+        assert code == 0
+        assert "  quarantined {" in out
+        assert set(json.loads(out_file.read_text())["thresholds"].values()) \
+            == {2**15}
 
     def test_checkpoint_deleted_after_successful_run(self, capsys, tmp_path):
         out_file = tmp_path / "m.tuning"

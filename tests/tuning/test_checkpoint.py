@@ -118,7 +118,7 @@ class TestMismatchDetection:
     def test_malformed_json(self, tmp_path):
         p = tmp_path / "x.json"
         p.write_text("{torn")
-        with pytest.raises(TuningFileError, match="not a checkpoint"):
+        with pytest.raises(TuningFileError, match="not a tuning checkpoint"):
             load_checkpoint(str(p))
 
     def test_missing_file(self, tmp_path):

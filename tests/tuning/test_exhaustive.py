@@ -41,7 +41,7 @@ def reference_tune(compiled, datasets, device):
     for combo in itertools.product(*(cands[n] for n in names)):
         cfg = dict(zip(names, combo))
         proposals += 1
-        joint = tuple(tuner._signature(i, cfg) for i in range(len(datasets)))
+        joint = tuple(sig for _, sig, _, _ in tuner._evaluate(cfg))
         if joint in seen:
             continue
         seen.add(joint)

@@ -6,6 +6,7 @@ from repro import faults, perf
 from repro.compiler import compile_program
 from repro.faults import FaultPlan, FaultRule, default_chaos_plan
 from repro.gpu import K40
+from repro.tuning.exhaustive import exhaustive_tune
 from repro.tuning.tuner import PENALTY_COST, Autotuner
 
 from repro.bench.programs.matmul import matmul_program, matmul_sizes
@@ -27,6 +28,25 @@ def assert_same_result(a, b):
     assert a.proposals == b.proposals
     assert a.history == b.history
     assert a.full_history == b.full_history
+
+
+#: what docs/performance.md promises stays equal under recovered faults
+#: (``signature.eval_nodes`` is a work counter and may differ)
+SEARCH_COUNTERS = (
+    "tuner.simulations",
+    "tuner.path_cache.hits",
+    "tuner.path_cache.misses",
+    "signature.cache_hits",
+    "signature.cache_misses",
+)
+
+
+def counted(run):
+    """``run()``'s result and the search counters it added."""
+    before = perf.counters()
+    result = run()
+    after = perf.counters()
+    return result, {c: after.get(c, 0) - before.get(c, 0) for c in SEARCH_COUNTERS}
 
 
 class TestRecoverableFaults:
@@ -112,8 +132,8 @@ class TestQuarantine:
         tuner.preload_measurements(
             [{} for _ in train], quarantined=[(cfg, "known bad")]
         )
-        out, failure = tuner._eval_robust(cfg, None, 8, 0.0)
-        assert out is None and failure == "known bad"
+        assert tuner._attempt(cfg, None, 8, 0.0) is None
+        assert tuner.quarantine_list() == [(cfg, "known bad")]
         assert tuner.simulations == 0
 
 
@@ -137,7 +157,7 @@ class TestWatchdog:
         assert timed.best_thresholds == baseline.best_thresholds
         assert timed.best_cost == baseline.best_cost
 
-    def test_timeout_alone_forces_robust_path(self, matmul_if, train):
+    def test_timeout_alone_keeps_results(self, matmul_if, train):
         # proposal_timeout_s without any fault plan must not change results
         plain = Autotuner(matmul_if, train, K40, seed=3).tune(max_proposals=30)
         timed = Autotuner(matmul_if, train, K40, seed=3).tune(
@@ -204,3 +224,51 @@ class TestReplay:
         assert_same_result(a, b)
         assert b.quarantined == []
         assert second.simulations == first.simulations  # replayed canonically
+
+
+class TestExhaustive:
+    def test_every_launch_failing_falls_back_to_defaults(self, matmul_if, train):
+        plan = FaultPlan(
+            seed=0,
+            rules=(FaultRule(site="sim.kernel", kind="oom", p=1.0),),
+        )
+        with faults.injected(plan):
+            result = exhaustive_tune(matmul_if, train, K40)
+        assert result.best_thresholds == Autotuner(
+            matmul_if, train, K40
+        ).space.default_config()
+        assert result.best_cost == PENALTY_COST
+        assert result.simulations == 0 and result.retries == 0
+        assert result.full_history
+        assert all(cost == PENALTY_COST for _, cost in result.full_history)
+        assert [cfg for cfg, _ in result.quarantined] == [
+            cfg for cfg, _ in result.full_history
+        ]
+
+
+class TestCounterParity:
+    """Both techniques heal a recoverable plan: the result and the search
+    counters equal a fault-free run's (docs/performance.md, "Counters
+    under failure and recovery")."""
+
+    @pytest.mark.parametrize("technique", ["bandit", "exhaustive"])
+    def test_recovered_run_counts_like_fault_free(
+        self, matmul_if, train, technique
+    ):
+        def run():
+            if technique == "exhaustive":
+                return exhaustive_tune(matmul_if, train, K40)
+            return Autotuner(matmul_if, train, K40, seed=3).tune(
+                max_proposals=40
+            )
+
+        baseline, clean = counted(run)
+        with faults.injected(default_chaos_plan(seed=11)):
+            chaotic, recovered = counted(run)
+        assert_same_result(baseline, chaotic)
+        assert chaotic.simulations == baseline.simulations
+        assert chaotic.cache_hits == baseline.cache_hits
+        assert chaotic.retries >= 1
+        assert chaotic.quarantined == []
+        assert clean["tuner.simulations"] == baseline.simulations > 0
+        assert recovered == clean

@@ -108,65 +108,10 @@ class TestTechniques:
 
 
 class TestWindowedBandit:
-    """Sliding-window reward decay (opt-in via ``window=``)."""
+    """AUCBandit reward accounting."""
 
     def _space(self):
         return ParameterSpace(["a", "b"])
-
-    def test_default_unwindowed_is_bit_identical(self):
-        """A window that never evicts replays exactly the historical
-        (unwindowed) trajectory — same picks, counts, and rewards."""
-        plain, windowed = AUCBandit(), AUCBandit(window=10_000)
-        rng_a, rng_b = random.Random(3), random.Random(3)
-        picks_a, picks_b = [], []
-        for i in range(100):
-            plain.propose(self._space(), rng_a, None)
-            picks_a.append(plain._last)
-            plain.feedback(i % 3 == 0)
-            windowed.propose(self._space(), rng_b, None)
-            picks_b.append(windowed._last)
-            windowed.feedback(i % 3 == 0)
-        assert picks_a == picks_b
-        assert plain.counts == windowed.counts
-        assert plain.rewards == windowed.rewards
-
-    def test_window_bounds_history(self):
-        b = AUCBandit(window=5)
-        rng = random.Random(0)
-        for i in range(40):
-            b.propose(self._space(), rng, None)
-            b.feedback(i % 2 == 0)
-            assert sum(b.counts) <= 5
-            assert sum(b.rewards) <= 5 + 1e-12
-        assert sum(b.counts) == 5
-
-    def test_evicted_rewards_are_forgotten(self):
-        """An arm productive early loses its advantage once those trials
-        slide out of the window."""
-        b = AUCBandit(window=2)
-        rng = random.Random(0)
-        b.propose(self._space(), rng, None)
-        first = b._last
-        b.feedback(True)
-        assert b.rewards[first] == 1.0
-        # two more proposals evict the rewarded trial entirely
-        for _ in range(2):
-            b.propose(self._space(), rng, None)
-            b.feedback(False)
-        assert b.rewards[first] == 0.0
-
-    def test_stale_arm_is_reexplored(self):
-        """Once an arm's plays all slide out, its count returns to 0 and
-        the unvisited-first rule picks it again."""
-        b = AUCBandit(window=1)
-        rng = random.Random(0)
-        seen = set()
-        for _ in range(6):
-            b.propose(self._space(), rng, None)
-            seen.add(b._last)
-            b.feedback(False)
-            assert sum(b.counts) == 1
-        assert len(seen) > 1
 
     def test_fractional_rewards_accumulate(self):
         b = AUCBandit()
@@ -174,7 +119,3 @@ class TestWindowedBandit:
         b.propose(self._space(), rng, None)
         b.feedback(0.25)
         assert b.rewards[b._last] == 0.25
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError, match="window"):
-            AUCBandit(window=0)

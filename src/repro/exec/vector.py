@@ -7,9 +7,15 @@ style of Blelloch-style flattening:
 
 * a ``map`` folds its iteration space into one flat batch axis — binops,
   unops and casts become single broadcast array operations;
-* ``reduce``/``scan`` (and the innermost axis of ``segred``/``segscan``)
-  keep their left-to-right fold order, but every fold step is a whole-array
-  operation across all enclosing segments simultaneously;
+* the six folds (``reduce``/``scan``, ``redomap``/``scanomap``, and the
+  innermost axis of ``segred``/``segscan``) share one step loop: the
+  per-element body runs once over all elements, folded into the batch
+  like a nested ``map``, and only the operator steps, in the oracle's
+  left-to-right order, each step a whole-array operation across all
+  enclosing segments.  The body steps with the operator instead where
+  the fold's arrays are all uniform while a batched variable reaches the
+  body, and where its hoisted compile would need a per-lane fallback or
+  raise (``exec.fold.hoisted`` / ``exec.fold.stepped``);
 * ``segmap`` nests enter one batch level per context binding and the body
   is compiled once per kernel, reused across launches;
 * constructs whose lanes diverge get *masked* lowerings: a batched ``if``
@@ -38,6 +44,7 @@ representation dispatch.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from collections import Counter
 from typing import Callable, Mapping
@@ -175,6 +182,31 @@ def _tile_u(v: np.ndarray, n: int) -> np.ndarray:
     return np.broadcast_to(a, (n,) + a.shape).reshape((n * a.shape[0],) + a.shape[1:])
 
 
+def _elements(v, batched: bool):
+    """A value's elements in step order: ``v[:, i]`` if batched, else ``v[i]``."""
+    return np.swapaxes(v, 0, 1) if batched else v
+
+
+def _bind(env, n, m, params, arrs, aflags, expand):
+    """Bind ``params`` to the ``m`` elements of ``arrs`` as one batch.
+
+    Without an enclosing batch (``n`` is None) the elements *are* the
+    batch.  Inside a batch of width ``n`` the two axes fold: the batched
+    free variables named in ``expand`` are lane-expanded and each array
+    is reshaped (n, m, ...) -> (n*m, ...), a uniform one tiled.  Returns
+    the new environment and its batch width.
+    """
+    env2 = dict(env)
+    if n is None:
+        env2.update(zip(params, arrs))
+        return env2, m
+    for name in expand:
+        env2[name] = _expand(env2[name], m)
+    for p, v, f in zip(params, arrs, aflags):
+        env2[p] = _flatten_b(v, n, m) if f else _tile_u(v, n)
+    return env2, n * m
+
+
 def _width(arrs: list, flags: list[bool]) -> int:
     """Common element count of SOAC argument arrays (mixed batched/uniform)."""
     n: int | None = None
@@ -227,6 +259,10 @@ class VectorEvaluator:
         self._cache: dict[tuple, tuple[Closure, tuple[bool, ...]]] = {}
         self._fvs: dict[int, frozenset[str]] = {}
         self._keep: list[object] = []  # pin cached nodes so ids stay unique
+        #: per-lane fallbacks compiled in (or reused from the cache) so far,
+        #: and the cache keys whose closures contain one
+        self._fallback_sites = 0
+        self._with_fallback: set[tuple] = set()
         self.vector_ops = 0
         self.scalar_fallbacks = 0
         self.masked_ifs = 0
@@ -285,8 +321,13 @@ class VectorEvaluator:
         key = (id(e), bv)
         hit = self._cache.get(key)
         if hit is None:
+            sites = self._fallback_sites
             hit = self._cache[key] = self._c(e, bv)
             self._keep.append(e)
+            if self._fallback_sites != sites:
+                self._with_fallback.add(key)
+        elif key in self._with_fallback:
+            self._fallback_sites += 1  # a cached closure brings its fallback
         return hit
 
     def _c1(self, e: S.Exp, bv: frozenset[str]) -> tuple[Closure, bool]:
@@ -361,16 +402,8 @@ class VectorEvaluator:
                 lambda: len(self._compile(e.lam.body, frozenset())[1]),
                 lambda: self._c_map(e, bv),
             )
-        if isinstance(e, (S.Reduce, S.Scan)):
-            return self._guarded(
-                e, bv, lambda: len(e.nes),
-                lambda: self._c_fold(e, bv, scan=isinstance(e, S.Scan)),
-            )
-        if isinstance(e, (S.Redomap, S.Scanomap)):
-            return self._guarded(
-                e, bv, lambda: len(e.nes),
-                lambda: self._c_xomap(e, bv, scan=isinstance(e, S.Scanomap)),
-            )
+        if isinstance(e, (S.Reduce, S.Scan, S.Redomap, S.Scanomap)):
+            return self._guarded(e, bv, lambda: len(e.nes), lambda: self._c_fold(e, bv))
         if isinstance(e, S.Intrinsic):
             return self._c_intrinsic(e, bv)
         if isinstance(e, T.SegMap):
@@ -382,7 +415,7 @@ class VectorEvaluator:
         if isinstance(e, (T.SegRed, T.SegScan)):
             return self._fault_guarded(self._guarded(
                 e, bv, lambda: len(e.nes),
-                lambda: self._c_segfold(e, bv, scan=isinstance(e, T.SegScan)),
+                lambda: self._c_segfold(e, bv),
             ))
         raise InterpError(f"cannot evaluate {type(e).__name__}")
 
@@ -768,6 +801,7 @@ class VectorEvaluator:
     def _c_fallback(self, e: S.Exp, bv, arity: int, construct: str):
         """Run ``e`` through the scalar oracle once per lane and restack."""
         self._kernel()
+        self._fallback_sites += 1
         fv = sorted(self._free(e))
         bvset = set(bv)
         scalar = self.scalar
@@ -817,8 +851,7 @@ class VectorEvaluator:
                 m = _width(arrs, aflags)
                 if m == 0:
                     raise InterpError("map over empty array (shape not inferable)")
-                env2 = dict(env)
-                env2.update(zip(params, arrs))
+                env2, _ = _bind(env, None, m, params, arrs, aflags, ())
                 with obs.span("exec.kernel", cat="exec", construct="map", batch=1, width=m):
                     vals = fbody(env2, m)
                 return tuple(
@@ -836,12 +869,7 @@ class VectorEvaluator:
             m = _width(arrs, aflags)
             if m == 0:
                 raise InterpError("map over empty array (shape not inferable)")
-            big = n * m
-            env2 = dict(env)
-            for name in expand:
-                env2[name] = _expand(env2[name], m)
-            for p, v, f in zip(params, arrs, aflags):
-                env2[p] = _flatten_b(v, n, m) if f else _tile_u(v, n)
+            env2, big = _bind(env, n, m, params, arrs, aflags, expand)
             with obs.span("exec.kernel", cat="exec", construct="map", batch=n, width=m):
                 vals = fbody(env2, big)
             out = []
@@ -852,7 +880,7 @@ class VectorEvaluator:
 
         return fn_b, (True,) * len(bflags)
 
-    # -- reduce / scan ---------------------------------------------------------
+    # -- the fold step loop ----------------------------------------------------
 
     def _compile_operator(self, lam, bv, accflags, valflags):
         """Compile a fold operator to a fixpoint over accumulator batchedness."""
@@ -874,38 +902,135 @@ class VectorEvaluator:
             accflags = new
         return flam, accflags, list(rflags)
 
-    def _c_fold(self, e, bv, scan: bool):
-        construct = "scan" if scan else "reduce"
-        farrs = [self._c1(a, bv) for a in e.arrs]
+    def _compile_hoisted(self, body: S.Exp, hbv: frozenset[str]):
+        """``body`` compiled with its element parameters batched, or None
+        where that compile would raise or need a per-lane fallback."""
+        sites = self._fallback_sites
+        try:
+            hit = self._compile(body, hbv)
+        except (_NeedsFallback, InterpError):
+            hit = None
+        if self._fallback_sites == sites:
+            return hit
+        # the thrown-away compile's fallbacks are not in the fold: a
+        # closure cached under its keys counts its own on reuse
+        self._fallback_sites = sites
+        return None
+
+    def _c_steps(self, bv, arrs, params, body, nes, lam, scan: bool, empty_msg: str):
+        """The step loop of all six fold constructs, compiled under ``bv``.
+
+        ``body`` maps one element of ``arrs`` (bound to ``params``) to the
+        operator's value arguments; ``None`` is the identity (``reduce`` /
+        ``scan``).  It *hoists* the body where it can: compiled with
+        the element parameters batched, it runs once over all ``m``
+        elements, as :meth:`_c_map` runs a nested map, and only the operator
+        runs per step, strictly left to right.  The body keeps *stepping*
+        (one run per step, at the fold's own width) where the fold's arrays
+        are all uniform while a batched variable reaches the body, and where
+        its hoisted compile would raise or need a per-lane fallback.  Both
+        are decided here, at compile time.
+
+        Returns ``(run, accflags)``: ``run(env, n, sp)`` folds at width
+        ``n``, labels the kernel span ``sp``, and returns the accumulators,
+        or a scan's rows stacked along the element axis.
+        """
+        farrs = [self._c1(a, bv) for a in arrs]
         aflags = [f for _, f in farrs]
-        fnes = [self._c1(x, bv) for x in e.nes]
+        fnes = [self._c1(x, bv) for x in nes]
         nesflags = [f for _, f in fnes]
-        flam, accflags, rflags = self._compile_operator(e.lam, bv, nesflags, aflags)
-        self._kernel()
-        params = e.lam.params
+        hoist = step = None
+        expand: list[str] = []
+        fresh = False
+        if body is None:
+            valflags = list(aflags)
+        else:
+            if len(params) != len(arrs):
+                raise InterpError("lambda arity mismatch")
+            # batched free variables of the body, expanded when it hoists
+            expand = sorted((bv & self._free(body)) - set(params))
+            # nothing batched reaches the body: the elements are the batch
+            fresh = not expand and not any(aflags)
+            # a fold over uniform arrays inside a batch steps: per step its
+            # element is one value shared by all lanes, where hoisting would
+            # tile the elements across the lanes and copy each batched free
+            # variable once per element
+            if any(aflags) or not expand:
+                hoist = self._compile_hoisted(
+                    body, frozenset(expand) | frozenset(params)
+                )
+            if hoist is None:
+                step = self._compile(
+                    body,
+                    (bv - set(params)) | {p for p, f in zip(params, aflags) if f},
+                )
+                valflags = list(step[1])
+            else:
+                # a fresh batch's rows are uniform across the fold's lanes
+                valflags = [False] * len(hoist[1]) if fresh else list(hoist[1])
+        flam, accflags, rflags = self._compile_operator(lam, bv, nesflags, valflags)
+        oparams = lam.params
+        op_fv = sorted(self._free_lambda(lam))
         lift_ne = [f and not f0 for f, f0 in zip(accflags, nesflags)]
         lift_step = [f and not rf for f, rf in zip(accflags, rflags)]
+        relift = any(lift_step)
+        body_fv = sorted(self._free(body) - set(params)) if step is not None else []
+        mode = "hoisted" if step is None else "stepped"
 
-        def fn(env, n):
+        def hoisted(env, n, m, arrs):
+            """Run the body once over all elements; each step's values."""
+            if body is None:
+                cols = [_elements(a, f) for a, f in zip(arrs, aflags)]
+            elif m == 0:
+                return iter(())
+            else:
+                fbody, hflags = hoist
+                env2, big = _bind(
+                    env, None if fresh else n, m, params, arrs, aflags, expand
+                )
+                cols = []
+                for v, hf in zip(fbody(env2, big), hflags):
+                    if not hf:
+                        cols.append(itertools.repeat(v, m))
+                    elif fresh:
+                        cols.append(np.asarray(v))
+                    else:
+                        a = np.asarray(v)
+                        cols.append(_elements(a.reshape((n, m) + a.shape[1:]), True))
+            return zip(*cols) if cols else itertools.repeat((), m)
+
+        def stepped(env, n, arrs):
+            """Run the body once per step, at the fold's width; each
+            step's values."""
+            fstep = step[0]
+            benv = {k: env[k] for k in body_fv if k in env}
+            for elems in zip(*[_elements(a, f) for a, f in zip(arrs, aflags)]):
+                env2 = benv.copy()
+                env2.update(zip(params, elems))
+                yield fstep(env2, n)
+
+        def run(env, n, sp):
             arrs = [f(env, n)[0] for f, _ in farrs]
             m = _width(arrs, aflags)
             if scan and m == 0:
-                raise InterpError("scan over empty array")
-            acc = [f(env, n)[0] for f, _ in fnes]
+                raise InterpError(empty_msg)
+            acc = tuple(f(env, n)[0] for f, _ in fnes)
             if any(lift_ne):
-                acc = [_lift(v, n) if lf else v for v, lf in zip(acc, lift_ne)]
-            rows: list[list[Value]] = []
-            with obs.span(
-                "exec.kernel", cat="exec", construct=construct, batch=n or 1, steps=m
-            ):
-                for i in range(m):
-                    elems = [a[:, i] if f else a[i] for a, f in zip(arrs, aflags)]
-                    env2 = dict(env)
-                    env2.update(zip(params, acc + elems))
-                    out = flam(env2, n)
-                    acc = [_lift(v, n) if lf else v for v, lf in zip(out, lift_step)]
-                    if scan:
-                        rows.append(acc)
+                acc = tuple(_lift(v, n) if lf else v for v, lf in zip(acc, lift_ne))
+            steps = hoisted(env, n, m, arrs) if step is None else stepped(env, n, arrs)
+            sp["steps"] = m
+            sp["fold"] = mode
+            perf.inc(f"exec.fold.{mode}")
+            oenv = {k: env[k] for k in op_fv if k in env}
+            rows: list[tuple] = []
+            for vals in steps:
+                env2 = oenv.copy()
+                env2.update(zip(oparams, (*acc, *vals)))
+                acc = flam(env2, n)
+                if relift:
+                    acc = tuple(_lift(v, n) if lf else v for v, lf in zip(acc, lift_step))
+                if scan:
+                    rows.append(acc)
             if not scan:
                 return tuple(acc)
             return tuple(
@@ -913,58 +1038,28 @@ class VectorEvaluator:
                 for j in range(len(acc))
             )
 
-        return fn, tuple(accflags)
+        return run, accflags
 
-    def _c_xomap(self, e, bv, scan: bool):
-        construct = "scanomap" if scan else "redomap"
-        op_lam = e.scan_lam if scan else e.red_lam
-        farrs = [self._c1(a, bv) for a in e.arrs]
-        aflags = [f for _, f in farrs]
-        fnes = [self._c1(x, bv) for x in e.nes]
-        nesflags = [f for _, f in fnes]
-        map_lam = e.map_lam
-        if len(map_lam.params) != len(farrs):
-            raise InterpError("lambda arity mismatch")
-        map_bv = frozenset(
-            (bv & self._free_lambda(map_lam))
-            | {p for p, f in zip(map_lam.params, aflags) if f}
+    def _c_fold(self, e, bv):
+        """``reduce``/``scan`` (the identity body) and ``redomap``/``scanomap``."""
+        scan = isinstance(e, (S.Scan, S.Scanomap))
+        if isinstance(e, (S.Reduce, S.Scan)):
+            construct = "scan" if scan else "reduce"
+            params, body, lam = (), None, e.lam
+        else:
+            construct = "scanomap" if scan else "redomap"
+            params, body = e.map_lam.params, e.map_lam.body
+            lam = e.scan_lam if scan else e.red_lam
+        run, accflags = self._c_steps(
+            bv, e.arrs, params, body, e.nes, lam, scan, f"{construct} over empty array"
         )
-        fmap, mflags = self._compile(map_lam.body, map_bv)
-        flam, accflags, rflags = self._compile_operator(op_lam, bv, nesflags, mflags)
         self._kernel()
-        mparams, oparams = map_lam.params, op_lam.params
-        lift_ne = [f and not f0 for f, f0 in zip(accflags, nesflags)]
-        lift_step = [f and not rf for f, rf in zip(accflags, rflags)]
 
         def fn(env, n):
-            arrs = [f(env, n)[0] for f, _ in farrs]
-            m = _width(arrs, aflags)
-            if scan and m == 0:
-                raise InterpError("scanomap over empty array")
-            acc = [f(env, n)[0] for f, _ in fnes]
-            if any(lift_ne):
-                acc = [_lift(v, n) if lf else v for v, lf in zip(acc, lift_ne)]
-            rows: list[list[Value]] = []
             with obs.span(
-                "exec.kernel", cat="exec", construct=construct, batch=n or 1, steps=m
-            ):
-                for i in range(m):
-                    elems = [a[:, i] if f else a[i] for a, f in zip(arrs, aflags)]
-                    env2 = dict(env)
-                    env2.update(zip(mparams, elems))
-                    mapped = list(fmap(env2, n))
-                    env3 = dict(env)
-                    env3.update(zip(oparams, acc + mapped))
-                    out = flam(env3, n)
-                    acc = [_lift(v, n) if lf else v for v, lf in zip(out, lift_step)]
-                    if scan:
-                        rows.append(acc)
-            if not scan:
-                return tuple(acc)
-            return tuple(
-                np.stack([r[j] for r in rows], axis=1 if accflags[j] else 0)
-                for j in range(len(acc))
-            )
+                "exec.kernel", cat="exec", construct=construct, batch=n or 1
+            ) as sp:
+                return run(env, n, sp)
 
         return fn, tuple(accflags)
 
@@ -993,21 +1088,28 @@ class VectorEvaluator:
             cur_bv = frozenset((cur_bv & rems[k]) | set(b.params))
         return plan, cur_bv
 
-    def _enter_level(self, env, n, level, empty_msg):
-        farrs, aflags, params, expand = level
-        arrs = [f(env, n)[0] for f, _ in farrs]
-        m = _width(arrs, aflags)
-        if m == 0:
-            raise InterpError(empty_msg)
-        env2 = dict(env)
-        if n is None:
-            env2.update(zip(params, arrs))
-            return env2, m, m
-        for name in expand:
-            env2[name] = _expand(env2[name], m)
-        for p, v, f in zip(params, arrs, aflags):
-            env2[p] = _flatten_b(v, n, m) if f else _tile_u(v, n)
-        return env2, n * m, m
+    def _enter_nest(self, env, n, plan):
+        """Enter every level of a compiled nest: the new environment, its
+        batch width and the extent of each level."""
+        dims = []
+        for farrs, aflags, params, expand in plan:
+            arrs = [f(env, n)[0] for f, _ in farrs]
+            m = _width(arrs, aflags)
+            if m == 0:
+                raise InterpError("segmap over empty dimension")
+            env, n = _bind(env, n, m, params, arrs, aflags, expand)
+            dims.append(m)
+        return env, n, tuple(dims)
+
+    @staticmethod
+    def _unnest(vals, flags, n, cur, dims):
+        """Reshape results at nest width ``cur`` to ``(n,) + dims + ...``."""
+        lead = (n,) + dims if n is not None else dims
+        out = []
+        for v, f in zip(vals, flags):
+            a = np.asarray(v) if f else _lift(v, cur)
+            out.append(a.reshape(lead + a.shape[1:]))
+        return tuple(out)
 
     def _c_segmap(self, e: T.SegMap, bv):
         bindings = tuple(e.ctx)
@@ -1020,23 +1122,14 @@ class VectorEvaluator:
         def fn(env, n):
             with obs.span("exec.kernel", cat="exec", construct=construct, batch=n or 1):
                 # no batched inputs -> the nest starts its own fresh batch
-                env2, cur, dims = dict(env), n if outer else None, []
-                for level in plan:
-                    env2, cur, m = self._enter_level(
-                        env2, cur, level, "segmap over empty dimension"
-                    )
-                    dims.append(m)
-                vals = fbody(env2, cur)
-                lead = (n,) if outer else ()
-                out = []
-                for v, f in zip(vals, bflags):
-                    a = np.asarray(v) if f else _lift(v, cur)
-                    out.append(a.reshape(lead + tuple(dims) + a.shape[1:]))
-                return tuple(out)
+                lead = n if outer else None
+                env2, cur, dims = self._enter_nest(env, lead, plan)
+                return self._unnest(fbody(env2, cur), bflags, lead, cur, dims)
 
         return fn, (outer,) * len(bflags)
 
-    def _c_segfold(self, e, bv, scan: bool):
+    def _c_segfold(self, e, bv):
+        scan = isinstance(e, T.SegScan)
         bindings = tuple(e.ctx)
         prefix, last = bindings[:-1], bindings[-1]
         construct = f"segscan{e.level}" if scan else f"segred{e.level}"
@@ -1046,72 +1139,24 @@ class VectorEvaluator:
         for arr in last.arrays:
             tail = tail | self._free(arr)
         plan, pbv = self._compile_nest(prefix, bv, tail)
-        farrs = [self._c1(a, pbv) for a in last.arrays]
-        aflags = [f for _, f in farrs]
-        fnes = [self._c1(x, pbv) for x in e.nes]
-        nesflags = [f for _, f in fnes]
-        body_bv = frozenset(
-            (pbv - set(last.params)) | {p for p, f in zip(last.params, aflags) if f}
+        run, accflags = self._c_steps(
+            pbv, last.arrays, last.params, e.body, e.nes, e.lam, scan,
+            "segscan over empty dimension",
         )
-        fbody, vflags = self._compile(e.body, body_bv)
-        flam, accflags, rflags = self._compile_operator(e.lam, pbv, nesflags, vflags)
         self._kernel()
         outer = bool(bv)
-        params, oparams = last.params, e.lam.params
-        lift_ne = [f and not f0 for f, f0 in zip(accflags, nesflags)]
-        lift_step = [f and not rf for f, rf in zip(accflags, rflags)]
-        empty_msg = (
-            "segscan over empty dimension" if scan else "segred over empty dimension"
-        )
 
         def fn(env, n):
-            with obs.span("exec.kernel", cat="exec", construct=construct, batch=n or 1):
+            with obs.span(
+                "exec.kernel", cat="exec", construct=construct, batch=n or 1
+            ) as sp:
                 # no batched inputs -> the nest starts its own fresh batch
-                env2, cur, dims = dict(env), n if outer else None, []
-                for level in plan:
-                    env2, cur, m = self._enter_level(
-                        env2, cur, level, "segmap over empty dimension"
-                    )
-                    dims.append(m)
-                arrs = [f(env2, cur)[0] for f, _ in farrs]
-                m = _width(arrs, aflags)
-                if scan and m == 0:
-                    raise InterpError(empty_msg)
-                acc = [f(env2, cur)[0] for f, _ in fnes]
-                if any(lift_ne):
-                    acc = [_lift(v, cur) if lf else v for v, lf in zip(acc, lift_ne)]
-                rows: list[list[Value]] = []
-                for i in range(m):
-                    elems = [a[:, i] if f else a[i] for a, f in zip(arrs, aflags)]
-                    env3 = dict(env2)
-                    env3.update(zip(params, elems))
-                    vals = list(fbody(env3, cur))
-                    env4 = dict(env2)
-                    env4.update(zip(oparams, acc + vals))
-                    out = flam(env4, cur)
-                    acc = [_lift(v, cur) if lf else v for v, lf in zip(out, lift_step)]
-                    if scan:
-                        rows.append(acc)
-                lead = (n,) if outer else ()
-                if scan:
-                    # scan axis lands innermost: (cur, m, ...) per prefix element
-                    stacked = [
-                        np.stack([r[j] for r in rows], axis=1 if accflags[j] else 0)
-                        for j in range(len(acc))
-                    ]
-                    if cur is None:
-                        return tuple(stacked)
-                    out_vals = []
-                    for v, f in zip(stacked, accflags):
-                        a = np.asarray(v) if f else _lift(v, cur)
-                        out_vals.append(a.reshape(lead + tuple(dims) + a.shape[1:]))
-                    return tuple(out_vals)
+                lead = n if outer else None
+                env2, cur, dims = self._enter_nest(env, lead, plan)
+                vals = run(env2, cur, sp)
                 if cur is None:
-                    return tuple(acc)
-                out_vals = []
-                for v, f in zip(acc, accflags):
-                    a = np.asarray(v) if f else _lift(v, cur)
-                    out_vals.append(a.reshape(lead + tuple(dims) + a.shape[1:]))
-                return tuple(out_vals)
+                    return vals
+                # a scan's element axis lands innermost: (cur, m, ...)
+                return self._unnest(vals, accflags, lead, cur, dims)
 
         return fn, (outer,) * len(e.nes)

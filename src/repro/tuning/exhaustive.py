@@ -24,8 +24,9 @@ its lower end): that corner is the box's lexicographically smallest index
 tuple.  Measuring the lowest corners sorted by their rank in product order
 therefore makes the same ``measure`` calls in the same order, so every
 field of the :class:`TuningResult` — best configuration and cost,
-simulation and cache-hit counts, the improving ``history`` with its
-proposal numbers, and ``full_history`` — is identical to the scan's.
+simulation and cache-hit counts, the per-dataset path counts of the
+measured configurations, the improving ``history`` with its proposal
+numbers, and ``full_history`` — is identical to the scan's.
 ``proposals`` still counts the configurations covered, i.e. the size of
 the product.
 
@@ -137,6 +138,7 @@ def exhaustive_tune(
         cache_hits=tuner.cache_hits,
         history=history,
         full_history=full_history,
+        path_counts=tuner.path_counts,
         retries=tuner.retries,
         quarantined=tuner.quarantine_list(),
     )

@@ -191,7 +191,10 @@ def load_thresholds(
     """
     doc = _read(path, "tuning file", None, _FORMAT)
     _check_identity(doc, path, "tuning file", compiled, device)
-    thresholds = {str(k): int(v) for k, v in doc.get("thresholds", {}).items()}
+    try:
+        thresholds = {str(k): int(v) for k, v in doc.get("thresholds", {}).items()}
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+        raise TuningFileError(f"{path}: malformed tuning file ({exc})") from None
     if compiled is not None and not set(thresholds) <= set(compiled.thresholds()):
         raise TuningFileError(
             f"{path}: threshold names do not match the compiled program "

@@ -262,6 +262,36 @@ class TestTune:
         err = capsys.readouterr().err
         assert "K40" in err and "Vega64" in err
 
+    def test_non_integer_threshold_exits_2(self, capsys, tmp_path):
+        out_file = tmp_path / "m.tuning"
+        assert main(["tune", "matmul", "--dataset", "n=32,m=1024",
+                     "--proposals", "6", "--output", str(out_file)]) == 0
+        capsys.readouterr()
+        doc = json.loads(out_file.read_text())
+        doc["thresholds"]["t0"] = "x"
+        out_file.write_text(json.dumps(doc))
+        code = main(["simulate", "matmul", "--size", "n=8,m=8",
+                     "--tuning", str(out_file)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:") and "malformed tuning file" in err
+        assert err.count("\n") == 1
+
+    def test_exhaustive_telemetry_lists_paths_per_dataset(self, capsys, tmp_path):
+        out_file = tmp_path / "m.tuning"
+        code, _ = run(capsys, "tune", "matmul", "--technique", "exhaustive",
+                      "--dataset", "n=4,m=65536", "--dataset", "n=1024,m=32",
+                      "--output", str(out_file))
+        assert code == 0
+        tele = json.loads((tmp_path / "m.tuning.telemetry.json").read_text())
+        assert len(tele["path_counts"]) == 2
+        assert all(tele["path_counts"]) and all(tele["distinct_paths"])
+        assert tele["distinct_paths"] == [len(pc) for pc in tele["path_counts"]]
+        # one measurement per distinct joint signature, each counted once
+        # per dataset
+        measured = len(tele["cost_curve"])
+        assert [sum(pc.values()) for pc in tele["path_counts"]] == [measured] * 2
+
     def test_malformed_fault_plan_exits_2(self, capsys, tmp_path):
         plan = tmp_path / "plan.json"
         plan.write_text('{"rules": [{"site": "sim.kernel", "kind": "nope"}]}')

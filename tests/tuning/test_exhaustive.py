@@ -51,7 +51,8 @@ def reference_tune(compiled, datasets, device):
             best_cfg, best_cost = cfg, cost
             history.append((proposals, cost))
     return TuningResult(best_cfg, best_cost, proposals, tuner.simulations,
-                        tuner.cache_hits, history, full_history)
+                        tuner.cache_hits, history, full_history,
+                        path_counts=tuner.path_counts)
 
 
 def tuning_datasets(name):

@@ -37,6 +37,8 @@ from repro.ir.builder import (
     let_,
     loop_,
     map_,
+    max_,
+    min_,
     op2,
     reduce_,
     scan_,
@@ -184,6 +186,23 @@ def _build_vec(r: dict, row: S.Exp, length: str) -> S.Exp:
         fn = r["f"]
         bound = to_i64(S.BinOp("min", S.UnOp("abs", row[i64(0)]), f32(3.0))) + i64(1)
         return loop_(src, bound, lambda i, state: map_(_fn_lambda(fn), state))
+    if k == "stencil":
+        # clamped neighbour gathers, like Pathfinder's cur[max(j-1,0)] /
+        # cur[min(j+1,len-1)]: inside the enclosing map the batched engines
+        # read the row by reference, through a lane -> row index
+        src = _build_vec(r["src"], row, length)
+        last = size_e(length) - 1
+        return let_(src, lambda s: map_(
+            lambda j: S.BinOp(r["op"], s[max_(j - 1, 0)], s[min_(j + 1, last)]),
+            iota(size_e(length)),
+        ))
+    if k == "pick":
+        # the row read at a constant index inside a nested map: the form
+        # the batched engines keep lane-expanded
+        src = _build_vec(r["src"], row, length)
+        return let_(src, lambda s: map_(
+            lambda x: _apply_fn(r["f"], x) * s[i64(0)], s
+        ))
     if k == "vintr":
         # batched-argument intrinsic: the batched engines' whole-batch
         # registered lowering
@@ -297,7 +316,8 @@ RECIPE_STYLES = ("default", "fusion")
 
 _VEC_KINDS = {
     "default": ["vmap", "scan", "scanmap", "zip", "vloop", "vif",
-                "dif", "dif", "dloop", "dloop", "vintr", "share", "leaf"],
+                "dif", "dif", "dloop", "dloop", "vintr", "share",
+                "stencil", "pick", "leaf"],
     "fusion": ["vmap", "vmap", "vmap", "scanmap", "scanmap",
                "share", "share", "zip", "scan", "leaf"],
 }
@@ -380,6 +400,12 @@ def _gen_vec(draw: Draw, depth: int, length: str, style: str = "default") -> dic
         }
     if kind == "vintr":
         return {"k": "vintr", "src": _gen_vec(draw, depth - 1, length, style)}
+    if kind == "stencil":
+        return {"k": "stencil", "op": draw("op", sorted(_OPS)),
+                "src": _gen_vec(draw, depth - 1, length, style)}
+    if kind == "pick":
+        return {"k": "pick", "f": _gen_fn(draw),
+                "src": _gen_vec(draw, depth - 1, length, style)}
     return {
         "k": "vif",
         "cmp": [draw("cmp-lhs", ["n", "m"]), draw("cmp-op", ["<=", "<", ">"]),
@@ -524,7 +550,7 @@ def _simpler_variants(node: dict) -> list[dict]:
         out.extend([node["a"], node["b"]])
     if k in ("vif", "dif"):
         out.extend([node["then"], node["else"]])
-    if k in ("dloop", "vintr"):
+    if k in ("dloop", "vintr", "stencil", "pick"):
         out.append(node["src"])
     if k == "share":
         out.append(node["src"])
@@ -537,7 +563,7 @@ def _simpler_variants(node: dict) -> list[dict]:
                     "src": node["src"]})
     # atomic fallbacks
     if k in ("vmap", "scan", "scanmap", "zip", "vloop", "vif", "dif",
-             "dloop", "vintr", "share", "ys", "iota"):
+             "dloop", "vintr", "share", "stencil", "pick", "ys", "iota"):
         out.append({"k": "r"})
     if k in ("sum", "dot", "sbin", "first", "fansum"):
         out.append({"k": "red", "op": "+", "src": {"k": "r"}})

@@ -155,12 +155,26 @@ def _parse_kv(items: list[str] | None) -> dict[str, int]:
 
 def _check_sizes(prog, sizes: dict[str, int], flag: str = "--size") -> None:
     """User-supplied size bindings must cover the program's size variables
-    (extras are allowed: scalar parameters are bound the same way)."""
+    (extras are allowed: scalar parameters are bound the same way) and be
+    non-negative."""
     missing = sorted(prog.size_vars() - sizes.keys())
     if missing:
         raise UserError(
             f"{prog.name} needs {flag} value(s) for "
             f"{', '.join(missing)} (got: {', '.join(sorted(sizes)) or 'none'})"
+        )
+    negative = [f"{k}={v_}" for k, v_ in sorted(sizes.items()) if v_ < 0]
+    if negative:
+        raise UserError(f"{flag} values must be non-negative: {', '.join(negative)}")
+
+
+def _check_runnable(prog, sizes: dict[str, int]) -> None:
+    """A run needs every array input non-empty (a zero loop bound is fine)."""
+    empty = prog.empty_inputs(sizes)
+    if empty:
+        raise UserError(
+            f"--size gives {prog.name} an input with a zero extent: "
+            f"{'; '.join(empty)}"
         )
 
 
@@ -227,6 +241,7 @@ def cmd_run(args) -> int:
     prog = _resolve_program(args.program)
     sizes = _parse_kv(args.size)
     _check_sizes(prog, sizes)
+    _check_runnable(prog, sizes)
     cp = compile_program(prog, args.mode)
     inputs = _random_inputs(prog, sizes, args.seed)
     th = _parse_kv(args.threshold)
@@ -268,6 +283,8 @@ def cmd_simulate(args) -> int:
     prog = _resolve_program(args.program)
     sizes = _parse_kv(args.size)
     _check_sizes(prog, sizes)
+    if args.exec:
+        _check_runnable(prog, sizes)
     device = _devices()[args.device]
     cp = compile_program(prog, args.mode)
     th = _parse_kv(args.threshold)

@@ -4,12 +4,14 @@
 in one place, kernel emission (:meth:`CodegenEvaluator._c`): straight-line
 scalar subtrees (variables, literals, arithmetic, lets, conditionals,
 indexing, ``ParCmp`` guards) are emitted as one generated Python function
-per (kernel fingerprint, batchedness, sizes, dtype signature) and compiled
-with ``compile()``/``exec`` — collapsing a whole closure tree into a single
-frame.  Every other construct, the masked ``if``/``loop``/intrinsic
-lowerings included, is the vector engine's.  Compilations are memoised
-four deep: per compiled program (its evaluator memo,
-:func:`repro.exec.run_batched`, which keeps whole evaluators), per
+per (kernel fingerprint, batchedness, by-reference names, sizes, dtype
+signature) and compiled with ``compile()``/``exec`` — collapsing a whole
+closure tree into a single frame.  An ``Index`` of a variable bound by
+reference (:mod:`repro.exec.vector`) is emitted as the same one gather
+through its lane -> row index.  Every other construct, the masked
+``if``/``loop``/intrinsic lowerings included, is the vector engine's.
+Compilations are memoised four deep: per compiled program (its evaluator
+memo, :func:`repro.exec.run_batched`, which keeps whole evaluators), per
 instance (inherited kernel cache), per process (code-object cache), and
 on disk (:mod:`repro.exec.compile_cache`, shared across processes).  Each
 emitted kernel launches through the guard's demotion ladder codegen ->
@@ -172,9 +174,10 @@ class _Emitter:
     makes it shareable across processes via the content-addressed cache.
     """
 
-    def __init__(self, ev: "CodegenEvaluator", bv: frozenset):
+    def __init__(self, ev: "CodegenEvaluator", bv: frozenset, lm: frozenset):
         self.ev = ev
         self.bv = bv
+        self.lm = lm
         self.lines: list[str] = []
         self.const_meta: list[list] = []
         self.op_meta: list[list] = []
@@ -328,14 +331,24 @@ class _Emitter:
         return outs, [True] * len(outs)
 
     def _emit_index(self, e: S.Index, scope) -> tuple[list[str], list[bool]]:
-        an, af = self.emit1(e.arr, scope)
         idxs = [self.emit1(i, scope) for i in e.idxs]
         iflags = [f for _, f in idxs]
-        nm = self.name()
 
         def tup(parts: list[str]) -> str:
             inner = ", ".join(parts)
             return f"({inner},)" if len(parts) == 1 else f"({inner})"
+
+        arr = e.arr
+        if isinstance(arr, S.Var) and arr.name not in scope and arr.name in self.lm:
+            # bound by reference: one gather through the lanes' rows
+            bn, rn, nm = self.name(), self.name(), self.name()
+            self.line(f"{bn}, {rn} = _G(env, {arr.name!r})")
+            self.line("_ops += 1")
+            parts = [rn] + [inm if fl else f"int({inm})" for inm, fl in idxs]
+            self.line(f"{nm} = {bn}[{tup(parts)}]")
+            return [nm], [True]
+        an, af = self.emit1(arr, scope)
+        nm = self.name()
 
         if not af and not any(iflags):
             parts = [f"int({inm})" for inm, _ in idxs]
@@ -381,14 +394,14 @@ class CodegenEvaluator(VectorEvaluator):
 
     # -- generated-source kernels ------------------------------------------
 
-    def _c(self, e, bv):
+    def _c(self, e, bv, lm):
         if bv and isinstance(e, _EMIT_ROOTS) and self._emittable(e):
-            hit = self._emit_kernel(e, bv)
+            hit = self._emit_kernel(e, bv, lm)
             if hit is not None:
-                return self._guard_kernel(e, bv, hit)
-        return super()._c(e, bv)
+                return self._guard_kernel(e, bv, lm, hit)
+        return super()._c(e, bv, lm)
 
-    def _guard_kernel(self, e, bv, hit):
+    def _guard_kernel(self, e, bv, lm, hit):
         """Wrap an emitted kernel in the demotion ladder (``exec/guard.py``).
 
         Rungs, highest first: the generated-source Python kernel, the
@@ -406,7 +419,7 @@ class CodegenEvaluator(VectorEvaluator):
 
         def vector_rung(env, n):
             if not vcell:
-                vcell.append(VectorEvaluator._c(ev, e, bv))
+                vcell.append(VectorEvaluator._c(ev, e, bv, lm))
             vfn, vflags = vcell[0]
             return _adapt_vals(vfn(env, n), vflags, flags, n)
 
@@ -414,12 +427,14 @@ class CodegenEvaluator(VectorEvaluator):
 
         def scalar_rung(env, n):
             if not scell:
-                scell.append(ev._c_fallback(e, bv, arity, "guard"))
+                scell.append(ev._c_fallback(e, bv, lm, arity, "guard"))
             sfn, sflags = scell[0]
             return _adapt_vals(sfn(env, n), sflags, flags, n)
 
         rungs = [("codegen", fn), ("vector", vector_rung), ("scalar", scalar_rung)]
-        launch = guard.wrap_kernel(fn._key, rungs, source=fn._source)
+        launch = guard.wrap_kernel(
+            fn._key, rungs, source=fn._source, lanes=sorted(lm)
+        )
         return launch, flags
 
     def _emittable(self, e) -> bool:
@@ -430,17 +445,18 @@ class CodegenEvaluator(VectorEvaluator):
             count += 1
         return count >= _MIN_EMIT_NODES
 
-    def _fingerprint(self, e, bv) -> str:
+    def _fingerprint(self, e, bv, lm) -> str:
         return repr((
             CACHE_VERSION,
             kernel_fingerprint(e),
             tuple(sorted(bv)),
+            tuple(sorted(lm)),
             tuple(sorted(self.sizes.items())),
             self.dtype_sig,
         ))
 
-    def _emit_kernel(self, e, bv):
-        fp = self._fingerprint(e, bv)
+    def _emit_kernel(self, e, bv, lm):
+        fp = self._fingerprint(e, bv, lm)
         key = compile_cache.entry_key("codegen|" + fp)
         hit = _CODE_CACHE.get(key) if perf.caching_enabled() else None
         if hit is not None:
@@ -453,7 +469,7 @@ class CodegenEvaluator(VectorEvaluator):
             except Exception:  # noqa: BLE001 - semantically corrupt entry
                 perf.inc("exec.codegen.cache_bad")
         try:
-            em = _Emitter(self, bv)
+            em = _Emitter(self, bv, lm)
             names, flags = em.emit(e, {})
             if not names:
                 return None

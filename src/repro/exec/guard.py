@@ -410,11 +410,15 @@ def _verify_due(key: str, p: float) -> bool:
     return int(i * p) > int((i - 1) * p)
 
 
-def _land_corpus(key: str, tier: str, source, env, n, detail: str) -> None:
-    """Write a divergence counterexample for the fuzzer corpus."""
+def _land_corpus(key: str, tier: str, source, env, n, detail: str, lanes=()) -> None:
+    """Write a divergence counterexample for the fuzzer corpus.
+
+    A name in ``lanes`` is bound by reference, as ``(base, rows)``: the
+    document holds its lanes' own values, ``base[rows]``.
+    """
     inputs = {}
     for name, v in sorted(env.items()):
-        arr = np.asarray(v)
+        arr = v[0][v[1]] if name in lanes else np.asarray(v)
         if arr.dtype.kind in "fiub" and arr.size <= 4096:
             inputs[name] = {
                 "dtype": str(arr.dtype),
@@ -446,13 +450,14 @@ def _land_corpus(key: str, tier: str, source, env, n, detail: str) -> None:
         pass
 
 
-def wrap_kernel(key: str, rungs, *, source: str | None = None):
+def wrap_kernel(key: str, rungs, *, source: str | None = None, lanes=()):
     """Wrap a kernel's launch ladder; returns a ``(env, n) -> tuple``.
 
     ``rungs`` is an ordered list of ``(tier, fn)`` pairs, highest tier
     first.  Every rung but the last is breaker-guarded and demotes on
     failure; the last rung (the scalar oracle) is the safety net and
-    propagates.
+    propagates.  ``lanes`` names the environment entries the kernel reads
+    by reference (``docs/execution.md``).
     """
     rungs = list(rungs)
     oracle = None
@@ -488,6 +493,7 @@ def wrap_kernel(key: str, rungs, *, source: str | None = None):
         _last_fn=rungs[-1][1],
         _oracle=oracle,
         _source=source,
+        _lanes=frozenset(lanes),
         _br_get=_breakers.get,
         _faults=faults.inject,
         _config=config.current,
@@ -550,7 +556,7 @@ def wrap_kernel(key: str, rungs, *, source: str | None = None):
                         "exec.guard.verify_divergence", cat="exec",
                         key=key[:12], tier=tier,
                     )
-                    _land_corpus(key, tier, _source, env, n, detail)
+                    _land_corpus(key, tier, _source, env, n, detail, _lanes)
                     with _lock:
                         _breaker(key, tier).record_failure()
                         _demotions += 1

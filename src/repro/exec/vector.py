@@ -6,7 +6,12 @@ to Python closures that operate on the *whole* batch axis at once, in the
 style of Blelloch-style flattening:
 
 * a ``map`` folds its iteration space into one flat batch axis — binops,
-  unops and casts become single broadcast array operations;
+  unops and casts become single broadcast array operations.  Inside a
+  batch, the nested body's batched free variables are bound *by
+  reference* (their array plus a lane -> row index; each read is one
+  gather) where every read is ``x[i, ...]`` with a lane-varying index,
+  and lane-expanded (copied to every inner lane) otherwise
+  (``exec.bind.lane_mapped`` / ``exec.bind.expanded``);
 * the six folds (``reduce``/``scan``, ``redomap``/``scanomap``, and the
   innermost axis of ``segred``/``segscan``) share one step loop: the
   per-element body runs once over all elements, folded into the batch
@@ -36,10 +41,11 @@ floor-vs-true division chosen by float-ness).  ``docs/execution.md`` has
 the full rule table; ``repro check`` is the proof obligation.
 
 Static batchedness: each expression is compiled under a set ``bv`` of
-environment names that are batched (carry a leading batch axis).  Every
-compiled node reports, per returned value, whether it is batched — a plain
-Python boolean decided at compile time, so the closures contain no dynamic
-representation dispatch.
+environment names that are batched (carry a leading batch axis), and its
+subset ``lm`` of names bound by reference, whose entries are ``(base,
+rows)`` pairs.  Every compiled node reports, per returned value, whether
+it is batched — a plain Python boolean decided at compile time, as ``lm``
+is, so the closures contain no dynamic representation dispatch.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ from repro.interp.evaluator import (
 from repro.interp.values import Value, to_dtype
 from repro.ir import source as S
 from repro.ir import target as T
-from repro.ir.traverse import free_vars, walk
+from repro.ir.traverse import iter_scoped_children, walk
 from repro.obs import trace as obs
 
 __all__ = ["VectorEvaluator"]
@@ -187,24 +193,64 @@ def _elements(v, batched: bool):
     return np.swapaxes(v, 0, 1) if batched else v
 
 
-def _bind(env, n, m, params, arrs, aflags, expand):
+#: how a nest level binds the batched free variables of its body:
+#: ``(expand, refs, compose)``, see :func:`_bind`
+Binding = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]
+
+NO_BINDING: Binding = ((), (), ())
+
+
+def _bind(env, n, m, params, arrs, aflags, how: Binding):
     """Bind ``params`` to the ``m`` elements of ``arrs`` as one batch.
 
     Without an enclosing batch (``n`` is None) the elements *are* the
-    batch.  Inside a batch of width ``n`` the two axes fold: the batched
-    free variables named in ``expand`` are lane-expanded and each array
-    is reshaped (n, m, ...) -> (n*m, ...), a uniform one tiled.  Returns
-    the new environment and its batch width.
+    batch.  Inside a batch of width ``n`` the two axes fold and each
+    array is reshaped (n, m, ...) -> (n*m, ...), a uniform one tiled.
+    ``how`` says what happens to the body's batched free variables:
+    those in ``expand`` are lane-expanded (m copies of each lane); those
+    in ``refs`` are bound *by reference*, as ``(base, rows)``: the
+    (n, ...) array itself and the lane -> row index ``rows``; those in
+    ``compose`` are bound by reference already and get their row index
+    repeated for the new axis.  Returns the new environment and its
+    batch width.
     """
     env2 = dict(env)
     if n is None:
         env2.update(zip(params, arrs))
         return env2, m
+    expand, refs, compose = how
     for name in expand:
         env2[name] = _expand(env2[name], m)
+    if expand:
+        perf.inc("exec.bind.expanded", len(expand))
+    if refs:
+        rows = np.repeat(np.arange(n), m)
+        for name in refs:
+            env2[name] = (env2[name], rows)
+    if compose:
+        # names bound at the same level share one row index: repeat it once
+        repeated: dict[int, np.ndarray] = {}
+        for name in compose:
+            base, r = env2[name]
+            r2 = repeated.get(id(r))
+            if r2 is None:
+                r2 = repeated[id(r)] = np.repeat(r, m)
+            env2[name] = (base, r2)
+    if refs or compose:
+        perf.inc("exec.bind.lane_mapped", len(refs) + len(compose))
     for p, v, f in zip(params, arrs, aflags):
         env2[p] = _flatten_b(v, n, m) if f else _tile_u(v, n)
     return env2, n * m
+
+
+def _merge_reads(out: dict, reads: Mapping) -> None:
+    """Add ``reads`` (see :meth:`VectorEvaluator._reads`) into ``out``."""
+    for name, keys in reads.items():
+        if name not in out:
+            out[name] = keys
+        else:
+            cur = out[name]
+            out[name] = None if cur is None or keys is None else cur | keys
 
 
 def _width(arrs: list, flags: list[bool]) -> int:
@@ -237,10 +283,10 @@ class VectorEvaluator:
     """Compiles expressions to batched-NumPy closures and runs them.
 
     Mirrors :class:`repro.interp.evaluator.Evaluator`'s construction
-    signature.  Compiled kernels are cached per ``(node, batched vars)`` on
-    the instance, so reusing one evaluator across launches (as the
-    differential harness does across forced paths) compiles each kernel
-    once; ``thresholds`` may be mutated between launches, ``sizes`` may
+    signature.  Compiled kernels are cached per ``(node, batched vars,
+    by-reference vars)`` on the instance, so reusing one evaluator across
+    launches (as the differential harness does across forced paths)
+    compiles each kernel once; ``thresholds`` may be mutated between launches, ``sizes`` may
     not (sizes are burnt into the closures).
     """
 
@@ -255,10 +301,15 @@ class VectorEvaluator:
         self.scalar = Evaluator()
         self.scalar.sizes = self.sizes
         self.scalar.thresholds = self.thresholds
-        #: (id(node), relevant batched vars) -> (closure, batched flags)
+        #: (id(node), relevant batched vars, those bound by reference)
+        #: -> (closure, batched flags)
         self._cache: dict[tuple, tuple[Closure, tuple[bool, ...]]] = {}
+        #: compile-time memos, dropped once a root is compiled: id(node)
+        #: -> free variables, and -> how the node reads each name
         self._fvs: dict[int, frozenset[str]] = {}
-        self._keep: list[object] = []  # pin cached nodes so ids stay unique
+        self._rds: dict[int, dict] = {}
+        #: pinned roots: every cached node is one's subtree, so ids stay unique
+        self._keep: list[object] = []
         #: per-lane fallbacks compiled in (or reused from the cache) so far,
         #: and the cache keys whose closures contain one
         self._fallback_sites = 0
@@ -275,10 +326,13 @@ class VectorEvaluator:
 
     def eval(self, e: S.Exp, env: dict[str, Value]) -> tuple[Value, ...]:
         """Evaluate to a tuple of values (multi-value convention)."""
-        key = (id(e), frozenset())
+        key = (id(e), frozenset(), frozenset())
         if key not in self._cache:
+            self._keep.append(e)
             with perf.timer("exec.compile"):
                 self._compile(e, frozenset())
+            self._fvs.clear()
+            self._rds.clear()
         fn, _flags = self._cache[key]
         v0, f0 = self.vector_ops, self.scalar_fallbacks
         c0 = dict(self.fallback_counts)
@@ -303,35 +357,95 @@ class VectorEvaluator:
     # -- compilation core ---------------------------------------------------
 
     def _free(self, e: S.Exp) -> frozenset[str]:
+        """Free variables of ``e``, memoised per node bottom-up, so a
+        compile computes each subtree's set once."""
         fv = self._fvs.get(id(e))
         if fv is None:
-            fv = self._fvs[id(e)] = free_vars(e)
-            self._keep.append(e)
+            if isinstance(e, S.Var):
+                fv = frozenset((e.name,))
+            else:
+                fv = frozenset()
+                for child, binders in iter_scoped_children(e):
+                    sub = self._free(child)
+                    fv = fv | (sub - binders if binders else sub)
+            self._fvs[id(e)] = fv
         return fv
 
     def _free_lambda(self, lam: S.Lambda) -> frozenset[str]:
         fv = self._fvs.get(id(lam))
         if fv is None:
-            fv = self._fvs[id(lam)] = free_vars(lam.body) - frozenset(lam.params)
-            self._keep.append(lam)
+            fv = self._fvs[id(lam)] = self._free(lam.body) - frozenset(lam.params)
         return fv
 
-    def _compile(self, e: S.Exp, bv: frozenset[str]):
+    def _reads(self, e: S.Exp) -> dict:
+        """How ``e`` reads each name it mentions, memoised per node.
+
+        A name maps to the set of its reads' *index keys* when every read
+        is the array of an ``Index`` (one key per read: the free variables
+        of its indices), and to None where some read is not (a bare use,
+        or the array of a rearrange, an argument, ...) or ``e`` rebinds
+        the name.
+        """
+        hit = self._rds.get(id(e))
+        if hit is not None:
+            return hit
+        if isinstance(e, S.Var):
+            out: dict = {e.name: None}
+        else:
+            out = {}
+            arr = e.arr if isinstance(e, S.Index) and isinstance(e.arr, S.Var) else None
+            for child, binders in iter_scoped_children(e):
+                if child is not arr:
+                    _merge_reads(out, self._reads(child))
+                for name in binders:
+                    out[name] = None
+            if arr is not None:
+                key = frozenset().union(*[self._free(i) for i in e.idxs])
+                _merge_reads(out, {arr.name: frozenset([key])})
+        self._rds[id(e)] = out
+        return out
+
+    @staticmethod
+    def _plan_bind(outer, lm, reads: Callable[[], Mapping], uniform) -> Binding:
+        """Split the batched free variables ``outer`` of a nested body.
+
+        Those bound by reference already (``lm``) compose their row
+        index.  Of the others, a name binds by reference when ``reads()``
+        (the body's :meth:`_reads`) shows every read of it is ``x[i, ...]``
+        with a lane-varying index (one that mentions a name outside
+        ``uniform``); the rest, read at constant indices, used outside an
+        ``Index`` or rebound, are lane-expanded: each step then reads a
+        view of the one copy, where a gather would copy the value again.
+        """
+        refs = []
+        expand = []
+        rest = outer - lm
+        rd = reads() if rest else {}
+        for name in sorted(rest):
+            keys = rd.get(name)
+            if keys and all(k - uniform for k in keys):
+                refs.append(name)
+            else:
+                expand.append(name)
+        return tuple(expand), tuple(refs), tuple(sorted(outer & lm))
+
+    def _compile(self, e: S.Exp, bv: frozenset[str], lm: frozenset[str] = frozenset()):
         bv = frozenset(bv) & self._free(e)
-        key = (id(e), bv)
+        if lm:
+            lm = frozenset(lm) & bv
+        key = (id(e), bv, lm)
         hit = self._cache.get(key)
         if hit is None:
             sites = self._fallback_sites
-            hit = self._cache[key] = self._c(e, bv)
-            self._keep.append(e)
+            hit = self._cache[key] = self._c(e, bv, lm)
             if self._fallback_sites != sites:
                 self._with_fallback.add(key)
         elif key in self._with_fallback:
             self._fallback_sites += 1  # a cached closure brings its fallback
         return hit
 
-    def _c1(self, e: S.Exp, bv: frozenset[str]) -> tuple[Closure, bool]:
-        fn, flags = self._compile(e, bv)
+    def _c1(self, e: S.Exp, bv: frozenset[str], lm: frozenset[str]) -> tuple[Closure, bool]:
+        fn, flags = self._compile(e, bv, lm)
         if len(flags) != 1:
             raise InterpError(f"expected one value, got {len(flags)}")
         return fn, flags[0]
@@ -342,7 +456,7 @@ class VectorEvaluator:
 
     # -- dispatch -----------------------------------------------------------
 
-    def _c(self, e: S.Exp, bv: frozenset[str]):
+    def _c(self, e: S.Exp, bv: frozenset[str], lm: frozenset[str]):
         if isinstance(e, S.Var):
             name = e.name
 
@@ -368,7 +482,7 @@ class VectorEvaluator:
 
             return fn_cmp, (False,)
         if isinstance(e, S.TupleExp):
-            subs = [self._compile(x, bv) for x in e.elems]
+            subs = [self._compile(x, bv, lm) for x in e.elems]
             flags = tuple(f for _, fl in subs for f in fl)
 
             def fn_tup(env, n):
@@ -379,51 +493,53 @@ class VectorEvaluator:
 
             return fn_tup, flags
         if isinstance(e, S.BinOp):
-            return self._c_binop(e, bv)
+            return self._c_binop(e, bv, lm)
         if isinstance(e, S.UnOp):
-            return self._c_unop(e, bv)
+            return self._c_unop(e, bv, lm)
         if isinstance(e, S.Let):
-            return self._c_let(e, bv)
+            return self._c_let(e, bv, lm)
         if isinstance(e, S.If):
-            return self._c_if(e, bv)
+            return self._c_if(e, bv, lm)
         if isinstance(e, S.Index):
-            return self._c_index(e, bv)
+            return self._c_index(e, bv, lm)
         if isinstance(e, S.Iota):
-            return self._c_iota(e, bv)
+            return self._c_iota(e, bv, lm)
         if isinstance(e, S.Replicate):
-            return self._c_replicate(e, bv)
+            return self._c_replicate(e, bv, lm)
         if isinstance(e, S.Rearrange):
-            return self._c_rearrange(e, bv)
+            return self._c_rearrange(e, bv, lm)
         if isinstance(e, S.Loop):
-            return self._c_loop(e, bv)
+            return self._c_loop(e, bv, lm)
         if isinstance(e, S.Map):
             return self._guarded(
-                e, bv,
+                e, bv, lm,
                 lambda: len(self._compile(e.lam.body, frozenset())[1]),
-                lambda: self._c_map(e, bv),
+                lambda: self._c_map(e, bv, lm),
             )
         if isinstance(e, (S.Reduce, S.Scan, S.Redomap, S.Scanomap)):
-            return self._guarded(e, bv, lambda: len(e.nes), lambda: self._c_fold(e, bv))
+            return self._guarded(
+                e, bv, lm, lambda: len(e.nes), lambda: self._c_fold(e, bv, lm)
+            )
         if isinstance(e, S.Intrinsic):
-            return self._c_intrinsic(e, bv)
+            return self._c_intrinsic(e, bv, lm)
         if isinstance(e, T.SegMap):
             return self._fault_guarded(self._guarded(
-                e, bv,
+                e, bv, lm,
                 lambda: len(self._compile(e.body, frozenset())[1]),
-                lambda: self._c_segmap(e, bv),
+                lambda: self._c_segmap(e, bv, lm),
             ))
         if isinstance(e, (T.SegRed, T.SegScan)):
             return self._fault_guarded(self._guarded(
-                e, bv, lambda: len(e.nes),
-                lambda: self._c_segfold(e, bv),
+                e, bv, lm, lambda: len(e.nes),
+                lambda: self._c_segfold(e, bv, lm),
             ))
         raise InterpError(f"cannot evaluate {type(e).__name__}")
 
     # -- scalar-shaped nodes --------------------------------------------------
 
-    def _c_binop(self, e: S.BinOp, bv):
-        fx, bx = self._c1(e.x, bv)
-        fy, by = self._c1(e.y, bv)
+    def _c_binop(self, e: S.BinOp, bv, lm):
+        fx, bx = self._c1(e.x, bv, lm)
+        fy, by = self._c1(e.y, bv, lm)
         if not (bx or by):
             op = _BINOPS[e.op]
             return (lambda env, n: (op(fx(env, n)[0], fy(env, n)[0]),)), (False,)
@@ -435,8 +551,8 @@ class VectorEvaluator:
 
         return fn, (True,)
 
-    def _c_unop(self, e: S.UnOp, bv):
-        fx, bx = self._c1(e.x, bv)
+    def _c_unop(self, e: S.UnOp, bv, lm):
+        fx, bx = self._c1(e.x, bv, lm)
         if not bx:
             op = _UNOPS[e.op]
             return (lambda env, n: (op(fx(env, n)[0]),)), (False,)
@@ -448,14 +564,14 @@ class VectorEvaluator:
 
         return fn, (True,)
 
-    def _c_let(self, e: S.Let, bv):
-        frhs, rflags = self._compile(e.rhs, bv)
+    def _c_let(self, e: S.Let, bv, lm):
+        frhs, rflags = self._compile(e.rhs, bv, lm)
         if len(rflags) != len(e.names):
             raise InterpError(
                 f"let arity mismatch: {len(e.names)} names, {len(rflags)} values"
             )
         body_bv = (bv - set(e.names)) | {nm for nm, f in zip(e.names, rflags) if f}
-        fbody, bflags = self._compile(e.body, frozenset(body_bv))
+        fbody, bflags = self._compile(e.body, frozenset(body_bv), lm - set(e.names))
         names = e.names
 
         def fn(env, n):
@@ -466,10 +582,10 @@ class VectorEvaluator:
 
         return fn, bflags
 
-    def _c_if(self, e: S.If, bv):
-        fc, bc = self._c1(e.cond, bv)
-        ft, tfl = self._compile(e.then, bv)
-        fe, efl = self._compile(e.els, bv)
+    def _c_if(self, e: S.If, bv, lm):
+        fc, bc = self._c1(e.cond, bv, lm)
+        ft, tfl = self._compile(e.then, bv, lm)
+        fe, efl = self._compile(e.els, bv, lm)
         if len(tfl) != len(efl):
             raise InterpError("if branch arity mismatch")
         if not bc:
@@ -485,7 +601,7 @@ class VectorEvaluator:
 
             return fn_u, flags
         if not (_is_total(e.then) and _is_total(e.els)):
-            return self._c_masked_if(e, bv, fc, (ft, tfl), (fe, efl))
+            return self._c_masked_if(e, bv, lm, fc, (ft, tfl), (fe, efl))
 
         def fn_b(env, n):
             c = fc(env, n)[0]
@@ -505,12 +621,15 @@ class VectorEvaluator:
 
         return fn_b, (True,) * len(tfl)
 
-    def _c_masked_if(self, e: S.If, bv, fc, then, els):
+    def _c_masked_if(self, e: S.If, bv, lm, fc, then, els):
         """Masked two-sided evaluation of a batched ``if`` whose branches
         may raise: lanes are partitioned by the condition, each branch runs
         only on its own lanes (batched free variables compressed by the
-        mask), and the partial results scatter back into one output."""
-        fvs = sorted((self._free(e.then) | self._free(e.els)) & bv)
+        mask, a by-reference one's row index instead), and the partial
+        results scatter back into one output."""
+        fv = self._free(e.then) | self._free(e.els)
+        fvs = sorted(fv & (bv - lm))
+        lvs = sorted(fv & lm)
         self._kernel()
         arity = len(then[1])
 
@@ -534,6 +653,9 @@ class VectorEvaluator:
                         for k in fvs:
                             if k in sub:
                                 sub[k] = np.asarray(sub[k])[mask]
+                        for k in lvs:
+                            base, rows = sub[k]
+                            sub[k] = (base, rows[mask])
                     vals = fbr(sub, cnt)
                     parts.append([
                         np.asarray(v) if f else np.asarray(_lift(v, cnt))
@@ -557,10 +679,23 @@ class VectorEvaluator:
 
         return fn, (True,) * arity
 
-    def _c_index(self, e: S.Index, bv):
-        fa, ba = self._c1(e.arr, bv)
-        fidx = [self._c1(i, bv) for i in e.idxs]
+    def _c_index(self, e: S.Index, bv, lm):
+        fidx = [self._c1(i, bv, lm) for i in e.idxs]
         iflags = [f for _, f in fidx]
+        if isinstance(e.arr, S.Var) and e.arr.name in lm:
+            # bound by reference: one gather through the lanes' rows
+            name = e.arr.name
+
+            def fn_rows(env, n):
+                base, rows = env[name]
+                ivals = [f(env, n)[0] for f, _ in fidx]
+                self.vector_ops += 1
+                return (base[(rows,) + tuple(
+                    v if fl else int(v) for v, fl in zip(ivals, iflags)
+                )],)
+
+            return fn_rows, (True,)
+        fa, ba = self._c1(e.arr, bv, lm)
         if not ba and not any(iflags):
 
             def fn_u(env, n):
@@ -587,17 +722,17 @@ class VectorEvaluator:
 
         return fn_b, (True,)
 
-    def _c_iota(self, e: S.Iota, bv):
-        fnn, bn = self._c1(e.n, bv)
+    def _c_iota(self, e: S.Iota, bv, lm):
+        fnn, bn = self._c1(e.n, bv, lm)
         if bn:
             # lane-dependent length: irregular, restacking is impossible
             # here — punt to the nearest enclosing fixed-arity construct
             raise _NeedsFallback("iota")
         return (lambda env, n: (np.arange(int(fnn(env, n)[0]), dtype=np.int64),)), (False,)
 
-    def _c_replicate(self, e: S.Replicate, bv):
-        fnn, bn = self._c1(e.n, bv)
-        fx, bx = self._c1(e.x, bv)
+    def _c_replicate(self, e: S.Replicate, bv, lm):
+        fnn, bn = self._c1(e.n, bv, lm)
+        fx, bx = self._c1(e.x, bv, lm)
         if bn:
             raise _NeedsFallback("replicate")
         if not bx:
@@ -619,8 +754,8 @@ class VectorEvaluator:
 
         return fn_b, (True,)
 
-    def _c_rearrange(self, e: S.Rearrange, bv):
-        fa, ba = self._c1(e.arr, bv)
+    def _c_rearrange(self, e: S.Rearrange, bv, lm):
+        fa, ba = self._c1(e.arr, bv, lm)
         if not ba:
             perm = e.perm
             return (lambda env, n: (np.transpose(fa(env, n)[0], perm),)), (False,)
@@ -632,17 +767,18 @@ class VectorEvaluator:
 
         return fn, (True,)
 
-    def _c_loop(self, e: S.Loop, bv):
-        fb, bflag = self._c1(e.bound, bv)
+    def _c_loop(self, e: S.Loop, bv, lm):
+        fb, bflag = self._c1(e.bound, bv, lm)
         if bflag:
-            return self._c_masked_loop(e, bv, fb)
-        finits = [self._c1(i, bv) for i in e.inits]
+            return self._c_masked_loop(e, bv, lm, fb)
+        finits = [self._c1(i, bv, lm) for i in e.inits]
         initflags = [f for _, f in finits]
         flags = list(initflags)
         base_bv = (bv - set(e.params)) - {e.ivar}
+        body_lm = lm & base_bv
         while True:
             body_bv = frozenset(base_bv | {p for p, f in zip(e.params, flags) if f})
-            fbody, rflags = self._compile(e.body, body_bv)
+            fbody, rflags = self._compile(e.body, body_bv, body_lm)
             if len(rflags) != len(e.params):
                 raise InterpError("loop body arity mismatch")
             new = [a or b for a, b in zip(flags, rflags)]
@@ -668,19 +804,23 @@ class VectorEvaluator:
 
         return fn, tuple(flags)
 
-    def _c_masked_loop(self, e: S.Loop, bv, fb):
+    def _c_masked_loop(self, e: S.Loop, bv, lm, fb):
         """Max-trip masked iteration of a batched-bound ``loop``: every
         accumulator is lifted to a writable batched array, and each trip
         runs the body on the still-active lanes (``bounds > it``) only,
         scattering the updates back."""
-        finits = [self._c1(i, bv) for i in e.inits]
+        finits = [self._c1(i, bv, lm) for i in e.inits]
         # lanes run different trip counts, so every accumulator diverges:
         # force them all batched and compile the body once at that width
         base_bv = (bv - set(e.params)) - {e.ivar}
-        fbody, rflags = self._compile(e.body, frozenset(base_bv | set(e.params)))
+        body_lm = lm & base_bv
+        fbody, rflags = self._compile(
+            e.body, frozenset(base_bv | set(e.params)), body_lm
+        )
         if len(rflags) != len(e.params):
             raise InterpError("loop body arity mismatch")
-        fvs = sorted((self._free(e.body) - set(e.params) - {e.ivar}) & bv)
+        fvs = sorted((self._free(e.body) - set(e.params) - {e.ivar}) & (bv - lm))
+        lvs = sorted(self._free(e.body) & body_lm)
         self._kernel()
         params, ivar = e.params, e.ivar
 
@@ -719,6 +859,9 @@ class VectorEvaluator:
                     for k in fvs:
                         if k in env2:
                             env2[k] = np.asarray(env2[k])[active]
+                    for k in lvs:
+                        base, rows = env2[k]
+                        env2[k] = (base, rows[active])
                     for p, a in zip(params, vals):
                         env2[p] = a[active]
                     env2[ivar] = np.int64(it)
@@ -737,14 +880,14 @@ class VectorEvaluator:
 
         return fn, (True,) * len(e.params)
 
-    def _c_intrinsic(self, e: S.Intrinsic, bv):
-        fargs = [self._c1(a, bv) for a in e.args]
+    def _c_intrinsic(self, e: S.Intrinsic, bv, lm):
+        fargs = [self._c1(a, bv, lm) for a in e.args]
         aflags = [f for _, f in fargs]
         batched = any(aflags)
         defn = intrinsics.get(e.name)
         if batched:
             if defn.vector is None:
-                return self._c_fallback(e, bv, 1, f"intrinsic:{e.name}")
+                return self._c_fallback(e, bv, lm, 1, f"intrinsic:{e.name}")
             self._kernel()
 
         def fn(env, n):
@@ -780,7 +923,7 @@ class VectorEvaluator:
 
         return guarded, flags
 
-    def _guarded(self, e: S.Exp, bv, arity_fn, compile_fn):
+    def _guarded(self, e: S.Exp, bv, lm, arity_fn, compile_fn):
         """Compile via ``compile_fn``; on :class:`_NeedsFallback` (a nested
         construct whose per-lane results may be irregular, e.g. ``iota``
         with a batched extent) fall back to the scalar oracle at *this*
@@ -796,14 +939,15 @@ class VectorEvaluator:
                     f"irregular nested parallelism: {nf.construct} with "
                     "batched extent"
                 ) from None
-            return self._c_fallback(e, bv, arity_fn(), nf.construct)
+            return self._c_fallback(e, bv, lm, arity_fn(), nf.construct)
 
-    def _c_fallback(self, e: S.Exp, bv, arity: int, construct: str):
+    def _c_fallback(self, e: S.Exp, bv, lm, arity: int, construct: str):
         """Run ``e`` through the scalar oracle once per lane and restack."""
         self._kernel()
         self._fallback_sites += 1
-        fv = sorted(self._free(e))
+        fv = sorted(self._free(e) - lm)
         bvset = set(bv)
+        lvs = sorted(self._free(e) & lm)
         scalar = self.scalar
 
         def fn(env, n):
@@ -812,6 +956,7 @@ class VectorEvaluator:
             with obs.span(
                 "exec.fallback", cat="exec", construct=construct, lanes=n, fallback=True
             ):
+                refs = [(k, *env[k]) for k in lvs]
                 lanes = []
                 for i in range(n):
                     env_i = {
@@ -819,6 +964,8 @@ class VectorEvaluator:
                         for k in fv
                         if k in env
                     }
+                    for k, base, rows in refs:
+                        env_i[k] = base[rows[i]]
                     row = scalar._eval(e, env_i)
                     if len(row) != arity:
                         raise InterpError(
@@ -833,13 +980,14 @@ class VectorEvaluator:
 
     # -- map ------------------------------------------------------------------
 
-    def _c_map(self, e: S.Map, bv):
+    def _c_map(self, e: S.Map, bv, lm):
         lam = e.lam
         if len(lam.params) != len(e.arrs):
             raise InterpError("lambda arity mismatch")
-        farrs = [self._c1(a, bv) for a in e.arrs]
+        farrs = [self._c1(a, bv, lm) for a in e.arrs]
         aflags = [f for _, f in farrs]
-        outer = frozenset(bv & self._free_lambda(lam))
+        lam_fv = self._free_lambda(lam)
+        outer = frozenset(bv & lam_fv)
         self._kernel()
         if not outer and not any(aflags):
             # fresh batch: the map itself becomes the batch axis
@@ -851,7 +999,7 @@ class VectorEvaluator:
                 m = _width(arrs, aflags)
                 if m == 0:
                     raise InterpError("map over empty array (shape not inferable)")
-                env2, _ = _bind(env, None, m, params, arrs, aflags, ())
+                env2, _ = _bind(env, None, m, params, arrs, aflags, NO_BINDING)
                 with obs.span("exec.kernel", cat="exec", construct="map", batch=1, width=m):
                     vals = fbody(env2, m)
                 return tuple(
@@ -860,8 +1008,11 @@ class VectorEvaluator:
 
             return fn_u, (False,) * len(bflags)
         # fold the map's axis into the enclosing batch: (n, m, ...) -> (n*m, ...)
-        expand = sorted(outer)
-        fbody, bflags = self._compile(lam.body, outer | frozenset(lam.params))
+        how = self._plan_bind(outer, lm, lambda: self._reads(lam.body), lam_fv - bv)
+        lanes = list(how[1] + how[2])
+        fbody, bflags = self._compile(
+            lam.body, outer | frozenset(lam.params), frozenset(lanes)
+        )
         params = lam.params
 
         def fn_b(env, n):
@@ -869,8 +1020,12 @@ class VectorEvaluator:
             m = _width(arrs, aflags)
             if m == 0:
                 raise InterpError("map over empty array (shape not inferable)")
-            env2, big = _bind(env, n, m, params, arrs, aflags, expand)
-            with obs.span("exec.kernel", cat="exec", construct="map", batch=n, width=m):
+            env2, big = _bind(env, n, m, params, arrs, aflags, how)
+            with obs.span(
+                "exec.kernel", cat="exec", construct="map", batch=n, width=m
+            ) as sp:
+                if lanes:
+                    sp["lane_mapped"] = lanes
                 vals = fbody(env2, big)
             out = []
             for v, f in zip(vals, bflags):
@@ -882,18 +1037,19 @@ class VectorEvaluator:
 
     # -- the fold step loop ----------------------------------------------------
 
-    def _compile_operator(self, lam, bv, accflags, valflags):
+    def _compile_operator(self, lam, bv, lm, accflags, valflags):
         """Compile a fold operator to a fixpoint over accumulator batchedness."""
         if len(lam.params) != len(accflags) + len(valflags):
             raise InterpError("lambda arity mismatch")
         lam_fv = self._free_lambda(lam)
+        lam_lm = lm & lam_fv
         accflags = list(accflags)
         while True:
             lam_bv = frozenset(
                 (bv & lam_fv)
                 | {p for p, f in zip(lam.params, accflags + list(valflags)) if f}
             )
-            flam, rflags = self._compile(lam.body, lam_bv)
+            flam, rflags = self._compile(lam.body, lam_bv, lam_lm)
             if len(rflags) != len(accflags):
                 raise InterpError("lambda arity mismatch")
             new = [a or b for a, b in zip(accflags, rflags)]
@@ -902,12 +1058,12 @@ class VectorEvaluator:
             accflags = new
         return flam, accflags, list(rflags)
 
-    def _compile_hoisted(self, body: S.Exp, hbv: frozenset[str]):
+    def _compile_hoisted(self, body: S.Exp, hbv: frozenset[str], hlm: frozenset[str]):
         """``body`` compiled with its element parameters batched, or None
         where that compile would raise or need a per-lane fallback."""
         sites = self._fallback_sites
         try:
-            hit = self._compile(body, hbv)
+            hit = self._compile(body, hbv, hlm)
         except (_NeedsFallback, InterpError):
             hit = None
         if self._fallback_sites == sites:
@@ -917,58 +1073,70 @@ class VectorEvaluator:
         self._fallback_sites = sites
         return None
 
-    def _c_steps(self, bv, arrs, params, body, nes, lam, scan: bool, empty_msg: str):
+    def _c_steps(
+        self, bv, lm, arrs, params, body, nes, lam, scan: bool, empty_msg: str
+    ):
         """The step loop of all six fold constructs, compiled under ``bv``.
 
         ``body`` maps one element of ``arrs`` (bound to ``params``) to the
         operator's value arguments; ``None`` is the identity (``reduce`` /
         ``scan``).  It *hoists* the body where it can: compiled with
         the element parameters batched, it runs once over all ``m``
-        elements, as :meth:`_c_map` runs a nested map, and only the operator
-        runs per step, strictly left to right.  The body keeps *stepping*
-        (one run per step, at the fold's own width) where the fold's arrays
-        are all uniform while a batched variable reaches the body, and where
-        its hoisted compile would raise or need a per-lane fallback.  Both
-        are decided here, at compile time.
+        elements, bound as :meth:`_c_map` binds a nested map, and only the
+        operator runs per step, strictly left to right.  The body keeps
+        *stepping* (one run per step, at the fold's own width) where the
+        fold's arrays are all uniform while a batched variable reaches the
+        body, and where its hoisted compile would raise or need a per-lane
+        fallback.  Both are decided here, at compile time.
 
-        Returns ``(run, accflags)``: ``run(env, n, sp)`` folds at width
-        ``n``, labels the kernel span ``sp``, and returns the accumulators,
-        or a scan's rows stacked along the element axis.
+        Returns ``(run, accflags, lanes)``: ``run(env, n, sp)`` folds at
+        width ``n``, labels the kernel span ``sp``, and returns the
+        accumulators, or a scan's rows stacked along the element axis;
+        ``lanes`` are the names the hoisted body binds by reference.
         """
-        farrs = [self._c1(a, bv) for a in arrs]
+        farrs = [self._c1(a, bv, lm) for a in arrs]
         aflags = [f for _, f in farrs]
-        fnes = [self._c1(x, bv) for x in nes]
+        fnes = [self._c1(x, bv, lm) for x in nes]
         nesflags = [f for _, f in fnes]
         hoist = step = None
-        expand: list[str] = []
+        how = NO_BINDING
         fresh = False
         if body is None:
             valflags = list(aflags)
         else:
             if len(params) != len(arrs):
                 raise InterpError("lambda arity mismatch")
-            # batched free variables of the body, expanded when it hoists
-            expand = sorted((bv & self._free(body)) - set(params))
+            # batched free variables of the body, bound when it hoists
+            body_fv = self._free(body) - set(params)
+            outer = bv & body_fv
             # nothing batched reaches the body: the elements are the batch
-            fresh = not expand and not any(aflags)
+            fresh = not outer and not any(aflags)
             # a fold over uniform arrays inside a batch steps: per step its
             # element is one value shared by all lanes, where hoisting would
-            # tile the elements across the lanes and copy each batched free
+            # tile the elements across the lanes and bind each batched free
             # variable once per element
-            if any(aflags) or not expand:
+            if any(aflags) or not outer:
+                how = self._plan_bind(
+                    outer, lm, lambda: self._reads(body), body_fv - bv
+                )
                 hoist = self._compile_hoisted(
-                    body, frozenset(expand) | frozenset(params)
+                    body, outer | frozenset(params), frozenset(how[1] + how[2])
                 )
             if hoist is None:
+                how = NO_BINDING
                 step = self._compile(
                     body,
                     (bv - set(params)) | {p for p, f in zip(params, aflags) if f},
+                    lm - set(params),
                 )
                 valflags = list(step[1])
             else:
                 # a fresh batch's rows are uniform across the fold's lanes
                 valflags = [False] * len(hoist[1]) if fresh else list(hoist[1])
-        flam, accflags, rflags = self._compile_operator(lam, bv, nesflags, valflags)
+        lanes = list(how[1] + how[2])
+        flam, accflags, rflags = self._compile_operator(
+            lam, bv, lm, nesflags, valflags
+        )
         oparams = lam.params
         op_fv = sorted(self._free_lambda(lam))
         lift_ne = [f and not f0 for f, f0 in zip(accflags, nesflags)]
@@ -986,7 +1154,7 @@ class VectorEvaluator:
             else:
                 fbody, hflags = hoist
                 env2, big = _bind(
-                    env, None if fresh else n, m, params, arrs, aflags, expand
+                    env, None if fresh else n, m, params, arrs, aflags, how
                 )
                 cols = []
                 for v, hf in zip(fbody(env2, big), hflags):
@@ -1038,9 +1206,9 @@ class VectorEvaluator:
                 for j in range(len(acc))
             )
 
-        return run, accflags
+        return run, accflags, lanes
 
-    def _c_fold(self, e, bv):
+    def _c_fold(self, e, bv, lm):
         """``reduce``/``scan`` (the identity body) and ``redomap``/``scanomap``."""
         scan = isinstance(e, (S.Scan, S.Scanomap))
         if isinstance(e, (S.Reduce, S.Scan)):
@@ -1050,8 +1218,9 @@ class VectorEvaluator:
             construct = "scanomap" if scan else "redomap"
             params, body = e.map_lam.params, e.map_lam.body
             lam = e.scan_lam if scan else e.red_lam
-        run, accflags = self._c_steps(
-            bv, e.arrs, params, body, e.nes, lam, scan, f"{construct} over empty array"
+        run, accflags, lanes = self._c_steps(
+            bv, lm, e.arrs, params, body, e.nes, lam, scan,
+            f"{construct} over empty array",
         )
         self._kernel()
 
@@ -1059,18 +1228,24 @@ class VectorEvaluator:
             with obs.span(
                 "exec.kernel", cat="exec", construct=construct, batch=n or 1
             ) as sp:
+                if lanes:
+                    sp["lane_mapped"] = lanes
                 return run(env, n, sp)
 
         return fn, tuple(accflags)
 
     # -- segmented operations --------------------------------------------------
 
-    def _compile_nest(self, bindings, bv, tail_fvs):
+    def _compile_nest(self, bindings, bv, lm, tail_fvs, tail_reads, uniform):
         """Compile a mapnest context prefix into per-level entry plans.
 
         ``tail_fvs`` are the free variables referenced after all of
-        ``bindings`` (body, operator, neutral elements); every level must
-        keep them addressable, expanding batched ones as the batch grows.
+        ``bindings`` (body, operator, neutral elements), and
+        ``tail_reads()`` how they are read (:meth:`_reads`); every level
+        must keep them addressable, binding batched ones as the batch
+        grows (:meth:`_plan_bind`, with ``uniform`` the names free at the
+        nest that are not batched).  Returns the plans and the batched and
+        by-reference names after the last level.
         """
         rems: list[frozenset[str]] = [frozenset()] * len(bindings)
         rem = frozenset(tail_fvs)
@@ -1078,28 +1253,45 @@ class VectorEvaluator:
             rems[k] = rem
             for arr in bindings[k].arrays:
                 rem = rem | self._free(arr)
+
+        def reads_after(k: int) -> dict:
+            rd = dict(tail_reads())
+            for later in reversed(bindings[k + 1:]):
+                rd.update(dict.fromkeys(later.params))
+                for arr in later.arrays:
+                    _merge_reads(rd, self._reads(arr))
+            return rd
+
         plan = []
-        cur_bv = frozenset(bv)
+        cur_bv, cur_lm = frozenset(bv), frozenset(lm)
         for k, b in enumerate(bindings):
-            farrs = [self._c1(a, cur_bv) for a in b.arrays]
+            farrs = [self._c1(a, cur_bv, cur_lm) for a in b.arrays]
             aflags = [f for _, f in farrs]
-            expand = sorted(cur_bv & rems[k])
-            plan.append((farrs, aflags, b.params, expand))
+            how = self._plan_bind(
+                cur_bv & rems[k], cur_lm, lambda k=k: reads_after(k), uniform
+            )
+            plan.append((farrs, aflags, b.params, how))
             cur_bv = frozenset((cur_bv & rems[k]) | set(b.params))
-        return plan, cur_bv
+            cur_lm = frozenset(how[1] + how[2]) - set(b.params)
+        return plan, cur_bv, cur_lm
 
     def _enter_nest(self, env, n, plan):
         """Enter every level of a compiled nest: the new environment, its
         batch width and the extent of each level."""
         dims = []
-        for farrs, aflags, params, expand in plan:
+        for farrs, aflags, params, how in plan:
             arrs = [f(env, n)[0] for f, _ in farrs]
             m = _width(arrs, aflags)
             if m == 0:
                 raise InterpError("segmap over empty dimension")
-            env, n = _bind(env, n, m, params, arrs, aflags, expand)
+            env, n = _bind(env, n, m, params, arrs, aflags, how)
             dims.append(m)
         return env, n, tuple(dims)
+
+    @staticmethod
+    def _nest_lanes(plan) -> list[str]:
+        """The names some level of ``plan`` binds by reference."""
+        return sorted({x for *_, how in plan for x in how[1] + how[2]})
 
     @staticmethod
     def _unnest(vals, flags, n, cur, dims):
@@ -1111,16 +1303,24 @@ class VectorEvaluator:
             out.append(a.reshape(lead + a.shape[1:]))
         return tuple(out)
 
-    def _c_segmap(self, e: T.SegMap, bv):
+    def _c_segmap(self, e: T.SegMap, bv, lm):
         bindings = tuple(e.ctx)
-        plan, body_bv = self._compile_nest(bindings, bv, self._free(e.body))
-        fbody, bflags = self._compile(e.body, body_bv)
+        plan, body_bv, body_lm = self._compile_nest(
+            bindings, bv, lm, self._free(e.body), lambda: self._reads(e.body),
+            self._free(e) - bv,
+        )
+        fbody, bflags = self._compile(e.body, body_bv, body_lm)
         outer = bool(bv)
         self._kernel()
         construct = f"segmap{e.level}"
+        lanes = self._nest_lanes(plan)
 
         def fn(env, n):
-            with obs.span("exec.kernel", cat="exec", construct=construct, batch=n or 1):
+            with obs.span(
+                "exec.kernel", cat="exec", construct=construct, batch=n or 1
+            ) as sp:
+                if lanes:
+                    sp["lane_mapped"] = lanes
                 # no batched inputs -> the nest starts its own fresh batch
                 lead = n if outer else None
                 env2, cur, dims = self._enter_nest(env, lead, plan)
@@ -1128,28 +1328,39 @@ class VectorEvaluator:
 
         return fn, (outer,) * len(bflags)
 
-    def _c_segfold(self, e, bv):
+    def _c_segfold(self, e, bv, lm):
         scan = isinstance(e, T.SegScan)
         bindings = tuple(e.ctx)
         prefix, last = bindings[:-1], bindings[-1]
         construct = f"segscan{e.level}" if scan else f"segred{e.level}"
         tail = self._free(e.body) | self._free_lambda(e.lam)
-        for x in e.nes:
+        for x in (*e.nes, *last.arrays):
             tail = tail | self._free(x)
-        for arr in last.arrays:
-            tail = tail | self._free(arr)
-        plan, pbv = self._compile_nest(prefix, bv, tail)
-        run, accflags = self._c_steps(
-            pbv, last.arrays, last.params, e.body, e.nes, e.lam, scan,
+
+        def tail_reads() -> dict:
+            reads: dict = {}
+            for x in (e.body, e.lam.body, *e.nes, *last.arrays):
+                _merge_reads(reads, self._reads(x))
+            reads.update(dict.fromkeys((*last.params, *e.lam.params)))
+            return reads
+
+        plan, pbv, plm = self._compile_nest(
+            prefix, bv, lm, tail, tail_reads, self._free(e) - bv
+        )
+        run, accflags, fold_lanes = self._c_steps(
+            pbv, plm, last.arrays, last.params, e.body, e.nes, e.lam, scan,
             "segscan over empty dimension",
         )
         self._kernel()
         outer = bool(bv)
+        lanes = sorted(set(self._nest_lanes(plan)) | set(fold_lanes))
 
         def fn(env, n):
             with obs.span(
                 "exec.kernel", cat="exec", construct=construct, batch=n or 1
             ) as sp:
+                if lanes:
+                    sp["lane_mapped"] = lanes
                 # no batched inputs -> the nest starts its own fresh batch
                 lead = n if outer else None
                 env2, cur, dims = self._enter_nest(env, lead, plan)

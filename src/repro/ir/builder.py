@@ -288,6 +288,22 @@ class Program:
                     out |= d.free_vars()
         return frozenset(out)
 
+    def empty_inputs(self, sizes) -> list[str]:
+        """The array parameters ``sizes`` gives a zero extent, each as
+        ``"walls (cols=0)"``: no engine can run such an input.  ``sizes``
+        must bind every size variable."""
+        out = []
+        for name, t in self.params:
+            if not isinstance(t, ArrayType):
+                continue
+            for d in t.shape:
+                if d.eval(sizes) == 0:
+                    zero = sorted(v for v in d.free_vars() if sizes.get(v) == 0)
+                    why = ", ".join(f"{v}=0" for v in zero) or f"extent {d}"
+                    out.append(f"{name} ({why})")
+                    break
+        return out
+
     def check(self) -> tuple[Type, ...]:
         """Type check and return the result types."""
         from repro.ir.typecheck import typeof

@@ -465,6 +465,8 @@ class ServiceDaemon:
         priority = str(req.get("priority") or "normal")
         try:
             spec = normalize_spec(req.get("job"), self.result_affecting)
+            if spec["kind"] in ("run", "online"):
+                self._check_runnable(spec)
         except JobSpecError as exc:
             perf.inc("service.jobs.rejected")
             self._send(wr, {"ok": False, "code": 400, "error": str(exc)})
@@ -640,13 +642,44 @@ class ServiceDaemon:
                 self._log(f"job {job.id} failed: {exc}")
         self.spool.save(job)
 
+    @staticmethod
+    def _program_key(spec: dict) -> tuple:
+        """A compiled program's memo key: the program's identity (a
+        built-in's name, or the sha256 of submitted source: a source picks
+        its program name freely), the mode and the fusion mode."""
+        ident = (
+            ("source", hashlib.sha256(spec["source"].encode("utf-8")).hexdigest())
+            if spec["source"] else ("program", spec["program"].lower())
+        )
+        return (*ident, spec["mode"], spec["fusion"])
+
+    def _check_runnable(self, spec: dict) -> None:
+        """Refuse a run or online job whose sizes no engine can run: a
+        missing size, or an array input with a zero extent."""
+        # a lock-free read: the lock is held across whole compiles
+        hit = self._compiled_memo.get(self._program_key(spec))
+        if hit is not None:
+            prog = hit[0]
+        elif spec["source"]:
+            try:
+                prog = _resolve_program(spec)
+            except Exception:  # noqa: BLE001 - the runner reports bad source
+                return
+        else:
+            prog = _resolve_program(spec)
+        _check_sizes(prog, spec["sizes"], "'sizes'")
+        empty = prog.empty_inputs(spec["sizes"])
+        if empty:
+            raise JobSpecError(
+                f"'sizes' gives {prog.name} an input with a zero extent: "
+                f"{'; '.join(empty)}"
+            )
+
     def _compiled(self, spec: dict) -> tuple:
         """``(prog, cp, branching-tree hash)`` for a normalised spec.
 
-        Memoized per daemon on the program's identity (a built-in's name,
-        or the sha256 of submitted source: a source picks its program name
-        freely), the mode and the fusion mode, so a program compiles once
-        however many jobs name it.  The lock is held across the compile,
+        Memoized per daemon on :meth:`_program_key`, so a program compiles
+        once however many jobs name it.  The lock is held across the compile,
         so concurrent first submissions of one program compile it once.
         ``REPRO_NO_CACHE`` compiles on every call.
         """
@@ -663,11 +696,7 @@ class ServiceDaemon:
 
         if not perf.caching_enabled():
             return build()
-        ident = (
-            ("source", hashlib.sha256(spec["source"].encode("utf-8")).hexdigest())
-            if spec["source"] else ("program", spec["program"].lower())
-        )
-        key = (*ident, spec["mode"], spec["fusion"])
+        key = self._program_key(spec)
         with self._compile_lock:
             hit = self._compiled_memo.get(key)
             if hit is None:

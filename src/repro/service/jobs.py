@@ -70,9 +70,13 @@ def _as_sizes(doc: Any, what: str) -> dict[str, int]:
     if not isinstance(doc, dict) or not doc:
         raise JobSpecError(f"{what} must be a non-empty object of sizes")
     try:
-        return {str(k): int(v) for k, v in doc.items()}
+        sizes = {str(k): int(v) for k, v in doc.items()}
     except (TypeError, ValueError):
         raise JobSpecError(f"{what} must map names to integers") from None
+    negative = [f"{k}={v}" for k, v in sorted(sizes.items()) if v < 0]
+    if negative:
+        raise JobSpecError(f"{what} must be non-negative: {', '.join(negative)}")
+    return sizes
 
 
 def _choice(doc: dict, field: str, allowed: tuple, default: str) -> str:

@@ -130,7 +130,7 @@ def test_masked_corpus_entries_replay_without_fallback(name):
 @pytest.mark.parametrize(
     "kind",
     ["colred", "matloop", "vif", "sum", "scanmap", "dif", "dloop", "vintr",
-     "share", "fansum"],
+     "share", "fansum", "stencil", "pick"],
 )
 def test_corpus_covers_flattening_rules(kind):
     """The seed corpus must keep exercising each interesting recipe kind."""

@@ -200,6 +200,28 @@ class TestJobs:
         finally:
             daemon.stop()
 
+    def test_sizes_no_engine_can_run_rejected_with_400(self, tmp):
+        daemon, client = start(tmp)
+        path = {"program": "Pathfinder", "sizes": {"numB": 2, "rows": 4, "cols": 0}}
+        try:
+            for job, names in [
+                (dict(kind="run", **path), "walls (cols=0)"),
+                (dict(kind="online", **path), "walls (cols=0)"),
+                (dict(RUN, sizes={"n": 4, "m": -1}), "m=-1"),
+                (dict(TUNE, datasets=[{"n": -16, "m": 16}]), "n=-16"),
+            ]:
+                with pytest.raises(ServiceError) as exc:
+                    client.submit(job)
+                assert exc.value.code == 400
+                assert names in str(exc.value)
+            assert not daemon.jobs  # nothing was admitted
+            # a zero loop bound is legal: SRAD with no diffusion iterations
+            job = client.submit({"kind": "run", "program": "SRAD", "engine": "vector",
+                                 "sizes": {"numB": 1, "H": 4, "W": 4, "numIter": 0}})
+            assert client.result(job["job"], wait=30)["state"] == "done"
+        finally:
+            daemon.stop()
+
     def test_waits_outlast_the_client_socket_timeout(self, tmp, no_gc_pause):
         # the daemon holds a `result`/`events` reply for up to `wait`
         # seconds; a wait longer than the client's socket timeout must

@@ -140,6 +140,30 @@ class TestSimulate:
         assert main(["tune", "matmul", "--dataset", "n=64"]) == 2
         assert "--dataset value(s) for m" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("engine", ["scalar", "vector"])
+    def test_run_zero_extent_exits_2(self, capsys, engine):
+        code = main(["run", "pathfinder", "--size", "numB=2,rows=4,cols=0",
+                     "--exec", engine])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("repro: error:") and "walls (cols=0)" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["run", "simulate"])
+    def test_negative_size_exits_2(self, capsys, command):
+        assert main([command, "pathfinder", "--size", "numB=2,rows=4,cols=-3"]) == 2
+        err = capsys.readouterr().err
+        assert "non-negative" in err and "cols=-3" in err
+
+    def test_tune_negative_dataset_exits_2(self, capsys):
+        assert main(["tune", "matmul", "--dataset", "n=-1,m=4"]) == 2
+        assert "--dataset values must be non-negative: n=-1" in capsys.readouterr().err
+
+    def test_zero_loop_bound_still_runs(self, capsys):
+        code, out = run(capsys, "run", "srad", "--size", "numB=1,H=4,W=4,numIter=0",
+                        "--exec", "vector")
+        assert code == 0 and "shape=(1, 4, 4)" in out
+
 
 class TestFusionFlag:
     def test_show_reports_fusion_mode(self, capsys):

@@ -10,7 +10,8 @@ vectorizing executor (``src/repro/exec/``), and checks that
 * the vector engine is at least 10x faster end-to-end (the acceptance
   floor; in practice the gap is far larger and grows with the dataset).
 
-Results land in ``BENCH_exec_engine.json`` at the repo root, shaped like
+Results land in ``BENCH_exec_engine.json`` at the repo root (a smoke
+run's in the git-ignored ``BENCH_exec_engine.smoke.json``), shaped like
 ``BENCH_eval_engine.json``.  Runnable standalone
 (``python benchmarks/bench_exec_engine.py [--smoke]``) or under pytest;
 ``REPRO_BENCH_SMOKE=1`` selects a tiny dataset with a 2x floor (the CI
@@ -32,6 +33,11 @@ from repro.check.differential import enumerate_forced_paths
 from repro.compiler import compile_program_cached
 
 OUT_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_exec_engine.json")
+#: where a smoke run writes: git-ignored, so a smoke run never replaces
+#: the committed full-mode artifact
+SMOKE_OUT_PATH = os.path.join(
+    os.path.dirname(__file__), os.pardir, "BENCH_exec_engine.smoke.json"
+)
 
 SEED = 0
 MODES = ("moderate", "incremental", "full")
@@ -45,6 +51,10 @@ FLOOR_SMOKE = 2.0
 
 def _smoke() -> bool:
     return bool(os.environ.get("REPRO_BENCH_SMOKE"))
+
+
+def _out_path() -> str:
+    return SMOKE_OUT_PATH if _smoke() else OUT_PATH
 
 
 def _run_workload(engine: str, sizes: dict[str, int]):
@@ -104,7 +114,7 @@ def run(sizes: dict[str, int] | None = None) -> dict:
         },
         "speedup": speedup,
     }
-    with open(OUT_PATH, "w") as fh:
+    with open(_out_path(), "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return doc
@@ -124,7 +134,7 @@ def main() -> None:
         os.environ["REPRO_BENCH_SMOKE"] = "1"
     doc = run()
     floor = FLOOR_SMOKE if _smoke() else FLOOR_FULL
-    dest = os.path.abspath(OUT_PATH)
+    dest = os.path.abspath(_out_path())
     print(
         f"exec engine: scalar {doc['before']['seconds']:.3f}s, "
         f"vector {doc['after']['seconds']:.3f}s over {doc['paths']} forced "

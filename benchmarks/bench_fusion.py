@@ -14,7 +14,8 @@ Two workloads, both compiled under all three fusion modes
   acceptance floor is a 1.15x geometric-mean simulated-cost improvement
   of ILP over greedy across this suite.
 
-Results land in ``BENCH_fusion.json`` at the repo root.  Runnable
+Results land in ``BENCH_fusion.json`` at the repo root (a smoke
+run's in the git-ignored ``BENCH_fusion.smoke.json``).  Runnable
 standalone (``python benchmarks/bench_fusion.py [--smoke]``) or under
 pytest; ``REPRO_BENCH_SMOKE=1`` selects smaller synthetic sizes and a
 three-benchmark bulk subset (the CI smoke configuration).
@@ -38,6 +39,11 @@ from repro.ir import source as S
 from repro.ir.traverse import reset_fresh_names
 
 OUT_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_fusion.json")
+#: where a smoke run writes: git-ignored, so a smoke run never replaces
+#: the committed full-mode artifact
+SMOKE_OUT_PATH = os.path.join(
+    os.path.dirname(__file__), os.pardir, "BENCH_fusion.smoke.json"
+)
 
 FUSIONS = ("off", "greedy", "ilp")
 SMOKE_BULK = ("Heston", "Backprop", "NN")
@@ -46,6 +52,10 @@ GEOMEAN_FLOOR = 1.15
 
 def _smoke() -> bool:
     return bool(os.environ.get("REPRO_BENCH_SMOKE"))
+
+
+def _out_path() -> str:
+    return SMOKE_OUT_PATH if _smoke() else OUT_PATH
 
 
 # -- fusion-rich synthetic suite ------------------------------------------------
@@ -231,7 +241,7 @@ def run() -> dict:
             if k.startswith("fusion.")
         },
     }
-    with open(OUT_PATH, "w") as fh:
+    with open(_out_path(), "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return doc
@@ -249,7 +259,7 @@ def main() -> None:
     if "--smoke" in sys.argv[1:]:
         os.environ["REPRO_BENCH_SMOKE"] = "1"
     doc = run()
-    dest = os.path.abspath(OUT_PATH)
+    dest = os.path.abspath(_out_path())
     for row in doc["bulk"]:
         print(
             f"bulk {row['benchmark']:14} kernels "

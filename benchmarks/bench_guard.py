@@ -26,7 +26,8 @@ and every launch's result stays bit-identical.  This asserts the state
 machine *converges*: after recovery the healthy tier serves again with
 zero demotions.
 
-Results land in ``BENCH_guard.json`` at the repo root.  Runnable
+Results land in ``BENCH_guard.json`` at the repo root (a smoke
+run's in the git-ignored ``BENCH_guard.smoke.json``).  Runnable
 standalone (``python benchmarks/bench_guard.py [--smoke]``) or under
 pytest; ``REPRO_BENCH_SMOKE=1`` shrinks the suite/repeats and relaxes
 the floor to ``FLOOR_SMOKE`` (CI timing jitter dominates at smoke
@@ -51,6 +52,11 @@ import numpy as np  # noqa: E402
 
 OUT_PATH = os.path.join(
     os.path.dirname(__file__), os.pardir, "BENCH_guard.json"
+)
+#: where a smoke run writes: git-ignored, so a smoke run never replaces
+#: the committed full-mode artifact
+SMOKE_OUT_PATH = os.path.join(
+    os.path.dirname(__file__), os.pardir, "BENCH_guard.smoke.json"
 )
 
 FLOOR = 1.02  # guarded/unguarded aggregate wall-time ratio (full run)
@@ -83,6 +89,10 @@ TARGET_HW = 0.0035
 
 def _smoke() -> bool:
     return bool(os.environ.get("REPRO_BENCH_SMOKE"))
+
+
+def _out_path() -> str:
+    return SMOKE_OUT_PATH if _smoke() else OUT_PATH
 
 
 def _floor() -> float:
@@ -329,7 +339,7 @@ def run() -> dict:
         "overhead": overhead,
         "recovery": recovery,
     }
-    with open(OUT_PATH, "w") as fh:
+    with open(_out_path(), "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -360,7 +370,7 @@ def main() -> None:
     print(f"breaker recovery: tripped={rec['tripped']} "
           f"quarantined={rec['quarantined']} probes={rec['probes']} "
           f"reclosed={rec['reclosed']} final={rec['final_state']}")
-    print(f"-> {os.path.abspath(OUT_PATH)}")
+    print(f"-> {os.path.abspath(_out_path())}")
 
 
 if __name__ == "__main__":

@@ -25,7 +25,8 @@ exhaustively-tuned global assignment: their cost ratio must stay within
 the stream exploited.  A coverage sweep additionally streams every
 Fig. 8 benchmark (D1/D2 alternating) and records its convergence curve.
 
-Results land in ``BENCH_online_tuning.json`` at the repo root, including
+Results land in ``BENCH_online_tuning.json`` at the repo root (a smoke
+run's in the git-ignored ``BENCH_online_tuning.smoke.json``), including
 per-class convergence-curve telemetry and the ``online.*`` counters.
 Runnable standalone (``python benchmarks/bench_online_tuning.py
 [--smoke]``) or under pytest; ``REPRO_BENCH_SMOKE=1`` selects shorter
@@ -52,6 +53,11 @@ from repro.tuning.online import OnlineTuner
 OUT_PATH = os.path.join(
     os.path.dirname(__file__), os.pardir, "BENCH_online_tuning.json"
 )
+#: where a smoke run writes: git-ignored, so a smoke run never replaces
+#: the committed full-mode artifact
+SMOKE_OUT_PATH = os.path.join(
+    os.path.dirname(__file__), os.pardir, "BENCH_online_tuning.smoke.json"
+)
 
 SKEWED_FLOOR = 5.0
 CONVERGED_RATIO_CEIL = 1.10
@@ -62,6 +68,10 @@ SEED = 20190216  # PPoPP'19
 
 def _smoke() -> bool:
     return bool(os.environ.get("REPRO_BENCH_SMOKE"))
+
+
+def _out_path() -> str:
+    return SMOKE_OUT_PATH if _smoke() else OUT_PATH
 
 
 class _Workload:
@@ -256,7 +266,7 @@ def run() -> dict:
             if k.startswith(("online.", "exec.dispatch"))
         },
     }
-    with open(OUT_PATH, "w") as fh:
+    with open(_out_path(), "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return doc
@@ -305,7 +315,7 @@ def main() -> None:
             f"{row['speedup_vs_default']:6.2f}x vs defaults"
         )
     _assert_floors(doc)
-    print(f"floors ok -> {os.path.abspath(OUT_PATH)}")
+    print(f"floors ok -> {os.path.abspath(_out_path())}")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,8 @@ plan fails one simulated kernel launch (healed by the tuner's retry)
 spool checkpoint, and the fetched artifact must be **byte-identical** to
 the fault-free daemon's.
 
-Results land in ``BENCH_service.json`` at the repo root.  Runnable
+Results land in ``BENCH_service.json`` at the repo root (a smoke
+run's in the git-ignored ``BENCH_service.smoke.json``).  Runnable
 standalone (``python benchmarks/bench_service.py [--smoke]``) or under
 pytest; ``REPRO_BENCH_SMOKE=1`` shrinks the searches for CI and drops
 the speedup floor to ``FLOOR_SMOKE``.
@@ -44,6 +45,11 @@ from repro.service import ServiceClient, ServiceError  # noqa: E402
 OUT_PATH = os.path.join(
     os.path.dirname(__file__), os.pardir, "BENCH_service.json"
 )
+#: where a smoke run writes: git-ignored, so a smoke run never replaces
+#: the committed full-mode artifact
+SMOKE_OUT_PATH = os.path.join(
+    os.path.dirname(__file__), os.pardir, "BENCH_service.smoke.json"
+)
 
 FLOOR = 50.0  # warm-over-cold speedup floor (full run)
 FLOOR_SMOKE = 10.0
@@ -60,6 +66,10 @@ CHAOS_PLAN = {"rules": [
 
 def _smoke() -> bool:
     return bool(os.environ.get("REPRO_BENCH_SMOKE"))
+
+
+def _out_path() -> str:
+    return SMOKE_OUT_PATH if _smoke() else OUT_PATH
 
 
 def _floor() -> float:
@@ -218,7 +228,7 @@ def run() -> dict:
         "chaos": chaos,
         "smoke": _smoke(),
     }
-    with open(OUT_PATH, "w") as fh:
+    with open(_out_path(), "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     # acceptance floors, enforced here so CI and standalone runs both trip
@@ -248,7 +258,7 @@ def main() -> None:
     print(
         f"chaos: daemon exit {doc['chaos']['daemon_exit']}, recovered "
         f"artifact bit-identical ({doc['chaos']['artifact_bytes']} bytes) "
-        f"-> {os.path.abspath(OUT_PATH)}"
+        f"-> {os.path.abspath(_out_path())}"
     )
 
 

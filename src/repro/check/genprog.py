@@ -311,7 +311,11 @@ Draw = Callable[[str, list], object]
 #: Recipe styles: per-sort option lists with weights (repetition = weight).
 #: ``"fusion"`` biases generation toward fusable producer/consumer chains
 #: — map∘map compositions, map+reduce/scan pairs, fan-out producers —
-#: the shapes the ILP fusion pass must preserve bit-identically.
+#: the shapes the ILP fusion pass must preserve bit-identically.  Its
+#: ``stencil`` and ``pick`` reads make the batched engines bind the
+#: enclosing row by reference and by copy, and a ``sum`` over a
+#: ``stencil`` fuses into a fold over ``iota`` whose body reads that row:
+#: a fold over a uniform array inside a batch, which steps its body.
 RECIPE_STYLES = ("default", "fusion")
 
 _VEC_KINDS = {
@@ -319,7 +323,8 @@ _VEC_KINDS = {
                 "dif", "dif", "dloop", "dloop", "vintr", "share",
                 "stencil", "pick", "leaf"],
     "fusion": ["vmap", "vmap", "vmap", "scanmap", "scanmap",
-               "share", "share", "zip", "scan", "leaf"],
+               "share", "share", "zip", "scan", "stencil", "stencil", "pick",
+               "leaf"],
 }
 
 _SCALAR_KINDS = {

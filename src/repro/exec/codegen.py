@@ -39,6 +39,7 @@ from repro.exec.vector import (
     _VBINOPS,
     _VUNOPS,
     VectorEvaluator,
+    _index_chain,
     _is_total,
     _lift,
     _select,
@@ -331,14 +332,14 @@ class _Emitter:
         return outs, [True] * len(outs)
 
     def _emit_index(self, e: S.Index, scope) -> tuple[list[str], list[bool]]:
-        idxs = [self.emit1(i, scope) for i in e.idxs]
+        arr, ies = _index_chain(e)
+        idxs = [self.emit1(i, scope) for i in ies]
         iflags = [f for _, f in idxs]
 
         def tup(parts: list[str]) -> str:
             inner = ", ".join(parts)
             return f"({inner},)" if len(parts) == 1 else f"({inner})"
 
-        arr = e.arr
         if isinstance(arr, S.Var) and arr.name not in scope and arr.name in self.lm:
             # bound by reference: one gather through the lanes' rows
             bn, rn, nm = self.name(), self.name(), self.name()

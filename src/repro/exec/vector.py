@@ -46,6 +46,11 @@ subset ``lm`` of names bound by reference, whose entries are ``(base,
 rows)`` pairs.  Every compiled node reports, per returned value, whether
 it is batched — a plain Python boolean decided at compile time, as ``lm``
 is, so the closures contain no dynamic representation dispatch.
+
+The environment contract: no closure writes into the ``env`` it is
+given (a construct that binds names binds them in a copy), so a caller
+may rebind names in one environment between calls.  The fold step loop
+and a uniform-bound ``loop`` do, instead of copying a dict per step.
 """
 
 from __future__ import annotations
@@ -165,21 +170,25 @@ def _is_total(e: S.Exp) -> bool:
 
 
 def _lift(v: Value, n: int) -> np.ndarray:
-    """Share a uniform value across all ``n`` lanes (0-stride view)."""
+    """Share a uniform value across all ``n`` lanes: a read-only view with
+    stride 0 on the lane axis, over the value's own buffer."""
     a = np.asarray(v)
-    return np.broadcast_to(a, (n,) + a.shape)
+    if a.dtype.kind in "biufc" and a.flags.c_contiguous:
+        # what np.broadcast_to builds, without its Python-level checks
+        out = np.ndarray((n, *a.shape), a.dtype, a, 0, (0, *a.strides))
+        out.flags.writeable = False
+        return out
+    return np.broadcast_to(a, (n, *a.shape))
 
 
 def _expand(v: np.ndarray, m: int) -> np.ndarray:
     """Grow a batched value (n, ...) to (n*m, ...): each lane repeated m times."""
-    a = np.asarray(v)
-    b = np.broadcast_to(a[:, None], (a.shape[0], m) + a.shape[1:])
-    return b.reshape((a.shape[0] * m,) + a.shape[1:])
+    return v.repeat(m, axis=0)
 
 
 def _flatten_b(v: np.ndarray, n: int, m: int) -> np.ndarray:
     """Fold a batched array's element axis into the batch: (n, m, ...) -> (n*m, ...)."""
-    return np.reshape(v, (n * m,) + v.shape[2:])
+    return v.reshape((n * m, *v.shape[2:]))
 
 
 def _tile_u(v: np.ndarray, n: int) -> np.ndarray:
@@ -190,7 +199,7 @@ def _tile_u(v: np.ndarray, n: int) -> np.ndarray:
 
 def _elements(v, batched: bool):
     """A value's elements in step order: ``v[:, i]`` if batched, else ``v[i]``."""
-    return np.swapaxes(v, 0, 1) if batched else v
+    return v.swapaxes(0, 1) if batched else v
 
 
 #: how a nest level binds the batched free variables of its body:
@@ -257,7 +266,7 @@ def _width(arrs: list, flags: list[bool]) -> int:
     """Common element count of SOAC argument arrays (mixed batched/uniform)."""
     n: int | None = None
     for a, f in zip(arrs, flags):
-        w = int(np.shape(a)[1]) if f else len(a)
+        w = a.shape[1] if f else len(a)
         if n is None:
             n = w
         elif w != n:
@@ -265,6 +274,33 @@ def _width(arrs: list, flags: list[bool]) -> int:
     if n is None:
         raise InterpError("SOAC without array arguments")
     return n
+
+
+def _identity(body, params, aflags) -> tuple[int, ...] | None:
+    """Which of a fold's arrays an identity body returns, in order: all
+    of them without a body (``reduce``/``scan``); for a body that only
+    returns its parameters, theirs, where the arrays are all batched or
+    all uniform (so their flags are what hoisting would give).  None for
+    any other body."""
+    if body is None:
+        return tuple(range(len(aflags)))
+    elems = body.elems if isinstance(body, S.TupleExp) else (body,)
+    col = {p: j for j, p in enumerate(params)}
+    if len(set(aflags)) > 1 or not all(
+        isinstance(x, S.Var) and x.name in col for x in elems
+    ):
+        return None
+    return tuple(col[x.name] for x in elems)
+
+
+def _index_chain(e: S.Index) -> tuple[S.Exp, tuple[S.Exp, ...]]:
+    """``x[i][j]`` as ``(x, (i, j))``: indexing once with all the indices
+    gathers one element per lane, where the inner read alone would gather
+    a whole block per lane only for the outer one to pick from it."""
+    arr, idxs = e.arr, tuple(e.idxs)
+    while isinstance(arr, S.Index):
+        arr, idxs = arr.arr, (*arr.idxs, *idxs)
+    return arr, idxs
 
 
 def _select(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -590,14 +626,18 @@ class VectorEvaluator:
             raise InterpError("if branch arity mismatch")
         if not bc:
             flags = tuple(a or b for a, b in zip(tfl, efl))
+            # per branch, which values to lift, or None where none need it
+            tlift = [f and not sf for f, sf in zip(flags, tfl)]
+            elift = [f and not sf for f, sf in zip(flags, efl)]
+            tlift = tlift if any(tlift) else None
+            elift = elift if any(elift) else None
 
             def fn_u(env, n):
-                taken, src = (ft, tfl) if fc(env, n)[0] else (fe, efl)
+                taken, lift = (ft, tlift) if fc(env, n)[0] else (fe, elift)
                 vals = taken(env, n)
-                return tuple(
-                    _lift(v, n) if f and not sf else v
-                    for v, f, sf in zip(vals, flags, src)
-                )
+                if lift is None:
+                    return vals
+                return tuple(_lift(v, n) if lf else v for v, lf in zip(vals, lift))
 
             return fn_u, flags
         if not (_is_total(e.then) and _is_total(e.els)):
@@ -680,11 +720,12 @@ class VectorEvaluator:
         return fn, (True,) * arity
 
     def _c_index(self, e: S.Index, bv, lm):
-        fidx = [self._c1(i, bv, lm) for i in e.idxs]
+        arr, idxs = _index_chain(e)
+        fidx = [self._c1(i, bv, lm) for i in idxs]
         iflags = [f for _, f in fidx]
-        if isinstance(e.arr, S.Var) and e.arr.name in lm:
+        if isinstance(arr, S.Var) and arr.name in lm:
             # bound by reference: one gather through the lanes' rows
-            name = e.arr.name
+            name = arr.name
 
             def fn_rows(env, n):
                 base, rows = env[name]
@@ -695,7 +736,7 @@ class VectorEvaluator:
                 )],)
 
             return fn_rows, (True,)
-        fa, ba = self._c1(e.arr, bv, lm)
+        fa, ba = self._c1(arr, bv, lm)
         if not ba and not any(iflags):
 
             def fn_u(env, n):
@@ -788,18 +829,22 @@ class VectorEvaluator:
         params, ivar = e.params, e.ivar
         lift_init = [f and not f0 for f, f0 in zip(flags, initflags)]
         lift_step = [f and not rf for f, rf in zip(flags, rflags)]
+        relift = any(lift_step)
 
         def fn(env, n):
             vals = [f(env, n)[0] for f, _ in finits]
             if any(lift_init):
                 vals = [_lift(v, n) if lf else v for v, lf in zip(vals, lift_init)]
             bound = int(fb(env, n)[0])
+            # one environment for all trips, rebound in place: no closure
+            # writes into the env it is given (docs/execution.md)
+            env2 = dict(env)
             for it in range(bound):
-                env2 = dict(env)
                 env2.update(zip(params, vals))
                 env2[ivar] = np.int64(it)
-                out = fbody(env2, n)
-                vals = [_lift(v, n) if lf else v for v, lf in zip(out, lift_step)]
+                vals = fbody(env2, n)
+                if relift:
+                    vals = [_lift(v, n) if lf else v for v, lf in zip(vals, lift_step)]
             return tuple(vals)
 
         return fn, tuple(flags)
@@ -915,10 +960,13 @@ class VectorEvaluator:
         """Wrap a compiled seg-op closure (a "kernel launch") with the fault
         boundary: checked at *call* time — compiled closures are cached, so
         a plan activated after compilation still injects — with bounded
-        transient retry via the plan's policy.  No-op without an active plan."""
+        transient retry via the plan's policy.  Without an active plan the
+        kernel is called directly."""
         fn, flags = compiled
 
-        def guarded(env, n):
+        def guarded(env, n, _inject=faults.inject):
+            if _inject._INJECTOR is None:
+                return fn(env, n)
             return faults.retrying("exec.kernel", lambda: fn(env, n))
 
         return guarded, flags
@@ -1083,29 +1131,37 @@ class VectorEvaluator:
         ``scan``).  It *hoists* the body where it can: compiled with
         the element parameters batched, it runs once over all ``m``
         elements, bound as :meth:`_c_map` binds a nested map, and only the
-        operator runs per step, strictly left to right.  The body keeps
-        *stepping* (one run per step, at the fold's own width) where the
-        fold's arrays are all uniform while a batched variable reaches the
-        body, and where its hoisted compile would raise or need a per-lane
-        fallback.  Both are decided here, at compile time.
+        operator runs per step, strictly left to right.  A body that only
+        returns its parameters, over arrays all batched or all uniform, is
+        the identity too: its steps are read off the arrays, with no bind
+        and no body call.  The body keeps *stepping* (one run per step, at
+        the fold's own width) where the fold's arrays are all uniform while
+        a batched variable reaches the body, and where its hoisted compile
+        would raise or need a per-lane fallback.  All of it is decided
+        here, at compile time.
 
         Returns ``(run, accflags, lanes)``: ``run(env, n, sp)`` folds at
         width ``n``, labels the kernel span ``sp``, and returns the
         accumulators, or a scan's rows stacked along the element axis;
         ``lanes`` are the names the hoisted body binds by reference.
+        The operator runs in one environment per launch, its parameters
+        rebound in place on each step: no compiled closure writes into the
+        environment it is given (``docs/execution.md``).
         """
         farrs = [self._c1(a, bv, lm) for a in arrs]
         aflags = [f for _, f in farrs]
         fnes = [self._c1(x, bv, lm) for x in nes]
         nesflags = [f for _, f in fnes]
+        if body is not None and len(params) != len(arrs):
+            raise InterpError("lambda arity mismatch")
         hoist = step = None
         how = NO_BINDING
         fresh = False
-        if body is None:
-            valflags = list(aflags)
+        # the columns of ``arrs`` an identity body returns, in order
+        ident = _identity(body, params, aflags)
+        if ident is not None:
+            valflags = [aflags[j] for j in ident]
         else:
-            if len(params) != len(arrs):
-                raise InterpError("lambda arity mismatch")
             # batched free variables of the body, bound when it hoists
             body_fv = self._free(body) - set(params)
             outer = bv & body_fv
@@ -1140,15 +1196,17 @@ class VectorEvaluator:
         oparams = lam.params
         op_fv = sorted(self._free_lambda(lam))
         lift_ne = [f and not f0 for f, f0 in zip(accflags, nesflags)]
+        lift_ne = lift_ne if any(lift_ne) else None
         lift_step = [f and not rf for f, rf in zip(accflags, rflags)]
         relift = any(lift_step)
         body_fv = sorted(self._free(body) - set(params)) if step is not None else []
         mode = "hoisted" if step is None else "stepped"
+        counter = f"exec.fold.{mode}"
 
         def hoisted(env, n, m, arrs):
             """Run the body once over all elements; each step's values."""
-            if body is None:
-                cols = [_elements(a, f) for a, f in zip(arrs, aflags)]
+            if ident is not None:
+                cols = [_elements(arrs[j], aflags[j]) for j in ident]
             elif m == 0:
                 return iter(())
             else:
@@ -1173,38 +1231,39 @@ class VectorEvaluator:
             fstep = step[0]
             benv = {k: env[k] for k in body_fv if k in env}
             for elems in zip(*[_elements(a, f) for a, f in zip(arrs, aflags)]):
-                env2 = benv.copy()
-                env2.update(zip(params, elems))
-                yield fstep(env2, n)
+                benv.update(zip(params, elems))
+                yield fstep(benv, n)
 
         def run(env, n, sp):
             arrs = [f(env, n)[0] for f, _ in farrs]
             m = _width(arrs, aflags)
             if scan and m == 0:
                 raise InterpError(empty_msg)
-            acc = tuple(f(env, n)[0] for f, _ in fnes)
-            if any(lift_ne):
-                acc = tuple(_lift(v, n) if lf else v for v, lf in zip(acc, lift_ne))
+            acc = tuple([f(env, n)[0] for f, _ in fnes])
+            if lift_ne is not None:
+                acc = tuple([_lift(v, n) if lf else v for v, lf in zip(acc, lift_ne)])
             steps = hoisted(env, n, m, arrs) if step is None else stepped(env, n, arrs)
             sp["steps"] = m
             sp["fold"] = mode
-            perf.inc(f"exec.fold.{mode}")
+            perf.inc(counter)
             oenv = {k: env[k] for k in op_fv if k in env}
             rows: list[tuple] = []
             for vals in steps:
-                env2 = oenv.copy()
-                env2.update(zip(oparams, (*acc, *vals)))
-                acc = flam(env2, n)
+                oenv.update(zip(oparams, acc + vals))
+                acc = flam(oenv, n)
                 if relift:
-                    acc = tuple(_lift(v, n) if lf else v for v, lf in zip(acc, lift_step))
+                    acc = tuple([_lift(v, n) if lf else v for v, lf in zip(acc, lift_step)])
                 if scan:
                     rows.append(acc)
             if not scan:
                 return tuple(acc)
-            return tuple(
-                np.stack([r[j] for r in rows], axis=1 if accflags[j] else 0)
-                for j in range(len(acc))
-            )
+            # one C call per accumulator; a batched one's rows stack on the
+            # element axis, (m, n, ...) -> (n, m, ...) as a view
+            out = []
+            for j, f in enumerate(accflags):
+                a = np.array([r[j] for r in rows])
+                out.append(a.swapaxes(0, 1) if f else a)
+            return tuple(out)
 
         return run, accflags, lanes
 

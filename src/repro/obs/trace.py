@@ -7,10 +7,11 @@ by trace viewers from the (start, duration, thread) triple, so no explicit
 parent links are stored.
 
 Tracing is off by default and costs one global read per instrumentation
-point when off: :func:`span` yields the shared :data:`NULL_SPAN` (which
-swallows attribute writes) without allocating.  Hot paths that must not
-even build their argument dicts should guard on :func:`current` /
-:func:`enabled` instead.
+point when off: :func:`span` returns one shared, reentrant null context
+manager, whose ``with`` block gets the shared :data:`NULL_SPAN` (which
+swallows attribute writes); nothing is allocated but the call's keyword
+arguments.  Hot paths that must not even build their argument dicts
+should guard on :func:`current` / :func:`enabled` instead.
 
 The module-level functions (:func:`start`, :func:`stop`, :func:`tracing`,
 :func:`span`, :func:`instant`) operate on one process-global active
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from typing import Any, Iterator
 
 __all__ = [
@@ -72,6 +73,11 @@ class _NullSpan:
 
 
 NULL_SPAN = _NullSpan()
+
+
+#: what :func:`span` returns when tracing is off: one shared instance,
+#: entered any number of times, nested or not
+_NULL_CONTEXT = nullcontext(NULL_SPAN)
 
 
 class Tracer:
@@ -175,15 +181,15 @@ def tracing(process_name: str = "repro") -> Iterator[Tracer]:
                 _ACTIVE = None
 
 
-@contextmanager
-def span(name: str, cat: str = "repro", **args: Any) -> Iterator[Span | _NullSpan]:
-    """Span on the active tracer; yields :data:`NULL_SPAN` when off."""
+def span(
+    name: str, cat: str = "repro", **args: Any
+) -> AbstractContextManager[Span | _NullSpan]:
+    """Span on the active tracer, for a ``with`` statement; when off, the
+    shared null context, whose block gets :data:`NULL_SPAN`."""
     tr = _ACTIVE
     if tr is None:
-        yield NULL_SPAN
-        return
-    with tr.span(name, cat, **args) as sp:
-        yield sp
+        return _NULL_CONTEXT
+    return tr.span(name, cat, **args)
 
 
 def instant(name: str, cat: str = "repro", **args: Any) -> None:

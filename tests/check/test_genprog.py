@@ -101,6 +101,21 @@ def test_fusion_style_recipes_hit_fusable_shapes():
     assert '"share"' in blob and '"fansum"' in blob
 
 
+def test_fusion_style_reaches_binds_and_stepped_folds():
+    """The fusion-weighted grammar reaches the batched engines' binds by
+    reference and by copy (``stencil``/``pick`` reads) and a stepped fold
+    body (a ``sum`` over a ``stencil`` fuses into a fold over ``iota``
+    that reads the enclosing row): the start of CI's fixed-seed slice."""
+    keys = ("exec.bind.lane_mapped", "exec.bind.expanded", "exec.fold.stepped")
+    before = perf.counters()
+    report = run_fuzz(max_examples=11, seed=0, style="fusion")
+    assert report.ok, [f.error for f in report.failures]
+    after = perf.counters()
+    assert all(after.get(k, 0) > before.get(k, 0) for k in keys), {
+        k: after.get(k, 0) - before.get(k, 0) for k in keys
+    }
+
+
 def test_run_fuzz_fusion_style_clean():
     report = run_fuzz(max_examples=10, seed=5, style="fusion")
     assert report.ok, [f.error for f in report.failures]

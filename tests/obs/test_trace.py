@@ -66,6 +66,18 @@ class TestGlobalTracer:
             sp["dropped"] = 1  # must not raise
         assert sp is obs.NULL_SPAN
 
+    def test_span_off_is_one_shared_context(self):
+        # off, a span costs a global read: no generator, no per-call object
+        assert not obs.enabled()
+        first, second = obs.span("a", cat="x", k=1), obs.span("b")
+        assert first is second
+        with first as sp, second as inner:  # reentrant when nested
+            assert sp is obs.NULL_SPAN and inner is obs.NULL_SPAN
+        with obs.tracing("on") as tr:
+            with obs.span("live") as sp:
+                assert sp is not obs.NULL_SPAN
+        assert tr.find("live")
+
     def test_tracing_scope(self):
         with obs.tracing("scoped") as tr:
             assert obs.enabled() and obs.current() is tr

@@ -51,74 +51,96 @@ class ValidationError(Exception):
         super().__init__(f"[{stage or 'ir'}] {invariant} at {where}: {message}")
 
 
+# -- breadcrumb paths --------------------------------------------------------
+#
+# A pass hands each child the path to it as a linked pair ``(segment,
+# parent)``, ``None`` at the root: one small tuple per node, where a list
+# copy would cost the node's depth.  Only an error unwinds it.
+
+
+def _trail(path) -> list[str]:
+    out: list[str] = []
+    while path is not None:
+        seg, path = path
+        out.append(seg)
+    out.reverse()
+    return out
+
+
 # -- scope checking ----------------------------------------------------------
 
 
-def _scope_lambda(lam: S.Lambda, bound: frozenset[str], path: list[str], stage: str) -> None:
-    _scope(lam.body, bound | frozenset(lam.params), path + ["lam.body"], stage)
+def _scope_lambda(lam: S.Lambda, bound: frozenset[str], path, stage: str) -> None:
+    _scope(lam.body, bound | frozenset(lam.params), ("lam.body", path), stage)
 
 
-def _scope(e: S.Exp, bound: frozenset[str], path: list[str], stage: str) -> None:
+def _scope(e: S.Exp, bound: frozenset[str], path, stage: str) -> None:
     if isinstance(e, S.Var):
         if e.name not in bound:
-            raise ValidationError(stage, "scoping", f"unbound variable {e.name!r}", path)
+            raise ValidationError(
+                stage, "scoping", f"unbound variable {e.name!r}", _trail(path)
+            )
         return
     if isinstance(e, (S.Lit, S.SizeE, T.ParCmp)):
         return
     if isinstance(e, S.Let):
-        _scope(e.rhs, bound, path + ["let.rhs"], stage)
-        _scope(e.body, bound | frozenset(e.names), path + ["let.body"], stage)
+        _scope(e.rhs, bound, ("let.rhs", path), stage)
+        _scope(e.body, bound | frozenset(e.names), ("let.body", path), stage)
         return
     if isinstance(e, S.Loop):
         for i, init in enumerate(e.inits):
-            _scope(init, bound, path + [f"loop.init[{i}]"], stage)
-        _scope(e.bound, bound, path + ["loop.bound"], stage)
+            _scope(init, bound, (f"loop.init[{i}]", path), stage)
+        _scope(e.bound, bound, ("loop.bound", path), stage)
         inner = bound | frozenset(e.params) | frozenset({e.ivar})
-        _scope(e.body, inner, path + ["loop.body"], stage)
+        _scope(e.body, inner, ("loop.body", path), stage)
         return
     if isinstance(e, T.SegOp):
         what = type(e).__name__.lower()
         inner = bound
         for k, b in enumerate(e.ctx):
             for j, arr in enumerate(b.arrays):
-                _scope(arr, inner, path + [f"{what}.ctx[{k}].arr[{j}]"], stage)
+                _scope(arr, inner, (f"{what}.ctx[{k}].arr[{j}]", path), stage)
             inner = inner | frozenset(b.params)
         if isinstance(e, (T.SegRed, T.SegScan)):
-            _scope_lambda(e.lam, inner, path + [f"{what}.op"], stage)
+            _scope_lambda(e.lam, inner, (f"{what}.op", path), stage)
             for j, ne in enumerate(e.nes):
-                _scope(ne, inner, path + [f"{what}.ne[{j}]"], stage)
-        _scope(e.body, inner, path + [f"{what}.body"], stage)
+                _scope(ne, inner, (f"{what}.ne[{j}]", path), stage)
+        _scope(e.body, inner, (f"{what}.body", path), stage)
         return
     # generic structural case, lambdas handled via the child-spec table
     cls = type(e).__name__.lower()
     for attr, kind in _spec(e):
         val = getattr(e, attr)
         if kind == "exp":
-            _scope(val, bound, path + [f"{cls}.{attr}"], stage)
+            _scope(val, bound, (f"{cls}.{attr}", path), stage)
         elif kind == "exps":
             for i, sub in enumerate(val):
-                _scope(sub, bound, path + [f"{cls}.{attr}[{i}]"], stage)
+                _scope(sub, bound, (f"{cls}.{attr}[{i}]", path), stage)
         elif kind == "lam":
-            _scope_lambda(val, bound, path + [f"{cls}.{attr}"], stage)
+            _scope_lambda(val, bound, (f"{cls}.{attr}", path), stage)
 
 
-# -- version-guard placement -------------------------------------------------
+# -- version guards and context bindings -------------------------------------
 
 
-def _check_guards(
+def _check_structure(
     e: S.Exp,
-    path: list[str],
+    path,
     stage: str,
     seen: dict[str, list[str]],
+    bad: list[ValidationError],
     in_cond: bool = False,
 ) -> None:
+    """Guard placement, raised at once, and context-binding sanity, whose
+    first violation is kept in ``bad`` (the caller raises it if no guard
+    is misplaced anywhere: guard errors take precedence)."""
     if isinstance(e, T.ParCmp):
         if not in_cond:
             raise ValidationError(
                 stage,
                 "guard-position",
                 f"ParCmp on {e.threshold!r} outside an if condition",
-                path,
+                _trail(path),
             )
         if e.threshold in seen:
             raise ValidationError(
@@ -126,59 +148,52 @@ def _check_guards(
                 "guard-uniqueness",
                 f"threshold {e.threshold!r} guards two conditionals "
                 f"(first at {'/'.join(seen[e.threshold]) or '<root>'})",
-                path,
+                _trail(path),
             )
-        seen[e.threshold] = list(path)
+        seen[e.threshold] = _trail(path)
         return
-    cls = type(e).__name__.lower()
-    for attr, kind in _spec(e):
-        val = getattr(e, attr)
-        cond = isinstance(e, S.If) and attr == "cond"
-        if kind == "exp":
-            _check_guards(val, path + [f"{cls}.{attr}"], stage, seen, in_cond=cond)
-        elif kind == "exps":
-            for i, sub in enumerate(val):
-                _check_guards(sub, path + [f"{cls}.{attr}[{i}]"], stage, seen)
-        elif kind == "lam":
-            _check_guards(val.body, path + [f"{cls}.{attr}.body"], stage, seen)
-        elif kind == "ctx":
-            for k, b in enumerate(val):
-                for j, arr in enumerate(b.arrays):
-                    _check_guards(arr, path + [f"{cls}.ctx[{k}].arr[{j}]"], stage, seen)
-
-
-# -- context binding sanity --------------------------------------------------
-
-
-def _check_bindings(e: S.Exp, path: list[str], stage: str) -> None:
-    if isinstance(e, T.SegOp):
-        what = type(e).__name__.lower()
-        if e.level < 0:
-            raise ValidationError(stage, "levels", f"negative level {e.level}", path)
-        if not e.ctx:
-            raise ValidationError(stage, "context", f"{what} with empty context", path)
-        for k, b in enumerate(e.ctx):
-            if len(b.params) != len(b.arrays):
-                raise ValidationError(
-                    stage,
-                    "context",
-                    f"binding {k} has {len(b.params)} params for {len(b.arrays)} arrays",
-                    path + [f"{what}.ctx[{k}]"],
-                )
+    if isinstance(e, T.SegOp) and not bad:
+        err = _binding_error(e, path, stage)
+        if err is not None:
+            bad.append(err)
     cls = type(e).__name__.lower()
     for attr, kind in _spec(e):
         val = getattr(e, attr)
         if kind == "exp":
-            _check_bindings(val, path + [f"{cls}.{attr}"], stage)
+            cond = attr == "cond" and isinstance(e, S.If)
+            _check_structure(
+                val, (f"{cls}.{attr}", path), stage, seen, bad, in_cond=cond
+            )
         elif kind == "exps":
             for i, sub in enumerate(val):
-                _check_bindings(sub, path + [f"{cls}.{attr}[{i}]"], stage)
+                _check_structure(sub, (f"{cls}.{attr}[{i}]", path), stage, seen, bad)
         elif kind == "lam":
-            _check_bindings(val.body, path + [f"{cls}.{attr}.body"], stage)
+            _check_structure(val.body, (f"{cls}.{attr}.body", path), stage, seen, bad)
         elif kind == "ctx":
             for k, b in enumerate(val):
                 for j, arr in enumerate(b.arrays):
-                    _check_bindings(arr, path + [f"{cls}.ctx[{k}].arr[{j}]"], stage)
+                    _check_structure(
+                        arr, (f"{cls}.ctx[{k}].arr[{j}]", path), stage, seen, bad
+                    )
+
+
+def _binding_error(e: T.SegOp, path, stage: str) -> ValidationError | None:
+    what = type(e).__name__.lower()
+    if e.level < 0:
+        return ValidationError(stage, "levels", f"negative level {e.level}", _trail(path))
+    if not e.ctx:
+        return ValidationError(
+            stage, "context", f"{what} with empty context", _trail(path)
+        )
+    for k, b in enumerate(e.ctx):
+        if len(b.params) != len(b.arrays):
+            return ValidationError(
+                stage,
+                "context",
+                f"binding {k} has {len(b.params)} params for {len(b.arrays)} arrays",
+                _trail((f"{what}.ctx[{k}]", path)),
+            )
+    return None
 
 
 # -- result-type preservation ------------------------------------------------
@@ -214,10 +229,12 @@ def validate(
     :class:`ValidationError` on the first violation.
     """
     try:
-        _scope(body, frozenset(env), [], stage)
+        _scope(body, frozenset(env), None, stage)
         seen_guards: dict[str, list[str]] = {}
-        _check_guards(body, [], stage, seen_guards)
-        _check_bindings(body, [], stage)
+        bad: list[ValidationError] = []
+        _check_structure(body, None, stage, seen_guards, bad)
+        if bad:
+            raise bad[0]
     except TypeError as ex:  # unknown node class in the child-spec table
         raise ValidationError(stage, "structure", str(ex)) from ex
 

@@ -569,10 +569,13 @@ def cmd_check(args) -> int:
     else:
         engines = (args.exec,)
     fusions = config.FUSIONS if args.fusions == "both" else (args.fusions,)
+    # --fuzz alone fuzzes only; naming programs or --all checks them too
+    fuzz_only = args.fuzz and not names and not args.all
     try:
-        reports = check_all(names, modes=modes, seed=args.seed,
-                            max_paths=args.max_paths, engines=engines,
-                            fusions=fusions)
+        reports = [] if fuzz_only else check_all(
+            names, modes=modes, seed=args.seed, max_paths=args.max_paths,
+            engines=engines, fusions=fusions,
+        )
     except KeyError as ex:
         raise UserError(ex.args[0]) from None
     ok = True
@@ -993,11 +996,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = sub.add_parser("check", help="differential correctness harness")
     cp.add_argument("programs", nargs="*",
-                    help="benchmarks to check (default: all)")
+                    help="benchmarks to check (default: all, or none "
+                    "with --fuzz)")
     cp.add_argument("--all", action="store_true",
-                    help="check all built-in benchmarks (the default)")
+                    help="check all built-in benchmarks (the default "
+                    "without --fuzz; with --fuzz, check them before "
+                    "fuzzing)")
     cp.add_argument("--fuzz", action="store_true",
-                    help="also fuzz with generated programs")
+                    help="fuzz with generated programs, after checking "
+                    "the benchmarks named or --all")
     cp.add_argument("--max-examples", type=int, default=200,
                     help="number of generated programs for --fuzz")
     cp.add_argument("--max-paths", type=int, default=4096,

@@ -392,6 +392,13 @@ class CodegenEvaluator(VectorEvaluator):
     def __init__(self, sizes=None, thresholds=None, dtype_sig=()):
         super().__init__(sizes, thresholds)
         self.dtype_sig = tuple(dtype_sig or ())
+        #: the spot-verification rate every guarded kernel of this
+        #: evaluator reads, taken from the config once per run
+        self._verify_rate = [0.0]
+
+    def eval(self, e, env):
+        self._verify_rate[0] = config.current().verify_rate
+        return super().eval(e, env)
 
     # -- generated-source kernels ------------------------------------------
 
@@ -434,7 +441,8 @@ class CodegenEvaluator(VectorEvaluator):
 
         rungs = [("codegen", fn), ("vector", vector_rung), ("scalar", scalar_rung)]
         launch = guard.wrap_kernel(
-            fn._key, rungs, source=fn._source, lanes=sorted(lm)
+            fn._key, rungs, source=fn._source, lanes=sorted(lm),
+            rate=self._verify_rate,
         )
         return launch, flags
 

@@ -450,15 +450,24 @@ def _land_corpus(key: str, tier: str, source, env, n, detail: str, lanes=()) -> 
         pass
 
 
-def wrap_kernel(key: str, rungs, *, source: str | None = None, lanes=()):
+def wrap_kernel(
+    key: str, rungs, *, source: str | None = None, lanes=(),
+    rate: list[float] | None = None,
+):
     """Wrap a kernel's launch ladder; returns a ``(env, n) -> tuple``.
 
     ``rungs`` is an ordered list of ``(tier, fn)`` pairs, highest tier
     first.  Every rung but the last is breaker-guarded and demotes on
     failure; the last rung (the scalar oracle) is the safety net and
     propagates.  ``lanes`` names the environment entries the kernel reads
-    by reference (``docs/execution.md``).
+    by reference (``docs/execution.md``).  ``rate`` is a one-element list
+    holding the spot-verification rate, which a launch reads instead of
+    the config: the evaluator that owns the kernel sets it when a run
+    starts (``CodegenEvaluator.eval``).  Without it, the rate configured
+    when the kernel is wrapped applies.
     """
+    if rate is None:
+        rate = [config.current().verify_rate]
     rungs = list(rungs)
     oracle = None
     for tier, fn in rungs:
@@ -496,7 +505,7 @@ def wrap_kernel(key: str, rungs, *, source: str | None = None, lanes=()):
         _lanes=frozenset(lanes),
         _br_get=_breakers.get,
         _faults=faults.inject,
-        _config=config.current,
+        _rate=rate,
     ):
         global _demotions
         if not _loaded:
@@ -538,8 +547,8 @@ def wrap_kernel(key: str, rungs, *, source: str | None = None, lanes=()):
             if (
                 _oracle is not None
                 and fn is not _oracle
-                and (rate := _config().verify_rate) > 0.0
-                and _verify_due(key, rate)
+                and (p := _rate[0]) > 0.0
+                and _verify_due(key, p)
             ):
                 perf.inc("exec.guard.verified")
                 with obs.span(

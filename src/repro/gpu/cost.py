@@ -45,6 +45,7 @@ from repro.ir import target as T
 from repro.ir.traverse import kernel_fingerprint
 from repro.ir.typecheck import _top_segops
 from repro.ir.types import ArrayType, ScalarType, Type
+from repro.sizes import SizeExpr
 
 __all__ = [
     "AScal",
@@ -203,8 +204,11 @@ class _HashedKey:
         return isinstance(other, _HashedKey) and self.key == other.key
 
 
-#: id-keyed memo table; values hold the node itself so ids stay valid
+#: id-keyed memo tables (bounded by ``perf.memo_put``); values hold the
+#: node itself so ids stay valid
 _META_MEMO: dict[int, tuple] = perf.register_cache("kernel.meta", {})
+_FACTS_MEMO: dict[int, tuple] = perf.register_cache("kernel.facts", {})
+_DEMAND_MEMO: dict[int, tuple] = perf.register_cache("kernel.demand", {})
 _KERNEL_CACHE: dict = perf.register_cache("kernel.cost", {})
 
 _KERNEL_CACHE_CAP = 1 << 18
@@ -255,8 +259,38 @@ def _op_meta(op: T.SegOp) -> _OpMeta:
         thresholds=tuple(ths),
         full_sizes=full_sizes,
     )
-    _META_MEMO[id(op)] = (op, meta)
+    perf.memo_put(_META_MEMO, id(op), (op, meta))
     return meta
+
+
+@dataclass(frozen=True)
+class _SegFacts:
+    """What pricing a segop reads of its structure, computed once per node
+    (host-level kernels and level-0 group constructs alike)."""
+
+    reads: frozenset[str]  # names its body, operator and neutral elements read
+    intra: bool  # its body holds a level-(l−1) segop
+    pars: tuple[SizeExpr, ...]  # Par(Σ) of every segop in its body, walk order
+
+
+def _seg_facts(op: T.SegOp) -> _SegFacts:
+    hit = _FACTS_MEMO.get(id(op))
+    if hit is not None and hit[0] is op:
+        return hit[1]
+    from repro.ir.traverse import free_vars
+
+    reads = free_vars(op.body)
+    if isinstance(op, (T.SegRed, T.SegScan)):
+        reads = reads | free_vars(op.lam.body)
+        for ne in op.nes:
+            reads = reads | free_vars(ne)
+    facts = _SegFacts(
+        reads=reads,
+        intra=any(s.level == op.level - 1 for s in _top_segops(op.body)),
+        pars=tuple(s.ctx.par() for s in _all_segops(op.body)),
+    )
+    perf.memo_put(_FACTS_MEMO, id(op), (op, facts))
+    return facts
 
 
 class Simulator:
@@ -439,13 +473,9 @@ class Simulator:
         self, op: T.SegOp, scalar_params, chain: Chain
     ) -> None:
         """Each thread reads the scalar context elements its body uses."""
-        from repro.ir.traverse import free_vars
-
-        fv = free_vars(op.body)
-        if isinstance(op, (T.SegRed, T.SegScan)):
-            fv = fv | free_vars(op.lam.body)
-            for ne in op.nes:
-                fv = fv | free_vars(ne)
+        if not scalar_params:
+            return
+        fv = _seg_facts(op).reads
         for p, arr in scalar_params:
             if p in fv:
                 self._charge_read(arr, chain)
@@ -549,8 +579,7 @@ class Simulator:
             return self._zero_result(op, extents, kenv)
 
         if isinstance(op, T.SegMap):
-            intra = [s for s in _top_segops(op.body) if s.level == op.level - 1]
-            if op.level >= 1 and intra:
+            if op.level >= 1 and _seg_facts(op).intra:
                 vals = self._intra_kernel(op, extents, kenv, rep, scalars)
             else:
                 vals = self._plain_segmap(op, extents, kenv, rep, scalars)
@@ -730,9 +759,9 @@ class Simulator:
         # group size: power of two covering the widest level-0 extent
         # (symbolic, since nested contexts reference body-local arrays)
         m_max = 1
-        for sub in _all_segops(op.body):
+        for par in _seg_facts(op).pars:
             try:
-                m_max = max(m_max, sub.ctx.par().eval(self.sizes))
+                m_max = max(m_max, par.eval(self.sizes))
             except KeyError:
                 continue
         G = min(self.device.max_group, max(32, _pow2ceil(m_max)))
@@ -1140,25 +1169,40 @@ def intra_local_demand(e: S.Exp, sizes: Mapping[str, int]) -> int:
     Sums, over every level-0 construct, its context extent times 4 bytes per
     produced value — the allocation rule of the simulator.  Used to decide
     the §4.1 dynamic fallback *before* entering a guarded version, so that
-    execution and :func:`repro.tuning.tree.path_signature` agree.
+    execution and :func:`repro.tuning.tree.path_signature` agree.  The terms
+    (each construct's ``Par(Σ)`` and arity) are found once per node; a call
+    evaluates them under ``sizes``.
     """
     demand = 0
-    for op in _all_segops(e):
-        if op.level != 0:
-            continue
+    for par, arity in _demand_terms(e):
         try:
-            m = op.ctx.par().eval(sizes)
+            m = par.eval(sizes)
         except KeyError:
+            continue
+        demand += m * 4 * arity
+    return demand
+
+
+def _demand_terms(e: S.Exp) -> tuple[tuple[SizeExpr, int], ...]:
+    """``(Par(Σ), arity)`` of every level-0 construct in ``e`` that
+    allocates local memory, in walk order (reduces carry only small
+    partials)."""
+    hit = _DEMAND_MEMO.get(id(e))
+    if hit is not None and hit[0] is e:
+        return hit[1]
+    terms = []
+    for op in _all_segops(e):
+        if op.level != 0 or isinstance(op, T.SegRed):
             continue
         arity = 1
         if isinstance(op, T.SegMap) and isinstance(op.body, S.TupleExp):
             arity = len(op.body.elems)
-        elif isinstance(op, (T.SegRed, T.SegScan)):
+        elif isinstance(op, T.SegScan):
             arity = len(op.nes)
-        if isinstance(op, T.SegRed):
-            continue  # reduces carry only small partials
-        demand += m * 4 * arity
-    return demand
+        terms.append((op.ctx.par(), arity))
+    out = tuple(terms)
+    perf.memo_put(_DEMAND_MEMO, id(e), (e, out))
+    return out
 
 
 def _all_segops(e: S.Exp):

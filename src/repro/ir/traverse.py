@@ -20,6 +20,7 @@ __all__ = [
     "fresh_name",
     "reset_fresh_names",
     "walk",
+    "push_children",
     "free_vars",
     "rename_vars",
     "subst_vars",
@@ -143,29 +144,50 @@ def kernel_fingerprint(e: S.Exp) -> tuple:
                 )
             )
     fp = tuple(parts)
-    memo[id(e)] = (e, fp)
+    perf.memo_put(memo, id(e), (e, fp))
     return fp
+
+
+#: the child specification back to front, for :func:`push_children`
+_RSPEC = {cls: tuple(reversed(spec)) for cls, spec in _SPEC.items()}
 
 
 def walk(e: S.Exp) -> Iterator[S.Exp]:
     """Yield ``e`` and every (transitively) contained expression.
 
-    Enters lambda bodies and context array lists.
+    Pre-order: each node, then its children's walks in child-specification
+    order, entering lambda bodies and context array lists.  The order is
+    observable (the simulator records guard thresholds in walk order).
+    The pending nodes sit on an explicit stack, children pushed back to
+    front, so a node is handled once whatever its depth, and a deep
+    program does not reach Python's recursion limit.
     """
-    yield e
-    for attr, kind in _spec(e):
+    stack = [e]
+    pop = stack.pop
+    while stack:
+        x = pop()
+        yield x
+        push_children(x, stack)
+
+
+def push_children(e: S.Exp, stack: list[S.Exp]) -> None:
+    """Push the direct child expressions of ``e`` onto ``stack`` back to
+    front, so that popping yields them in child-specification order: the
+    step of an explicit-stack pre-order traversal like :func:`walk`."""
+    spec = _RSPEC.get(type(e))
+    if spec is None:
+        spec = _spec(e)  # raises TypeError for an unknown class
+    for attr, kind in spec:
         val = getattr(e, attr)
         if kind == "exp":
-            yield from walk(val)
+            stack.append(val)
         elif kind == "exps":
-            for sub in val:
-                yield from walk(sub)
+            stack.extend(reversed(val))
         elif kind == "lam":
-            yield from walk(val.body)
-        elif kind == "ctx":
-            for b in val:
-                for arr in b.arrays:
-                    yield from walk(arr)
+            stack.append(val.body)
+        else:  # ctx
+            for b in reversed(val.bindings):
+                stack.extend(reversed(b.arrays))
 
 
 def count_nodes(e: S.Exp) -> int:

@@ -324,25 +324,17 @@ def _typeof_segop(e: T.SegOp, env: TypeEnv) -> tuple[Type, ...]:
 
 
 def _top_segops(e: S.Exp):
-    """Yield SegOps reachable without entering another SegOp's body."""
-    if isinstance(e, T.SegOp):
-        yield e
-        return
-    from repro.ir.traverse import _spec  # child-spec table
+    """Yield SegOps reachable without entering another SegOp's body, in
+    walk order (an explicit stack, so each node is handled once)."""
+    from repro.ir.traverse import push_children
 
-    for attr, kind in _spec(e):
-        val = getattr(e, attr)
-        if kind == "exp":
-            yield from _top_segops(val)
-        elif kind == "exps":
-            for sub in val:
-                yield from _top_segops(sub)
-        elif kind == "lam":
-            yield from _top_segops(val.body)
-        elif kind == "ctx":
-            for b in val:
-                for arr in b.arrays:
-                    yield from _top_segops(arr)
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, T.SegOp):
+            yield x
+        else:
+            push_children(x, stack)
 
 
 def validate_levels(e: S.Exp, max_level: int) -> None:

@@ -18,6 +18,8 @@ It is the metrics backbone of the observability layer
   in-process callers switch it with :func:`repro.config.use`.
 * :func:`register_cache` / :func:`clear_caches` — modules register their
   cache dicts here so all layers can be dropped in one call.
+* :func:`memo_put` — the one way into an id-keyed IR memo, which it
+  bounds at :data:`MEMO_CAP` entries.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ __all__ = [
     "caching_enabled",
     "register_cache",
     "clear_caches",
+    "memo_put",
+    "MEMO_CAP",
 ]
 
 _LOCK = threading.Lock()
@@ -134,3 +138,22 @@ def clear_caches() -> None:
     """Empty every registered cache (cold-start state for benchmarks)."""
     for cache in _CACHES.values():
         cache.clear()
+
+
+#: entries an id-keyed IR memo holds before :func:`memo_put` empties it;
+#: one cold ``repro figures`` run fills the largest with about 2,000
+MEMO_CAP = 1 << 13
+
+
+def memo_put(memo: MutableMapping, key, value) -> None:
+    """``memo[key] = value``, emptying ``memo`` first when it is full.
+
+    An id-keyed IR memo stores each node with what it records about it,
+    so that the id stays the node's; left unbounded, it would keep alive
+    every program a long-lived process has compiled.  At
+    :data:`MEMO_CAP` entries it starts over, and a node it forgot is
+    described again when next asked, with the same result.
+    """
+    if len(memo) >= MEMO_CAP:
+        memo.clear()
+    memo[key] = value

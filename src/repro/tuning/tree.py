@@ -17,7 +17,7 @@ from repro import perf
 from repro.flatten.versions import DEFAULT_THRESHOLD
 from repro.ir import source as S
 from repro.ir import target as T
-from repro.ir.traverse import _spec
+from repro.ir.traverse import _spec, push_children
 
 __all__ = ["path_signature", "thresholds_in", "SignatureEngine", "signature_boxes"]
 
@@ -117,35 +117,30 @@ class SignatureEngine:
         nodes = 0
 
         def build(x: S.Exp) -> list[tuple]:
+            # pre-order over an explicit stack; a guard is a leaf here,
+            # its two branches built as its own subtrees
             nonlocal nodes
-            nodes += 1
-            if isinstance(x, S.If) and isinstance(x.cond, T.ParCmp):
-                name = x.cond.threshold
-                if name not in self._names:
-                    self._names.append(name)
-                par = x.cond.par.eval(self.sizes)
-                blocked = False
-                if device is not None:
-                    from repro.gpu.cost import intra_local_demand
-
-                    blocked = (
-                        intra_local_demand(x.then, self.sizes) > device.local_mem
-                    )
-                return [(name, par, blocked, build(x.then), build(x.els))]
             out: list[tuple] = []
-            for attr, kind in _spec(x):
-                val = getattr(x, attr)
-                if kind == "exp":
-                    out.extend(build(val))
-                elif kind == "exps":
-                    for sub in val:
-                        out.extend(build(sub))
-                elif kind == "lam":
-                    out.extend(build(val.body))
-                elif kind == "ctx":
-                    for b in val:
-                        for arr in b.arrays:
-                            out.extend(build(arr))
+            stack = [x]
+            while stack:
+                y = stack.pop()
+                nodes += 1
+                if isinstance(y, S.If) and isinstance(y.cond, T.ParCmp):
+                    name = y.cond.threshold
+                    if name not in self._names:
+                        self._names.append(name)
+                    par = y.cond.par.eval(self.sizes)
+                    blocked = False
+                    if device is not None:
+                        from repro.gpu.cost import intra_local_demand
+
+                        blocked = (
+                            intra_local_demand(y.then, self.sizes)
+                            > device.local_mem
+                        )
+                    out.append((name, par, blocked, build(y.then), build(y.els)))
+                else:
+                    push_children(y, stack)
             return out
 
         self._tree = build(e)

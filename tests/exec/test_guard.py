@@ -14,7 +14,7 @@ import os
 import numpy as np
 import pytest
 
-from repro import faults, perf
+from repro import config, faults, perf
 from repro.exec import CodegenEvaluator, compile_cache, dtype_signature, guard
 from repro.exec.codegen import _CODE_CACHE, CACHE_VERSION
 from repro.interp import Evaluator
@@ -366,6 +366,48 @@ class TestCodegenIntegration:
         assert np.asarray(ref[0]).tobytes() == np.asarray(got[0]).tobytes()
         assert perf.counters().get("exec.guard.verified", 0) > before
         assert perf.counters().get("exec.guard.verify_divergence", 0) == div0
+
+    def test_verify_rate_is_read_once_per_run(self, configure, monkeypatch):
+        # the rate is read when a run starts, not on every launch: a config
+        # change between two runs of one evaluator applies to the second,
+        # and a run's config reads do not grow with its launches
+        reads = []
+        real = config.current
+
+        def counting():
+            reads.append(1)
+            return real()
+
+        monkeypatch.setattr(config, "current", counting)
+
+        def looped(k):
+            body = map_(lambda x: S.UnOp("abs", x * 2.0 + 1.0 - x * 0.5), v("acc"))
+            return S.Loop(("acc",), (v("xs"),), "i", S.lift(k), body)
+
+        short, long_ = looped(2), looped(30)
+        env = {"xs": self._xs()}
+        ev = CodegenEvaluator()
+
+        def run(e):
+            reads.clear()
+            before = perf.counters().get("exec.guard.verified", 0)
+            out = ev.eval(e, env)
+            verified = perf.counters().get("exec.guard.verified", 0) - before
+            return out, verified, len(reads)
+
+        run(short), run(long_)  # compile both
+        _, verified, short_reads = run(short)
+        assert verified == 0
+        _, verified, long_reads = run(long_)
+        assert verified == 0 and long_reads == short_reads
+        configure(verify_rate=1.0)
+        _, on_short, _ = run(short)
+        got, on_long, _ = run(long_)
+        assert on_short > 0 and on_long == 15 * on_short  # every launch
+        ref = Evaluator().eval(long_, env)
+        assert np.asarray(ref[0]).tobytes() == np.asarray(got[0]).tobytes()
+        configure(verify_rate=0.0)
+        assert run(long_)[1] == 0
 
     def test_evaluators_sharing_a_kernel_keep_their_own_closures(self):
         # two evaluators emit the same kernel key (same body, sizes and

@@ -147,3 +147,91 @@ class TestKernelCache:
         assert _counter("kernel_cache.hits") == 0
         assert _counter("kernel_cache.misses") == 0
         assert _counter("sim_memo.hits") == 0
+
+
+class TestBoundedMemos:
+    """The id-keyed IR memos hold the nodes they describe: each is emptied
+    at ``perf.MEMO_CAP`` entries, so a long-lived process does not keep
+    every program it ever simulated, and forgetting changes no result."""
+
+    MEMOS = ("kernel.fingerprints", "kernel.meta", "kernel.facts", "kernel.demand")
+
+    def _programs(self):
+        from repro.bench.datasets import table1_sizes
+        from repro.bench.programs.heston import heston_program
+        from repro.bench.programs.srad import srad_program
+
+        return [
+            (locvolcalib_program, locvolcalib_sizes("small")),
+            (heston_program, table1_sizes("Heston", "D1")),
+            (srad_program, table1_sizes("SRAD", "D1")),
+            (matmul_program, matmul_sizes(5, 20)),
+        ]
+
+    def _round(self, sizes_seen=None):
+        """Compile each program afresh (new nodes) and simulate it under
+        two threshold settings on both devices."""
+        costs = []
+        for build, sizes in self._programs():
+            cp = compile_program(build(), "incremental")
+            for device in (K40, VEGA64):
+                for t in (1, 2**15):
+                    rep = cp.simulate(
+                        sizes, device, thresholds={n: t for n in cp.thresholds()}
+                    )
+                    costs.append((rep.time, [k.time for k in rep.kernels]))
+                    if sizes_seen is not None:
+                        snap = perf.snapshot()["cache_sizes"]
+                        sizes_seen.append({m: snap[m] for m in self.MEMOS})
+        return costs
+
+    def test_memos_stay_at_the_cap_and_results_match(self, monkeypatch):
+        perf.clear_caches()
+        want = [self._round() for _ in range(3)]
+        full = perf.snapshot()["cache_sizes"]
+        cap = 8
+        # the rounds fill every memo well past the small cap used below
+        assert all(full[m] > 3 * cap for m in self.MEMOS), full
+        monkeypatch.setattr(perf, "MEMO_CAP", cap)
+        perf.clear_caches()
+        seen: list[dict] = []
+        got = [self._round(seen) for _ in range(3)]
+        assert got == want
+        for sizes in seen:
+            assert all(n <= cap for n in sizes.values()), sizes
+
+    def test_default_cap_bounds_a_long_run(self):
+        assert perf.MEMO_CAP >= 4096  # well above one compile-tune-simulate
+        memo: dict = {}
+        for i in range(perf.MEMO_CAP * 2 + 5):
+            perf.memo_put(memo, i, i)
+            assert len(memo) <= perf.MEMO_CAP
+        assert memo[perf.MEMO_CAP * 2 + 4] == perf.MEMO_CAP * 2 + 4
+
+
+class TestDemandTerms:
+    def test_one_node_under_many_sizes(self):
+        # the per-node memo keeps each construct's Par expression, so one
+        # guarded branch evaluated under other sizes gives their demand
+        from repro.gpu.cost import intra_local_demand
+        from repro.ir import source as S
+        from repro.ir import target as T
+        from repro.ir.traverse import walk
+
+        cp = compile_program(locvolcalib_program(), "incremental")
+        branches = [
+            x.then for x in walk(cp.body)
+            if isinstance(x, S.If) and isinstance(x.cond, T.ParCmp)
+        ]
+        datasets = [locvolcalib_sizes(n) for n in ("small", "medium", "large")]
+
+        def fresh(e, sizes):
+            perf.clear_caches()
+            return intra_local_demand(e, sizes)
+
+        want = [[fresh(b, s) for s in datasets] for b in branches]
+        assert any(len(set(row)) > 1 for row in want)  # sizes matter
+        perf.clear_caches()
+        for _ in range(2):
+            got = [[intra_local_demand(b, s) for s in datasets] for b in branches]
+            assert got == want

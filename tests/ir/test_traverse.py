@@ -43,6 +43,83 @@ class TestWalk:
         assert count_nodes(v("x")) == 1
         assert count_nodes(v("x") + 1) == 3
 
+    def test_deep_let_chain(self):
+        # 10,000 nested lets: a walk must not recurse per level
+        e = v("x")
+        for i in range(10_000):
+            e = S.Let((f"x{i}",), f32(1.0), e)
+        assert count_nodes(e) == 1 + 2 * 10_000
+        assert sum(isinstance(n, S.Let) for n in walk(e)) == 10_000
+
+
+def _walk_reference(e):
+    """The definition ``walk`` must follow: the node, then each child's
+    walk, children in child-spec order (lambda bodies, context arrays)."""
+    from repro.ir.traverse import _spec
+
+    yield e
+    for attr, kind in _spec(e):
+        val = getattr(e, attr)
+        if kind == "exp":
+            yield from _walk_reference(val)
+        elif kind == "exps":
+            for sub in val:
+                yield from _walk_reference(sub)
+        elif kind == "lam":
+            yield from _walk_reference(val.body)
+        elif kind == "ctx":
+            for b in val:
+                for arr in b.arrays:
+                    yield from _walk_reference(arr)
+
+
+def _assert_walk_order(e, what):
+    got = [id(n) for n in walk(e)]
+    want = [id(n) for n in _walk_reference(e)]
+    assert got == want, f"walk order differs from the definition on {what}"
+
+
+class TestWalkOrder:
+    """``walk`` yields exactly the recursive definition's sequence: the
+    order is observable (the simulator records thresholds in walk order,
+    and they are part of its kernel-cache key)."""
+
+    def test_benchmark_programs(self):
+        from repro.bench.programs import MODULES, program_constructor
+        from repro.compiler import compile_program
+
+        for name in MODULES:
+            prog = program_constructor(name)()
+            _assert_walk_order(prog.body, f"{name} source")
+            for mode in ("moderate", "incremental", "full"):
+                cp = compile_program(prog, mode)
+                _assert_walk_order(cp.body, f"{name} {mode}")
+
+    def test_fuzzed_programs(self):
+        import random
+
+        from repro.check.genprog import build_program, random_recipe
+        from repro.compiler import compile_program
+
+        rng = random.Random(0)
+        for i in range(50):
+            style = "fusion" if i % 2 else "default"
+            prog = build_program(random_recipe(rng, style=style))
+            _assert_walk_order(prog.body, f"fuzzed program {i} source")
+            cp = compile_program(prog, "incremental")
+            _assert_walk_order(cp.body, f"fuzzed program {i} incremental")
+
+    def test_target_nodes(self):
+        ctx = T.Ctx([
+            T.Binding(("x", "y"), (v("xs"), v("ys")), SizeVar("n")),
+            T.Binding(("z",), (v("x"),), SizeVar("m")),
+        ])
+        e = T.SegRed(1, ctx, S.Lambda(("a", "b"), v("a") + v("b")), (f32(0.0),),
+                     v("z") * v("y"))
+        _assert_walk_order(e, "a segred")
+        names = [n.name for n in walk(e) if isinstance(n, S.Var)]
+        assert names == ["xs", "ys", "x", "a", "b", "z", "y"]
+
 
 class TestContainsParallel:
     def test_scalar_not_parallel(self):

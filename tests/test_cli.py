@@ -546,6 +546,30 @@ class TestCheck:
         doc = json.loads(report.read_text())
         assert doc["ok"] and doc["fuzz"]["examples"] == 5
 
+    def test_check_fuzz_alone_fuzzes_only(self, capsys):
+        code, out = run(capsys, "check", "--fuzz", "--max-examples", "1")
+        assert code == 0
+        assert "forced paths" not in out  # no benchmark listed
+        assert "fuzz: 1 examples, no counterexample" in out
+
+    def test_check_all_with_fuzz_checks_every_benchmark(self, capsys, tmp_path):
+        from repro.bench.programs import MODULES
+
+        report = tmp_path / "report.json"
+        code, out = run(
+            capsys, "check", "--all", "--fuzz", "--max-examples", "1",
+            "--mode", "incremental", "--exec", "scalar", "--fusion", "ilp",
+            "--max-paths", "1", "--report", str(report),
+        )
+        assert code == 0
+        names = [m.lower() for m in MODULES]
+        listed = [line.split()[0].lower() for line in out.splitlines()
+                  if "forced paths" in line]
+        assert listed == names
+        doc = json.loads(report.read_text())
+        assert [p["program"].lower() for p in doc["programs"]] == names
+        assert doc["fuzz"]["examples"] == 1
+
     def test_check_unknown_program(self, capsys):
         assert main(["check", "not-a-benchmark"]) == 2
         assert "not-a-benchmark" in capsys.readouterr().err

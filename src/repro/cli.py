@@ -10,9 +10,10 @@ Commands
 * ``run PROG --size n=4 --size m=3 [--seed S] [--threshold t0=V]
   [--exec scalar|vector] [--online TABLE [--device D]]`` — run a program
   on random inputs with the reference interpreter or the vectorizing
-  executor (``docs/execution.md``); ``--online`` lets the online tuner
-  choose the thresholds from the dataset's shape class, persisting what
-  it learns to ``TABLE`` (``docs/online-tuning.md``).
+  executor (``docs/execution.md``); ``--online`` takes the thresholds
+  from ``TABLE``'s entry for the dataset's shape class, tuning the class
+  on the device model ``D`` and persisting it to ``TABLE`` when the
+  table has no entry yet (``docs/online-tuning.md``).
 * ``simulate PROG --size ... [--device K40|Vega64] [--threshold t0=V]
   [--exec scalar|vector]`` — estimate the run time with the GPU cost
   model; with ``--exec`` also execute the program with that engine and
@@ -57,8 +58,9 @@ Commands
   high|normal] [--stream | --wait S] ...`` — submit a job to a running
   daemon; ``--stream`` prints the job's progress events as JSON lines.
   ``--kind online`` runs the program with daemon-side online threshold
-  dispatch: the tenant's shape-class table is refined across submissions
-  and persisted in the spool, so a restarted daemon resumes warm.
+  dispatch: the tenant's shape-class table gains a class whenever a
+  submission brings a new one, and persists in the spool, so a restarted
+  daemon resumes warm.
 * ``jobs`` / ``cancel JOB`` / ``fetch JOB [--output F]`` — list a
   daemon's jobs, cancel one, or fetch a finished job's artifact.
 * ``health`` — query a running daemon's health document: queue wait
@@ -259,10 +261,9 @@ def cmd_run(args) -> int:
         d = tuner.last_decision
         print(
             f"online: shape={d.shape} "
-            f"{'explore' if d.explored else 'exploit'}"
-            f"{' converged' if d.converged else ''} "
+            f"{'explore' if d.explored else 'exploit'} "
             f"thresholds={d.thresholds} "
-            f"observations={tuner.total_observations()}"
+            f"classes={len(tuner.classes())}"
         )
     else:
         outs = cp.run(inputs, thresholds=th or None, sizes=sizes)
@@ -928,7 +929,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "persisting its shape-class table to this file "
                     "(docs/online-tuning.md)")
     rp.add_argument("--device", default="K40", choices=("K40", "Vega64"),
-                    help="device model for online cost observations")
+                    help="device model an online class tune simulates")
     rp.add_argument("--exec", dest="engine", default=None, choices=config.ENGINES,
                     help="executor (default: REPRO_EXEC or scalar)")
     rp.add_argument("--verify-rate", type=_rate, default=None, metavar="P",

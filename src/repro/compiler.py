@@ -116,27 +116,21 @@ class CompiledProgram:
         ``REPRO_NO_CACHE=1`` compiles on every call.
 
         ``online`` accepts an :class:`~repro.tuning.online.OnlineTuner`:
-        the dataset's shape class selects the thresholds (learning from
-        the observed simulated cost while the class is still exploring).
-        Online choices are forced paths of the same branching tree, so
-        results stay bit-identical to any explicit threshold assignment
-        that selects the same code version.  Mutually exclusive with
-        ``thresholds``.
+        the dataset's shape class selects the thresholds (the class is
+        tuned on its first item).  Online choices are threshold
+        assignments of the same branching tree, so results stay
+        bit-identical to passing them explicitly.  Mutually exclusive
+        with ``thresholds``.
         """
         if online is not None:
             if thresholds is not None:
                 raise ValueError(
                     "pass either explicit thresholds or online=, not both"
                 )
-            from repro.exec import guard
             from repro.interp.evaluator import program_env
 
             _env, all_sizes = program_env(self.prog, inputs, sizes)
-            # a degraded engine stack (open breaker) makes this launch
-            # unrepresentative — dispatch serves but does not learn
-            thresholds = online.dispatch(
-                all_sizes, demoted=guard.demotion_active()
-            ).thresholds or None
+            thresholds = online.dispatch(all_sizes).thresholds or None
         from repro.interp.evaluator import run_program
 
         return run_program(

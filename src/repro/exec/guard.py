@@ -68,7 +68,6 @@ __all__ = [
     "wrap_kernel",
     "Breaker",
     "demotion_count",
-    "demotion_active",
     "snapshot",
     "flush",
     "load",
@@ -349,18 +348,6 @@ def reset(*, drop_disk: bool = False) -> None:
 def demotion_count() -> int:
     """Process-wide demotion events (ladder hops + quarantined launches)."""
     return _demotions
-
-
-def demotion_active() -> bool:
-    """Is any kernel currently running below its top tier?
-
-    True while any breaker is open or half-open — the engine stack is
-    degraded, so measurements taken now (e.g. online-tuner observations)
-    do not reflect the healthy configuration.
-    """
-    with _lock:
-        load()
-        return any(br.state != "closed" for br in _breakers.values())
 
 
 def snapshot() -> dict:

@@ -44,8 +44,7 @@ with online threshold dispatch (``docs/online-tuning.md``): a
 long-running tenant's submissions share one
 :class:`~repro.tuning.online.OnlineTuner` per program identity, whose
 shape-class table persists atomically in ``<spool>/online/`` after every
-observation — a restarted daemon resumes the learned state monotonically
-(no acknowledged measurement is ever lost).  The PR 5 fault
+class tune — a restarted daemon resumes every tuned class.  The PR 5 fault
 injector composes transparently (``repro serve --faults PLAN``): transient
 ``sim.kernel`` faults are retried by the tuner; ``process_kill`` at
 ``tuner.batch`` kills the daemon itself (exit 137) — the chaos recipe CI
@@ -421,7 +420,7 @@ class ServiceDaemon:
         doc["guard"] = guard.snapshot()
         doc["counters"] = {
             k: v for k, v in perf.counters().items()
-            if k.startswith(("service.", "exec.guard.", "online.dispatch."))
+            if k.startswith(("service.", "exec.guard."))
         }
         return doc
 
@@ -495,7 +494,6 @@ class ServiceDaemon:
             perf.inc("service.jobs.rejected")
             self._send(wr, {"ok": False, "code": 400, "error": str(exc)})
             return
-        job.engine_demoted = engine_demoted
         queued: dict[str, Any] = {"tenant": tenant, "priority": priority}
         if engine_demoted:
             queued.update(engine_demoted=True, engine=spec["engine"])
@@ -720,8 +718,8 @@ class ServiceDaemon:
         # an earlier job compiled
         cp = dataclasses.replace(shared, _sim_memo={}, _shape_memo={})
         if spec["kind"] == "online":
-            # never cached: each submission is also an observation that
-            # refines the tenant's shape-class table
+            # never cached: a submission may tune its shape class, and
+            # its thresholds depend on the table, not on the spec alone
             job.emit("started", online=True)
             payload, evaluated = self._execute_online(job, prog, cp, tree)
             job.result = payload
@@ -859,7 +857,7 @@ class ServiceDaemon:
                     try:
                         restored = tuner.load(path)
                         self._log(f"online table {key}: resumed "
-                                  f"{restored} observation(s)")
+                                  f"{restored} class(es)")
                     except TuningFileError as exc:
                         self._log(f"online table {key}: "
                                   f"discarding stale table ({exc})")
@@ -867,24 +865,19 @@ class ServiceDaemon:
             return tuner
 
     def _execute_online(self, job: Job, prog, cp, tree: str) -> tuple[dict, int]:
-        """Run with online threshold dispatch; an explore-path dispatch
-        counts as one evaluated proposal, an exploit-path one as zero."""
+        """Run with online threshold dispatch; a dispatch that tunes its
+        class counts as one evaluated proposal, a table lookup as zero."""
         from repro.cli import _random_inputs
 
         spec = job.spec
         _check_sizes(prog, spec["sizes"], "'sizes'")
         device = _device(spec["device"])
         tuner = self._online_tuner(cp, tree, device)
-        # a launch under a degraded stack (tripped breaker, or admitted
-        # with an overload-demoted engine) must not feed the bandit
-        degraded = bool(job.engine_demoted) or guard.demotion_active()
-        decision = tuner.dispatch(spec["sizes"], demoted=degraded)
+        decision = tuner.dispatch(spec["sizes"])
+        classes = len(tuner.classes())
         job.emit(
             "dispatch", shape=decision.shape, explored=decision.explored,
-            converged=decision.converged, thresholds=decision.thresholds,
-            cost=_json_cost(decision.cost) if decision.cost is not None else None,
-            observations=tuner.total_observations(),
-            demoted=decision.demoted,
+            thresholds=decision.thresholds, classes=classes,
         )
         inputs = _random_inputs(prog, spec["sizes"], spec["seed"])
         outs = cp.run(inputs, thresholds=decision.thresholds or None,
@@ -899,10 +892,8 @@ class ServiceDaemon:
             "seed": spec["seed"],
             "shape": decision.shape,
             "explored": decision.explored,
-            "converged": decision.converged,
-            "demoted": decision.demoted,
             "thresholds": dict(decision.thresholds),
-            "observations": tuner.total_observations(),
+            "classes": classes,
             "outputs": _output_digests(outs),
         }
         return payload, 1 if decision.explored else 0

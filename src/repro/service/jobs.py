@@ -3,11 +3,12 @@
 A *job spec* is the client-supplied description of one unit of work —
 ``tune`` (autotune thresholds), ``compile`` (flatten + codegen metadata),
 ``run`` (execute on deterministic random inputs) or ``online`` (execute
-with daemon-side online threshold dispatch, refining the tenant's
+with daemon-side online threshold dispatch from the tenant's
 shape-class table; ``docs/online-tuning.md``) — normalised here to a
 canonical field set so that equivalent submissions fingerprint
 identically.  ``online`` jobs are never served from the artifact store:
-every submission is also an observation that refines the table.
+a submission may tune its shape class, and its thresholds come from the
+table, not from the spec alone.
 
 The *fingerprint* covers exactly what determines the artifact: the
 program identity (name, flattening mode, fusion mode, branching-tree
@@ -217,13 +218,9 @@ class Job:
         self.fingerprint: str | None = None
         self.cached = False  # served from the artifact store
         #: inline result payload for jobs that bypass the artifact store
-        #: (online jobs: each submission is an observation, never a cache hit)
+        #: (online jobs: a submission may tune its class, never a cache hit)
         self.result: dict | None = None
         self.cancel_requested = False
-        #: admitted while the daemon was shedding: engine already demoted
-        #: one tier in the spec; online observations taken under this flag
-        #: are excluded from convergence (docs/guarded-execution.md)
-        self.engine_demoted = False
         self.events: list[dict] = []
         self._cond = threading.Condition()
 

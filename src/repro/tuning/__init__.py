@@ -1,5 +1,5 @@
 """Threshold autotuning (paper §4.2): parameters, search, path caching,
-and online adaptation under live traffic (``docs/online-tuning.md``).
+and per-shape-class tuning under live traffic (``docs/online-tuning.md``).
 
 The package ``__init__`` resolves its names lazily (the idiom of
 :mod:`repro.check`), so ``from repro.tuning import Autotuner`` loads the
@@ -29,7 +29,6 @@ _LAZY = {
     "log_bucket": "repro.tuning.shapes",
     "shape_class": "repro.tuning.shapes",
     "shape_key": "repro.tuning.shapes",
-    "describe_class": "repro.tuning.shapes",
     "TuningFileError": "repro.tuning.persist",
     "branching_tree_hash": "repro.tuning.persist",
     "checkpoint_path": "repro.tuning.persist",

@@ -1,390 +1,113 @@
-"""Online adaptive threshold tuning under live traffic.
+"""Online threshold tuning under live traffic: one tune per shape class.
 
 The paper tunes thresholds offline against fixed training datasets
 (§5); a deployed program instead sees a *stream* of datasets whose
-shapes the training set may not cover.  This module closes that gap
-with no dedicated tuning phase: the program starts from the 2^15
-defaults and converges, per shape class, to the thresholds an
-offline-exhaustive search would have picked.
-
-How one dispatch works:
+shapes the training set may not cover.  This module keeps a table from
+shape class to thresholds and fills it from the stream itself:
 
 1. **Classify.**  The incoming dataset is mapped to its shape class —
    log2 buckets of every threshold-relevant dimension, derived from the
    branching tree (:mod:`repro.tuning.shapes`).  The fingerprint is
    memoized on the :class:`~repro.compiler.CompiledProgram`, so a
    repeated shape is one dict lookup.
-2. **Exploit.**  If the class has converged, dispatch returns the
-   class's learned thresholds from the table: no bandit, no simulation,
-   zero search work (``online.dispatch.exploit``).
-3. **Explore.**  Otherwise an :class:`~repro.tuning.search.AUCBandit`
-   over the branching tree's forced paths — one arm per code version
-   reachable (:func:`repro.check.differential.enumerate_forced_paths`),
-   so every choice is a valid point of the same branching tree — picks
-   an arm, the simulated cost of running this dataset down that path is
-   observed, and the arm is rewarded by ``best_cost / cost``.  A class
-   converges when the best arm's confidence bound separates from the
-   runner-up, or when its exploration budget is exhausted; either way
-   the winner's thresholds are frozen into the table.
+2. **Look up.**  A class already in the table is served its thresholds:
+   no search, no simulation (``online.dispatch.exploit``).
+3. **Tune.**  A class's first item runs
+   :func:`~repro.tuning.exhaustive.exhaustive_tune` over that item's
+   sizes — one simulation per distinct branching-tree path, the paper's
+   "avoid redundant parameter settings entirely" (§4.2) — and the
+   winner is frozen into the table.  The observation is the
+   deterministic cost model, so measuring a path twice would only
+   repeat the first answer.
 
-Exploration overhead is bounded two ways.  A class's very first item
-runs with the untuned defaults (exactly what a tuner-less deployment
-would do), seeding the *incumbent* cost.  Every explored arm thereafter
-is raced against the incumbent with OpenTuner-style early termination:
-if its cost exceeds ``timeout_factor`` times the incumbent, the run is
-abandoned at the cap and the item re-run on the incumbent configuration
-— the arm's observation is censored at the cap (enough to eliminate it),
-and the item's incurred cost is ``cap + incumbent`` instead of the
-arbitrarily-bad path cost.  A fully-sequentialised version that would
-cost 1000x the default therefore costs at most ``timeout_factor + 1``
-incumbents, which a handful of steady-state items amortises.
+A tune that measures nothing (every configuration quarantined under a
+fault plan) serves the untuned defaults and records no class, so the
+class's next item tunes again.
 
 Tables persist through :mod:`repro.tuning.persist` (versioned, atomic,
-fusion-mode-stamped), so a restarted service resumes warm: every
-acknowledged observation survives a ``kill -9``.  See
-``docs/online-tuning.md``.
+identity-stamped) after every tune, so a restarted service resumes warm:
+every tuned class survives a ``kill -9``.  See ``docs/online-tuning.md``.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 from typing import Mapping
 
 from repro import faults, perf
 from repro.obs import trace as obs
-from repro.tuning.search import AUCBandit
+from repro.tuning.exhaustive import exhaustive_tune
 from repro.tuning.shapes import shape_key
+from repro.tuning.tuner import PENALTY_COST, TuningResult
 
-__all__ = ["OnlineTuner", "OnlineDecision", "DEFAULT_MAX_ARMS"]
-
-#: cap on enumerated branching-tree paths (arms) per program — reported,
-#: never silent (``arms_truncated`` in the table, ``online.arms.truncated``)
-DEFAULT_MAX_ARMS = 64
+__all__ = ["OnlineTuner", "OnlineDecision"]
 
 
 @dataclass
 class OnlineDecision:
-    """What one online dispatch chose and (if exploring) observed."""
+    """What one online dispatch chose."""
 
     thresholds: dict[str, int]
     shape: str  # shape-class key, e.g. "b5.b19"
-    arm: int  # -1 for the defaults-seeding first item of a class
-    explored: bool  # False on the steady-state table-lookup path
-    converged: bool  # the class has a frozen winner (after this dispatch)
-    cost: float | None  # incurred simulated cost while exploring, else None
-    censored: bool = False  # arm aborted at the early-termination cap
-    #: dispatched while the engine stack was degraded (tripped breaker /
-    #: overload demotion): nothing was observed, nothing converged
-    demoted: bool = False
-
-
-class _PathArm:
-    """One forced branching-tree path wrapped as a bandit technique.
-
-    ``AUCBandit`` allocates trials across techniques; here each
-    "technique" deterministically proposes its own path's threshold
-    assignment, which turns the technique bandit into a bandit over code
-    versions without duplicating the UCB machinery.
-    """
-
-    def __init__(self, index: int, thresholds: Mapping[str, int]):
-        self.name = f"path{index}"
-        self.thresholds = dict(thresholds)
-
-    def propose(self, space, rng, best):
-        return dict(self.thresholds)
-
-    def feedback(self, improved) -> None:
-        pass
-
-
-class _ClassState:
-    """Per-shape-class learning state: arm statistics + the bandit."""
-
-    def __init__(self, arms: list[dict[str, int]]):
-        self.bandit = AUCBandit([_PathArm(i, a) for i, a in enumerate(arms)])
-        self.plays = [0] * len(arms)
-        self.total_cost = [0.0] * len(arms)
-        self.best_cost: float | None = None
-        self.default_cost: float | None = None  # untuned-defaults seed
-        self.converged: int | None = None  # winning arm index once frozen
-        self.curve: list[list] = []  # [arm, cost] per observation
-
-    def pick(self) -> int:
-        self.bandit.propose(None, None, None)
-        assert self.bandit._last is not None
-        return self.bandit._last
-
-    def observe(self, arm: int, cost: float) -> None:
-        self.plays[arm] += 1
-        self.total_cost[arm] += cost
-        self.best_cost = cost if self.best_cost is None else min(self.best_cost, cost)
-        self.curve.append([arm, cost])
-        # reward in (0, 1]: 1 for the best-known cost of this class,
-        # proportionally less for slower arms
-        reward = 1.0 if cost <= 0 else min(1.0, self.best_cost / cost)
-        self.bandit.feedback(reward)
-
-    def incumbent(self) -> float | None:
-        """Cheapest cost seen so far (arms or the defaults seed)."""
-        costs = [c for c in (self.best_cost, self.default_cost) if c is not None]
-        return min(costs) if costs else None
-
-    def total_plays(self) -> int:
-        return sum(self.plays)
-
-    def observations(self) -> int:
-        """Measurements recorded: arm plays + the defaults seed."""
-        return sum(self.plays) + (1 if self.default_cost is not None else 0)
-
-    def best_arm(self) -> int:
-        means = [
-            self.total_cost[i] / n if n else math.inf
-            for i, n in enumerate(self.plays)
-        ]
-        return min(range(len(means)), key=means.__getitem__)
-
-    def try_converge(self, explore_budget: int, sep_c: float) -> int | None:
-        """Freeze a winner once confident (or out of budget); else None."""
-        if self.converged is not None:
-            return self.converged
-        n_arms = len(self.plays)
-        if n_arms == 1:
-            if self.plays[0] >= 1:
-                self.converged = 0
-            return self.converged
-        if any(n == 0 for n in self.plays):
-            return None  # still in the initial round-robin sweep
-        total = self.total_plays()
-        best = self.best_arm()
-        if total >= explore_budget:
-            self.converged = best
-            return best
-        means = [self.total_cost[i] / self.plays[i] for i in range(n_arms)]
-        runner = min(
-            (i for i in range(n_arms) if i != best), key=means.__getitem__
-        )
-
-        def radius(i: int) -> float:
-            return sep_c * means[best] * math.sqrt(
-                math.log(max(total, 2)) / self.plays[i]
-            )
-
-        if means[runner] - radius(runner) > means[best] + radius(best):
-            self.converged = best
-        return self.converged
+    explored: bool  # this dispatch tuned its class (False: table lookup)
+    #: the class's tune, when this dispatch ran one
+    result: TuningResult | None = None
 
 
 class OnlineTuner:
-    """Per-shape-class threshold tables, learned from live traffic.
+    """A table from shape class to tuned thresholds, filled from traffic.
 
     One instance serves one ``(compiled program, device)`` pair; it is
     thread-safe, so a multi-runner service daemon can share it across
-    concurrent submissions.  With ``table_path`` set, every observation
-    is persisted atomically before the decision is returned — an
-    acknowledged measurement is never lost to a crash.
+    concurrent submissions.  With ``table_path`` set, every tuned class
+    is persisted atomically before the decision is returned.
     """
 
-    #: confidence-separation constant: a class converges early when the
-    #: best arm's mean + radius clears the runner-up's mean - radius
-    SEPARATION_C = 0.25
-
-    #: early-termination cap: an explored arm costing more than this many
-    #: incumbents is abandoned (censored) rather than run to completion.
-    #: Safe at 2.0: for any dataset the untuned defaults select *some*
-    #: forced path, so an arm matching the incumbent always exists and
-    #: the true winner is never censored.
-    DEFAULT_TIMEOUT_FACTOR = 2.0
-
-    def __init__(
-        self,
-        compiled,
-        device,
-        explore_budget: int | None = None,
-        max_arms: int = DEFAULT_MAX_ARMS,
-        table_path: str | None = None,
-        timeout_factor: float = DEFAULT_TIMEOUT_FACTOR,
-    ):
-        from repro.check.differential import enumerate_forced_paths
-
+    def __init__(self, compiled, device, table_path: str | None = None):
         self.compiled = compiled
         self.device = device
         self.table_path = table_path
-        if timeout_factor <= 1.0:
-            raise ValueError("timeout_factor must exceed 1.0")
-        self.timeout_factor = float(timeout_factor)
-        arms, truncated = enumerate_forced_paths(
-            compiled.branching_trees(), max_paths=max_arms
-        )
-        self.arms: list[dict[str, int]] = arms
-        self.arms_truncated = bool(truncated)
-        if truncated:
-            perf.inc("online.arms.truncated")
-            obs.instant(
-                "online.arms.truncated", cat="tuning",
-                program=compiled.prog.name, max_arms=max_arms,
-            )
-        if explore_budget is None:
-            # at least three passes over the arms before the budget can
-            # force a verdict; separation usually freezes a class sooner
-            explore_budget = max(3 * len(self.arms), 12)
-        self.explore_budget = int(explore_budget)
+        #: simulations run by this tuner's class tunes
+        self.simulations = 0
         self.last_decision: OnlineDecision | None = None
-        self._classes: dict[str, _ClassState] = {}
-        self._lock = threading.RLock()
+        self._classes: dict[str, dict[str, int]] = {}
+        self._lock = threading.RLock()  # save() re-enters via classes()
 
-    # -- dispatch -------------------------------------------------------------
-
-    def dispatch(
-        self, sizes: Mapping[str, int], demoted: bool = False
-    ) -> OnlineDecision:
-        """Choose thresholds for one incoming dataset (and learn from it).
-
-        ``demoted`` marks a launch taken while the engine stack is
-        degraded — a tripped execution-guard breaker or an overloaded
-        daemon running the job one engine tier down.  Such a launch does
-        not represent the healthy configuration, so it must not poison
-        the bandit: the dispatch serves the best thresholds known so far
-        but records no observation and advances no convergence.
-        """
+    def dispatch(self, sizes: Mapping[str, int]) -> OnlineDecision:
+        """Choose thresholds for one incoming dataset, tuning its shape
+        class first if the table has no entry for it."""
         with self._lock:
-            return self._dispatch(dict(sizes), bool(demoted))
+            decision = self._dispatch(dict(sizes))
+            self.last_decision = decision
+        return decision
 
-    def _dispatch(self, sizes: dict[str, int], demoted: bool = False) -> OnlineDecision:
+    def _dispatch(self, sizes: dict[str, int]) -> OnlineDecision:
         perf.inc("online.dispatch")
         key = shape_key(self.compiled.shape_class(sizes))
-        state = self._classes.get(key)
-        if state is not None and state.converged is not None:
-            # steady state: memoized fingerprint -> table lookup; no
-            # bandit, no simulation, no persistence traffic.  A converged
-            # class has nothing left to poison, so demotion only flags
-            # the decision.
+        frozen = self._classes.get(key)
+        if frozen is not None:
             perf.inc("online.dispatch.exploit")
-            arm = state.converged
-            decision = OnlineDecision(
-                thresholds=dict(self.arms[arm]), shape=key, arm=arm,
-                explored=False, converged=True, cost=None, demoted=demoted,
-            )
-            self.last_decision = decision
-            return decision
-        if demoted:
-            # degraded stack: serve, don't learn.  The best-by-mean arm
-            # (or the untuned defaults while nothing has been played)
-            # keeps service quality; the excluded observation keeps the
-            # learned state clean.
-            perf.inc("online.dispatch.demoted")
-            best: dict[str, int] = {}
-            if state is not None and any(state.plays):
-                best = dict(self.arms[state.best_arm()])
-            decision = OnlineDecision(
-                thresholds=best, shape=key, arm=-1, explored=False,
-                converged=False, cost=None, demoted=True,
-            )
-            self.last_decision = decision
-            return decision
+            return OnlineDecision(dict(frozen), key, explored=False)
         perf.inc("online.dispatch.explore")
         with obs.span("online.explore", cat="tuning", shape=key) as sp:
             faults.check("online.observe")
-            if state is None:
-                state = _ClassState(self.arms)
-                self._classes[key] = state
-                perf.inc("online.classes")
-            censored = False
-            if state.default_cost is None:
-                # bootstrap: the class's first item runs the untuned
-                # defaults — exactly what a tuner-less deployment pays —
-                # seeding the incumbent the early-termination cap races
-                # every explored arm against
-                thresholds: dict[str, int] = {}
-                cost = float(self.compiled.simulate(sizes, self.device).time)
-                if self.arms == [{}]:
-                    # guard-free program: the defaults ARE the only arm,
-                    # so this bootstrap is its (sole) observation
-                    state.observe(0, cost)
-                    arm = 0
-                else:
-                    state.default_cost = cost
-                    state.curve.append([-1, cost])
-                    arm = -1
-            else:
-                arm = state.pick()
-                thresholds = self.arms[arm]
-                incumbent = state.incumbent()
-                cap = self.timeout_factor * incumbent
-                true_cost = float(
-                    self.compiled.simulate(
-                        sizes, self.device, thresholds=thresholds or None
-                    ).time
-                )
-                if incumbent > 0 and true_cost > cap:
-                    # early termination: abandon at the cap and re-run
-                    # the item on the incumbent; the censored
-                    # observation is enough to eliminate the arm
-                    state.observe(arm, cap)
-                    cost = cap + incumbent
-                    censored = True
-                    perf.inc("online.explore.censored")
-                else:
-                    state.observe(arm, true_cost)
-                    cost = true_cost
-            winner = state.try_converge(self.explore_budget, self.SEPARATION_C)
-            sp["arm"] = arm
-            sp["plays"] = state.total_plays()
-            if censored:
-                sp["censored"] = True
-            if winner is not None:
-                perf.inc("online.converged")
-                obs.instant(
-                    "online.converged", cat="tuning", shape=key, arm=winner,
-                    plays=state.total_plays(),
-                    cost=state.total_cost[winner] / state.plays[winner],
-                )
+            res = exhaustive_tune(self.compiled, [sizes], self.device)
+            self.simulations += res.simulations
+            sp["simulations"] = res.simulations
+            if res.best_cost == PENALTY_COST:
+                # nothing was measured: run the defaults, learn nothing
+                return OnlineDecision({}, key, explored=True, result=res)
+            frozen = self._classes[key] = dict(res.best_thresholds)
+            perf.inc("online.classes")
             if self.table_path is not None:
                 self.save(self.table_path)
-        decision = OnlineDecision(
-            thresholds=dict(thresholds), shape=key, arm=arm,
-            explored=True, converged=winner is not None, cost=cost,
-            censored=censored,
-        )
-        self.last_decision = decision
-        return decision
+        return OnlineDecision(dict(frozen), key, explored=True, result=res)
 
-    # -- introspection --------------------------------------------------------
-
-    def total_observations(self) -> int:
-        """Measurements recorded across all shape classes (monotone —
-        the chaos CI leg asserts a reloaded table never goes backward)."""
+    def classes(self) -> dict[str, dict[str, int]]:
+        """``{shape key: frozen thresholds}`` for every tuned class."""
         with self._lock:
-            return sum(s.observations() for s in self._classes.values())
-
-    def converged_classes(self) -> dict[str, dict[str, int]]:
-        """``{shape key: frozen thresholds}`` for every converged class."""
-        with self._lock:
-            return {
-                key: dict(self.arms[s.converged])
-                for key, s in self._classes.items()
-                if s.converged is not None
-            }
-
-    def classes_doc(self) -> dict[str, dict]:
-        """JSON form of the per-class state (the table's ``classes``)."""
-        with self._lock:
-            return {
-                key: {
-                    "plays": list(s.plays),
-                    "total_cost": list(s.total_cost),
-                    "rewards": list(s.bandit.rewards),
-                    "best_cost": s.best_cost,
-                    "default_cost": s.default_cost,
-                    "converged": s.converged,
-                    "curve": [list(p) for p in s.curve],
-                }
-                for key, s in sorted(self._classes.items())
-            }
-
-    # -- persistence ----------------------------------------------------------
+            return {key: dict(th) for key, th in self._classes.items()}
 
     def save(self, path: str) -> None:
         """Atomically persist the table (see ``tuning/persist.py``)."""
@@ -393,53 +116,16 @@ class OnlineTuner:
         save_online_table(path, self)
 
     def load(self, path: str) -> int:
-        """Resume from a persisted table; returns observations restored.
+        """Resume from a persisted table; returns the classes restored.
 
         Raises :class:`~repro.tuning.persist.TuningFileError` when the
-        table was written for a different program, branching tree,
-        fusion mode, device or arm enumeration — resuming it would
-        corrupt the learned state.
+        table is malformed or was written for a different program,
+        branching tree, fusion mode or device.
         """
-        from repro.tuning.persist import TuningFileError, load_online_table
+        from repro.tuning.persist import load_online_table
 
-        doc = load_online_table(path, self.compiled, device=self.device.name)
-        stored_arms = [
-            {str(k): int(v) for k, v in a.items()} for a in doc.get("arms", [])
-        ]
-        if stored_arms != self.arms:
-            raise TuningFileError(
-                f"{path}: table arms do not match the compiled program's "
-                f"branching-tree paths (stale online table?)"
-            )
+        classes = load_online_table(path, self.compiled, device=self.device.name)
         with self._lock:
-            self.explore_budget = int(
-                doc.get("explore_budget", self.explore_budget)
-            )
-            self._classes = {}
-            for key, cdoc in doc.get("classes", {}).items():
-                state = _ClassState(self.arms)
-                state.plays = [int(n) for n in cdoc["plays"]]
-                state.total_cost = [float(c) for c in cdoc["total_cost"]]
-                state.bandit.counts = list(state.plays)
-                state.bandit.rewards = [float(r) for r in cdoc["rewards"]]
-                best = cdoc.get("best_cost")
-                state.best_cost = None if best is None else float(best)
-                dc = cdoc.get("default_cost")
-                state.default_cost = None if dc is None else float(dc)
-                conv = cdoc.get("converged")
-                state.converged = None if conv is None else int(conv)
-                state.curve = [
-                    [int(a), float(c)] for a, c in cdoc.get("curve", [])
-                ]
-                if not (
-                    len(state.plays) == len(state.total_cost)
-                    == len(state.bandit.rewards) == len(self.arms)
-                ):
-                    raise TuningFileError(
-                        f"{path}: class {key!r} statistics do not match the "
-                        f"arm count (corrupt online table?)"
-                    )
-                self._classes[str(key)] = state
-            restored = sum(s.observations() for s in self._classes.values())
-        perf.inc("online.table.resumed", restored)
-        return restored
+            self._classes = classes
+        perf.inc("online.table.resumed", len(classes))
+        return len(classes)

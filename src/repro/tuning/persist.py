@@ -46,7 +46,7 @@ __all__ = [
 
 _FORMAT = 1
 _CKPT_FORMAT = 1
-_ONLINE_FORMAT = 1
+_ONLINE_FORMAT = 2
 
 
 class TuningFileError(Exception):
@@ -191,14 +191,22 @@ def load_thresholds(
     """
     doc = _read(path, "tuning file", None, _FORMAT)
     _check_identity(doc, path, "tuning file", compiled, device)
+    return _thresholds(doc.get("thresholds", {}), path, "tuning file", compiled)
+
+
+def _thresholds(
+    raw, path: str, what: str, compiled: CompiledProgram | None
+) -> dict[str, int]:
+    """One stored threshold assignment: integer values, and names the
+    compiled program (when given) defines."""
     try:
-        thresholds = {str(k): int(v) for k, v in doc.get("thresholds", {}).items()}
+        thresholds = {str(k): int(v) for k, v in raw.items()}
     except (AttributeError, OverflowError, TypeError, ValueError) as exc:
-        raise TuningFileError(f"{path}: malformed tuning file ({exc})") from None
+        raise TuningFileError(f"{path}: malformed {what} ({exc})") from None
     if compiled is not None and not set(thresholds) <= set(compiled.thresholds()):
         raise TuningFileError(
             f"{path}: threshold names do not match the compiled program "
-            f"(stale tuning file?)"
+            f"(stale {what}?)"
         )
     return thresholds
 
@@ -344,9 +352,8 @@ def online_table_doc(tuner) -> dict:
     """The persisted form of an :class:`~repro.tuning.online.OnlineTuner`.
 
     Stamped like a tuning file — program, mode, fusion mode, branching-tree
-    hash, device — plus the enumerated arms (forced branching-tree paths)
-    the per-class statistics index into, so a resumed service can detect
-    that a recompile or flag change invalidated the learned state.
+    hash, device — so a resumed service can detect that a recompile or a
+    flag change invalidated the table.
     """
     compiled = tuner.compiled
     return {
@@ -357,19 +364,16 @@ def online_table_doc(tuner) -> dict:
         "fusion": compiled.fusion,
         "branching_tree": branching_tree_hash(compiled),
         "device": tuner.device.name,
-        "explore_budget": tuner.explore_budget,
-        "arms": [dict(a) for a in tuner.arms],
-        "arms_truncated": tuner.arms_truncated,
-        "classes": tuner.classes_doc(),
+        "classes": tuner.classes(),
     }
 
 
 def save_online_table(path: str, tuner) -> None:
     """Atomically persist an online tuner's shape-class table.
 
-    Called after every explore-path observation, so an acknowledged
-    measurement survives ``kill -9`` — either the previous table or the
-    one including the new observation is on disk, never a torn mix.
+    Called after every class tune, so a tuned class survives ``kill -9``:
+    either the previous table or the one including the new class is on
+    disk, never a torn mix.
     """
     atomic_write_json(path, online_table_doc(tuner), indent=2, sort_keys=True)
 
@@ -378,25 +382,21 @@ def load_online_table(
     path: str,
     compiled: CompiledProgram | None = None,
     device: str | None = None,
-) -> dict:
-    """Read an online shape-class table, verifying it matches ``compiled``.
+) -> dict[str, dict[str, int]]:
+    """Read an online table's ``{shape key: thresholds}``, verifying it
+    matches ``compiled``.
 
-    Raises :class:`TuningFileError` on a malformed file or on any staleness
-    (format, program, fusion mode, branching tree, device) — per-class
-    statistics index arms by position, so resuming a table enumerated from
-    a different branching tree would learn garbage silently.
+    Raises :class:`TuningFileError` on a malformed file (each class's
+    thresholds are checked as :func:`load_thresholds` checks a tuning
+    file's) or on any staleness (format, program, fusion mode, branching
+    tree, device).
     """
     doc = _read(path, "online table", "online-table", _ONLINE_FORMAT)
     _check_identity(doc, path, "online table", compiled, device)
-    try:
-        for key, cdoc in doc.get("classes", {}).items():
-            [int(n) for n in cdoc["plays"]]
-            [float(c) for c in cdoc["total_cost"]]
-            [float(r) for r in cdoc["rewards"]]
-            [[int(a), float(c)] for a, c in cdoc.get("curve", [])]
-            dc = cdoc.get("default_cost")
-            if dc is not None:
-                float(dc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TuningFileError(f"{path}: malformed online table ({exc})") from None
-    return doc
+    classes = doc.get("classes", {})
+    if not isinstance(classes, dict):
+        raise TuningFileError(f"{path}: malformed online table (classes)")
+    return {
+        str(key): _thresholds(th, path, "online table", compiled)
+        for key, th in classes.items()
+    }

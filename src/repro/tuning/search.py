@@ -76,10 +76,8 @@ class PatternSearch:
 class AUCBandit:
     """UCB1-style meta-technique over a set of sub-techniques.
 
-    Each arm's reward is 1 when its proposal improved the incumbent
-    (fractional rewards are accepted too — the online tuner feeds
-    cost-normalised values in [0, 1]).  Rewards accumulate over the whole
-    history.  This mirrors OpenTuner's AUC bandit at the granularity we
+    Each arm's reward is 1 when its proposal improved the incumbent.
+    Rewards accumulate over the whole history.  This mirrors OpenTuner's AUC bandit at the granularity we
     need.
     """
 

@@ -1,6 +1,6 @@
 """Shape classes: log-bucketed threshold-relevant dimensions.
 
-The online tuner (:mod:`repro.tuning.online`) must share learned
+The online tuner (:mod:`repro.tuning.online`) must share tuned
 thresholds across the datasets a deployed program actually receives,
 without assuming it has seen the exact sizes before.  The right
 granularity falls out of the branching tree: the only dimensions that
@@ -12,7 +12,7 @@ A dataset's **shape class** is therefore the tuple of log2 buckets of
 each registered threshold's ``Par`` value under the dataset's size
 assignment (registry order).  Two datasets in one class present
 same-magnitude parallelism to every guard, so the profitable code
-version — and hence the learned threshold assignment — is shared.
+version — and hence the tuned threshold assignment — is shared.
 Dimensions that no guard inspects never fragment the table.
 """
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-__all__ = ["log_bucket", "shape_class", "shape_key", "describe_class"]
+__all__ = ["log_bucket", "shape_class", "shape_key"]
 
 
 def log_bucket(value: int) -> int:
@@ -48,13 +48,3 @@ def shape_key(cls: Sequence[int]) -> str:
     compiled body has no threshold guards at all (single-version trees).
     """
     return ".".join(f"b{b}" for b in cls) if cls else "-"
-
-
-def describe_class(compiled, cls: Sequence[int]) -> dict[str, str]:
-    """Human-readable ``{threshold: "Par in [lo, hi]"}`` for telemetry."""
-    out: dict[str, str] = {}
-    for t, b in zip(compiled.registry.items, cls):
-        lo = 0 if b == 0 else 1 << (b - 1)
-        hi = 0 if b == 0 else (1 << b) - 1
-        out[t.name] = f"{t.par} in [{lo}, {hi}]"
-    return out

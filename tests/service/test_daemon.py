@@ -138,8 +138,8 @@ class TestJobs:
             daemon.stop()
 
     def test_online_jobs_observe_and_resume_across_restart(self, tmp):
-        """Identical online submissions are never cache hits — each one is
-        a live observation refining the shared shape-class table — and a
+        """Identical online submissions are never cache hits: the first
+        tunes the shape class, the rest read the shared table — and a
         daemon restart resumes the table from ``<spool>/online/``."""
         job = {"kind": "online", "program": "matmul",
                "sizes": {"n": 4, "m": 8}, "engine": "scalar"}
@@ -151,8 +151,10 @@ class TestJobs:
                 assert res["state"] == "done" and not res["cached"]
                 arts.append(res["artifact"])
             assert arts[0]["kind"] == "online"
-            assert [a["observations"] for a in arts] == [1, 2, 3]
-            assert arts[0]["explored"] and arts[0]["thresholds"] == {}
+            assert [a["classes"] for a in arts] == [1, 1, 1]
+            assert [a["explored"] for a in arts] == [True, False, False]
+            assert arts[0]["thresholds"]
+            assert all(a["thresholds"] == arts[0]["thresholds"] for a in arts)
             # the executed outputs are bit-identical to a plain run job
             # forced down the same decided path
             explicit = dict(job, kind="run", thresholds=arts[-1]["thresholds"])
@@ -160,12 +162,50 @@ class TestJobs:
             assert res["artifact"]["outputs"] == arts[-1]["outputs"]
         finally:
             daemon.stop()
-        daemon2, client2 = start(tmp)  # same spool: warm resume
+        logs: list[str] = []
+        daemon2, client2 = start(tmp, log=logs.append)  # same spool: warm
         try:
             res = client2.result(client2.submit(job)["job"], wait=30)
-            assert res["artifact"]["observations"] == 4
+            assert res["artifact"]["classes"] == 1
+            assert not res["artifact"]["explored"]
+            other = dict(job, sizes={"n": 64, "m": 2})
+            res = client2.result(client2.submit(other)["job"], wait=30)
+            assert res["artifact"]["classes"] == 2
+            assert res["artifact"]["explored"]
         finally:
             daemon2.stop()
+        assert any("resumed 1 class(es)" in line for line in logs)
+
+    def test_malformed_online_table_is_discarded(self, tmp):
+        """A hand-edited table is logged and dropped, not fatal: the job
+        tunes its class afresh and succeeds."""
+        job = {"kind": "online", "program": "matmul",
+               "sizes": {"n": 4, "m": 8}, "engine": "scalar"}
+        daemon, client = start(tmp)
+        try:
+            res = client.result(client.submit(job)["job"], wait=30)
+            assert res["state"] == "done"
+        finally:
+            daemon.stop()
+        online = os.path.join(tmp, "spool", "online")
+        (name,) = os.listdir(online)
+        path = os.path.join(online, name)
+        with open(path) as fh:
+            doc = json.load(fh)
+        for th in doc["classes"].values():
+            th["t0"] = "x"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        logs: list[str] = []
+        daemon2, client2 = start(tmp, log=logs.append)
+        try:
+            res = client2.result(client2.submit(job)["job"], wait=30)
+            assert res["state"] == "done"
+            assert res["artifact"]["explored"]
+            assert res["artifact"]["classes"] == 1
+        finally:
+            daemon2.stop()
+        assert any("discarding stale table" in line for line in logs)
 
     def test_event_stream_parses_in_sequence_order(self, tmp):
         daemon, client = start(tmp)

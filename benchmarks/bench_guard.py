@@ -105,8 +105,8 @@ def _bits(vals) -> tuple:
 
 def _workloads():
     from repro.bench.runner import BULK_BENCHMARKS
-    from repro.cli import _random_inputs
     from repro.compiler import compile_program_cached
+    from repro.request import random_inputs
 
     names = SUITE_SMOKE if _smoke() else tuple(SUITE)
     out = []
@@ -114,7 +114,7 @@ def _workloads():
         spec = BULK_BENCHMARKS[name]
         prog = spec.program()
         sizes = SUITE[name]
-        inputs = _random_inputs(prog, sizes, SEED)
+        inputs = random_inputs(prog, sizes, SEED)
         cp = compile_program_cached(prog, "incremental")
         out.append((name, cp, inputs))
     return out

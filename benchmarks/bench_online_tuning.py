@@ -381,7 +381,7 @@ def run() -> dict:
         "jittered": _jittered_rows(),
         "counters": {
             k: v for k, v in sorted(perf.snapshot()["counters"].items())
-            if k.startswith(("online.", "exec.dispatch"))
+            if k.startswith("online.")
         },
     }
     with open(_out_path(), "w") as fh:

@@ -11,6 +11,7 @@ from typing import Callable
 
 from repro.bench.programs import MODULES
 from repro.bench.programs.matmul import matmul_sizes
+from repro.request import RequestError, builtin_name
 
 __all__ = [
     "TABLE1",
@@ -75,19 +76,20 @@ def training_datasets(name: str) -> list[dict[str, int]]:
     """Built-in training datasets for any benchmark (case-insensitive).
 
     Table 1 benchmarks get their D1/D2 pair, matmul a small Fig. 2 sweep,
-    LocVolCalib the small+medium §5.2 datasets.  Raises :class:`ValueError`
-    for an unknown benchmark — used by ``repro profile``/``repro tune`` and
-    the chaos differential (:mod:`repro.check.chaos`).
+    LocVolCalib the small+medium §5.2 datasets.  Raises
+    :class:`~repro.request.RequestError` (a :class:`ValueError`) for a
+    name with none — the default of ``repro tune``/``profile``/``submit``
+    (:func:`repro.request.tune_datasets`) and the chaos differential's
+    datasets (:mod:`repro.check.chaos`).
     """
-    low = name.lower()
-    for key in TABLE1:
-        if key.lower() == low:
-            return [table1_sizes(key, d) for d in TABLE1[key]]
-    if low == "matmul":
+    key = builtin_name(name)
+    if key in TABLE1:
+        return [table1_sizes(key, d) for d in TABLE1[key]]
+    if key == "matmul":
         return [matmul_sizes(e, 20) for e in (2, 6, 10)]
-    if low == "locvolcalib":
-        return [_sizes_fn("LocVolCalib")(n) for n in ("small", "medium")]
-    raise ValueError(
+    if key == "LocVolCalib":
+        return [_sizes_fn(key)(n) for n in ("small", "medium")]
+    raise RequestError(
         f"no built-in datasets for {name!r}: pass --dataset n=...,m=..."
     )
 

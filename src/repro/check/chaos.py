@@ -38,6 +38,7 @@ from repro.bench.datasets import training_datasets
 from repro.compiler import CompiledProgram, compile_program
 from repro.gpu import K40
 from repro.gpu.device import DeviceSpec
+from repro.request import builtin_program
 from repro.tuning.tuner import Autotuner
 from repro.tuning import persist
 
@@ -209,7 +210,7 @@ def chaos_tune_check(
             reports.append(rep)
             continue
         datasets = training_datasets(name)
-        cp = compile_program(_program(name), "incremental")
+        cp = compile_program(builtin_program(name), "incremental")
         base_th, base_tel = _tune_docs(
             cp, datasets, device, seed, proposals, batch_size
         )
@@ -235,16 +236,6 @@ def chaos_tune_check(
         )
         reports.append(rep)
     return reports
-
-
-def _program(name: str):
-    from repro.check.differential import builtin_programs
-
-    progs = builtin_programs()
-    key = next((k for k in progs if k.lower() == name.lower()), None)
-    if key is None:
-        raise KeyError(f"unknown benchmark program {name!r}")
-    return progs[key]()
 
 
 def _diff_detail(base_th: str, th: str, base_tel: str, tel: str) -> str:

@@ -25,18 +25,18 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro import config
+from repro.bench.programs import MODULES
 from repro.check.validate import ValidationError
 from repro.compiler import compile_program
 from repro.flatten import branching_trees
 from repro.flatten.versions import BranchNode
 from repro.interp import run_program
 from repro.ir.builder import Program
-from repro.ir.types import ArrayType
+from repro.request import MODES, builtin_name, builtin_program, random_inputs
 
 __all__ = [
     "FORCE_TRUE",
     "FORCE_FALSE",
-    "MODES",
     "ENGINES",
     "FUSIONS",
     "CHECK_DATASETS",
@@ -44,15 +44,11 @@ __all__ = [
     "ModeResult",
     "DatasetResult",
     "ProgramReport",
-    "builtin_programs",
-    "make_inputs",
     "bit_equal",
     "enumerate_forced_paths",
     "differential_check",
     "check_all",
 ]
-
-MODES = ("moderate", "incremental", "full")
 
 #: engines and fusion modes checked by default: both fusion legs are
 #: compared against the same unfused source-program reference, so passing
@@ -95,40 +91,7 @@ CHECK_DATASETS: dict[str, tuple[dict[str, int], ...]] = {
 }
 
 
-def builtin_programs() -> dict[str, Callable[[], Program]]:
-    """Name -> constructor for every built-in benchmark program."""
-    from repro.bench.programs import MODULES, program_constructor
-
-    return {name: program_constructor(name) for name in MODULES}
-
-
-# -- inputs and comparison ---------------------------------------------------
-
-
-def make_inputs(
-    prog: Program, sizes: Mapping[str, int], seed: int = 0
-) -> dict[str, object]:
-    """Deterministic random inputs for ``prog`` under a size assignment.
-
-    Float arrays are standard-normal; integer arrays draw from 0..3 (small
-    enough to stay valid for index-like inputs such as LavaMD's neighbour
-    lists, whose check datasets keep ``numBoxes ≥ 4``); scalar parameters
-    are taken from ``sizes``.
-    """
-    rng = np.random.default_rng(seed)
-    inputs: dict[str, object] = {}
-    for name, t in prog.params:
-        if isinstance(t, ArrayType):
-            shape = tuple(d.eval(sizes) for d in t.shape)
-            if t.elem.is_float:
-                inputs[name] = rng.standard_normal(shape).astype(
-                    np.float32 if t.elem.nbytes == 4 else np.float64
-                )
-            else:
-                inputs[name] = rng.integers(0, 4, shape).astype(np.int64)
-        else:
-            inputs[name] = sizes.get(name, 1)
-    return inputs
+# -- comparison --------------------------------------------------------------
 
 
 def bit_equal(a, b) -> bool:
@@ -331,7 +294,7 @@ def differential_check(
         ds = DatasetResult(sizes=dict(sizes), seed=seed + ds_index)
         report.datasets.append(ds)
         try:
-            inputs = make_inputs(prog, sizes, seed=ds.seed)
+            inputs = random_inputs(prog, sizes, ds.seed)
             ref = run_program(prog, inputs, sizes=sizes)
         except Exception as ex:  # noqa: BLE001 - reported, not raised
             ds.error = f"{type(ex).__name__}: {ex}"
@@ -435,22 +398,17 @@ def check_all(
     engines: Sequence[str] = ENGINES,
     fusions: Sequence[str] = FUSIONS,
 ) -> list[ProgramReport]:
-    """Run the differential check over (a subset of) the built-in benchmarks."""
-    progs = builtin_programs()
-    wanted = list(names) if names else list(progs)
+    """Run the differential check over (a subset of) the built-in benchmarks.
+
+    Raises :class:`~repro.request.RequestError` for a name that is not a
+    built-in benchmark."""
     reports = []
-    for name in wanted:
-        key = next((k for k in progs if k.lower() == name.lower()), None)
-        if key is None:
-            raise KeyError(f"unknown benchmark program {name!r}")
-        prog = progs[key]()
-        datasets = CHECK_DATASETS.get(key)
-        if datasets is None:
-            raise KeyError(f"no check datasets registered for {key!r}")
+    for name in names or MODULES:
+        prog = builtin_program(name)
         reports.append(
             differential_check(
                 prog,
-                datasets,
+                CHECK_DATASETS[builtin_name(name)],
                 modes=modes,
                 seed=seed,
                 max_paths=max_paths,

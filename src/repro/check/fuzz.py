@@ -19,7 +19,6 @@ from typing import Sequence
 from repro.check.differential import (
     ENGINES,
     FUSIONS,
-    MODES,
     ProgramReport,
     differential_check,
 )
@@ -30,6 +29,7 @@ from repro.check.genprog import (
     shrink_recipe,
 )
 from repro.ir.traverse import reset_fresh_names
+from repro.request import MODES
 
 __all__ = ["FuzzFailure", "FuzzReport", "check_recipe", "load_corpus", "run_fuzz"]
 

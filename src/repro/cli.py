@@ -20,8 +20,8 @@ Commands
   report the measured wall time alongside the modeled time.
 * ``tune PROG --dataset n=...,m=... [--dataset ...] [--device D]
   [--technique bandit|random|hillclimb|exhaustive] [--batch-size B]
-  [--time-budget S] [--proposal-timeout S] [--retries N] [--backoff S]
-  [--checkpoint-every N] [--resume]`` — autotune thresholds.
+  [--time-budget S] [--checkpoint-every N] [--resume]`` — autotune
+  thresholds; transient faults are retried on the fault plan's policy.
   ``--batch-size`` is a search parameter: proposals in one batch are
   drawn before any of them is fed back, so it changes the result.
   With ``--output`` the run checkpoints its measurements to
@@ -96,45 +96,33 @@ import os
 import sys
 from dataclasses import replace
 
-from repro import config
+from repro import config, request
 
 __all__ = ["main", "UserError"]
 
 
 class UserError(Exception):
-    """A problem with what the user asked for (bad program name, malformed
-    file, mismatched device, ...).  :func:`main` reports these as a single
-    line on stderr and exit code 2 — the same code argparse uses for bad
-    flags — distinguishing them from check failures (1) and crashes."""
-
-
-_DEVICES = None
-
-
-def _devices():
-    global _DEVICES
-    if _DEVICES is None:
-        from repro.gpu import K40, VEGA64
-
-        _DEVICES = {"K40": K40, "Vega64": VEGA64, "VEGA64": VEGA64}
-    return _DEVICES
+    """A problem with what the user asked for (malformed file, mismatched
+    device, ...).  :func:`main` reports these — and the shared
+    :class:`~repro.request.RequestError` (unknown program, sizes the
+    program cannot run) — as a single line on stderr and exit code 2, the
+    same code argparse uses for bad flags, distinguishing them from check
+    failures (1) and crashes."""
 
 
 def _resolve_program(name: str):
-    from repro.bench.programs import MODULES, program_constructor
-
-    for key in MODULES:
-        if key.lower() == name.lower():
-            return program_constructor(key)()
-    if os.path.exists(name):
+    """A built-in benchmark, else a program source file.  Only the CLI
+    reads files: the daemon never opens a path a client names."""
+    if request.builtin_name(name) is None and os.path.exists(name):
         from repro.parser import parse_program
 
         with open(name) as fh:
             return parse_program(fh.read())
-    raise UserError(
-        f"unknown program {name!r}: not a built-in benchmark "
-        f"({', '.join(MODULES)}) and not a file"
-    )
+    return request.builtin_program(name)
+
+
+#: the shared input generator, under the name perfbench imports
+_random_inputs = request.random_inputs
 
 
 def _parse_kv(items: list[str] | None) -> dict[str, int]:
@@ -153,52 +141,6 @@ def _parse_kv(items: list[str] | None) -> dict[str, int]:
                     f"expected an integer value in {part!r}"
                 ) from None
     return out
-
-
-def _check_sizes(prog, sizes: dict[str, int], flag: str = "--size") -> None:
-    """User-supplied size bindings must cover the program's size variables
-    (extras are allowed: scalar parameters are bound the same way) and be
-    non-negative."""
-    missing = sorted(prog.size_vars() - sizes.keys())
-    if missing:
-        raise UserError(
-            f"{prog.name} needs {flag} value(s) for "
-            f"{', '.join(missing)} (got: {', '.join(sorted(sizes)) or 'none'})"
-        )
-    negative = [f"{k}={v_}" for k, v_ in sorted(sizes.items()) if v_ < 0]
-    if negative:
-        raise UserError(f"{flag} values must be non-negative: {', '.join(negative)}")
-
-
-def _check_runnable(prog, sizes: dict[str, int]) -> None:
-    """A run needs every array input non-empty (a zero loop bound is fine)."""
-    empty = prog.empty_inputs(sizes)
-    if empty:
-        raise UserError(
-            f"--size gives {prog.name} an input with a zero extent: "
-            f"{'; '.join(empty)}"
-        )
-
-
-def _random_inputs(prog, sizes: dict[str, int], seed: int):
-    import numpy as np
-
-    from repro.ir.types import ArrayType
-
-    rng = np.random.default_rng(seed)
-    inputs = {}
-    for name, t in prog.params:
-        if isinstance(t, ArrayType):
-            shape = tuple(d.eval(sizes) for d in t.shape)
-            if t.elem.is_float:
-                inputs[name] = rng.standard_normal(shape).astype(
-                    np.float32 if t.elem.nbytes == 4 else np.float64
-                )
-            else:
-                inputs[name] = rng.integers(0, 4, shape).astype(np.int64)
-        else:
-            inputs[name] = sizes.get(name, 1)
-    return inputs
 
 
 def cmd_list(_args) -> int:
@@ -242,31 +184,31 @@ def cmd_run(args) -> int:
 
     prog = _resolve_program(args.program)
     sizes = _parse_kv(args.size)
-    _check_sizes(prog, sizes)
-    _check_runnable(prog, sizes)
+    request.check_runnable(prog, sizes)
     cp = compile_program(prog, args.mode)
-    inputs = _random_inputs(prog, sizes, args.seed)
+    inputs = request.random_inputs(prog, sizes, args.seed)
     th = _parse_kv(args.threshold)
-    tuner = None
     if args.online:
         if th:
             raise UserError("--online and --threshold are mutually exclusive")
+        from repro.interp.evaluator import program_env
         from repro.tuning.online import OnlineTuner
 
-        device = _devices()[args.device]
-        tuner = OnlineTuner(cp, device, table_path=args.online)
+        tuner = OnlineTuner(cp, request.device(args.device),
+                            table_path=args.online)
         if os.path.exists(args.online):
             tuner.load(args.online)
-        outs = cp.run(inputs, online=tuner, sizes=sizes)
-        d = tuner.last_decision
+        # the class of the sizes the run binds: unbound scalar
+        # parameters take the value their random input has
+        d = tuner.dispatch(program_env(prog, inputs, sizes)[1])
+        th = d.thresholds
         print(
             f"online: shape={d.shape} "
             f"{'explore' if d.explored else 'exploit'} "
             f"thresholds={d.thresholds} "
             f"classes={len(tuner.classes())}"
         )
-    else:
-        outs = cp.run(inputs, thresholds=th or None, sizes=sizes)
+    outs = cp.run(inputs, thresholds=th or None, sizes=sizes)
     for i, out in enumerate(outs):
         if hasattr(out, "shape"):
             print(f"result[{i}]: shape={out.shape} dtype={out.dtype}")
@@ -283,10 +225,11 @@ def cmd_simulate(args) -> int:
 
     prog = _resolve_program(args.program)
     sizes = _parse_kv(args.size)
-    _check_sizes(prog, sizes)
     if args.exec:
-        _check_runnable(prog, sizes)
-    device = _devices()[args.device]
+        request.check_runnable(prog, sizes)
+    else:
+        request.check_sizes(prog, sizes)
+    device = request.device(args.device)
     cp = compile_program(prog, args.mode)
     th = _parse_kv(args.threshold)
     if args.tuning:
@@ -307,7 +250,7 @@ def cmd_simulate(args) -> int:
     if args.exec:
         import time as _time
 
-        inputs = _random_inputs(prog, sizes, 0)
+        inputs = request.random_inputs(prog, sizes, 0)
         t0 = _time.perf_counter()
         cp.run(inputs, thresholds=th or None, engine=args.exec)
         wall = _time.perf_counter() - t0
@@ -329,20 +272,11 @@ def cmd_tune(args) -> int:
     prog = _resolve_program(args.program)
     datasets = [_parse_kv([d]) for d in args.dataset]
     for ds in datasets:
-        _check_sizes(prog, ds, flag="--dataset")
-    if not datasets:
-        if args.resume or args.output:
-            try:
-                from repro.bench.datasets import training_datasets
-
-                datasets = training_datasets(prog.name)
-            except ValueError:
-                raise UserError(
-                    "tune needs at least one --dataset n=...,m=..."
-                ) from None
-        else:
-            raise UserError("tune needs at least one --dataset n=...,m=...")
-    device = _devices()[args.device]
+        request.check_sizes(prog, ds, "--dataset")
+    if not (datasets or args.resume or args.output):
+        raise UserError("tune needs at least one --dataset n=...,m=...")
+    datasets = request.tune_datasets(prog.name, datasets)
+    device = request.device(args.device)
     cp = compile_program(prog, "incremental")
     if args.technique == "exhaustive":
         try:
@@ -377,9 +311,6 @@ def cmd_tune(args) -> int:
             technique=args.technique,
             time_budget_s=args.time_budget,
             batch_size=args.batch_size,
-            proposal_timeout_s=args.proposal_timeout,
-            retries=args.retries,
-            backoff_s=args.backoff,
             checkpoint_path=ckpt,
             checkpoint_every=args.checkpoint_every,
         )
@@ -470,16 +401,6 @@ def cmd_figures(args) -> int:
     return 0
 
 
-def _default_datasets(name: str) -> list[dict[str, int]]:
-    """Built-in training datasets for a benchmark (profile convenience)."""
-    from repro.bench.datasets import training_datasets
-
-    try:
-        return training_datasets(name)
-    except ValueError as exc:
-        raise UserError(str(exc)) from None
-
-
 def cmd_profile(args) -> int:
     """Trace the whole pipeline for one program and summarise it."""
     from repro import obs, perf
@@ -488,12 +409,12 @@ def cmd_profile(args) -> int:
     from repro.tuning import Autotuner
 
     prog = _resolve_program(args.program)
-    datasets = [_parse_kv([d]) for d in args.dataset] or _default_datasets(
-        prog.name
+    datasets = request.tune_datasets(
+        prog.name, [_parse_kv([d]) for d in args.dataset]
     )
     for ds in datasets:
-        _check_sizes(prog, ds, flag="--dataset")
-    device = _devices()[args.device]
+        request.check_sizes(prog, ds, "--dataset")
+    device = request.device(args.device)
 
     cp = compile_program(prog, args.mode)
     code = generate_opencl(cp)
@@ -519,7 +440,7 @@ def cmd_profile(args) -> int:
     if args.exec:
         import time as _time
 
-        inputs = _random_inputs(prog, datasets[0], args.seed)
+        inputs = request.random_inputs(prog, datasets[0], args.seed)
         t0 = _time.perf_counter()
         cp.run(inputs, thresholds=res.best_thresholds, engine=args.exec)
         wall = _time.perf_counter() - t0
@@ -562,7 +483,7 @@ def cmd_check(args) -> int:
     from repro.check import check_all, run_fuzz
 
     names = args.programs or None
-    modes = tuple(args.mode) if args.mode else ("moderate", "incremental", "full")
+    modes = tuple(args.mode) if args.mode else request.MODES
     if args.exec == "all":
         engines = ("scalar", "vector", "codegen")
     elif args.exec == "both":
@@ -572,13 +493,10 @@ def cmd_check(args) -> int:
     fusions = config.FUSIONS if args.fusions == "both" else (args.fusions,)
     # --fuzz alone fuzzes only; naming programs or --all checks them too
     fuzz_only = args.fuzz and not names and not args.all
-    try:
-        reports = [] if fuzz_only else check_all(
-            names, modes=modes, seed=args.seed, max_paths=args.max_paths,
-            engines=engines, fusions=fusions,
-        )
-    except KeyError as ex:
-        raise UserError(ex.args[0]) from None
+    reports = [] if fuzz_only else check_all(
+        names, modes=modes, seed=args.seed, max_paths=args.max_paths,
+        engines=engines, fusions=fusions,
+    )
     ok = True
     for rep in reports:
         status = "ok" if rep.ok else "FAIL"
@@ -625,8 +543,6 @@ def cmd_check(args) -> int:
             chaos_reports = chaos_tune_check(
                 args.programs or None, seed=args.seed
             )
-        except KeyError as ex:
-            raise UserError(ex.args[0]) from None
         except Exception as ex:
             # a crash in the harness itself is NOT a differential
             # divergence: report it as a usage/infrastructure error
@@ -713,18 +629,11 @@ def _submit_spec(args) -> dict:
     else:
         job["program"] = args.program
     if args.kind == "tune":
-        datasets = [_parse_kv([d]) for d in args.dataset]
-        if not datasets:
-            try:
-                from repro.bench.datasets import training_datasets
-
-                datasets = [dict(d) for d in training_datasets(args.program)]
-            except ValueError:
-                raise UserError(
-                    "submit needs at least one --dataset n=...,m=..."
-                ) from None
         job.update(
-            datasets=datasets, device=args.device, technique=args.technique,
+            datasets=request.tune_datasets(
+                args.program, [_parse_kv([d]) for d in args.dataset]
+            ),
+            device=args.device, technique=args.technique,
             proposals=args.proposals, seed=args.seed,
             batch_size=args.batch_size,
         )
@@ -911,7 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("show", help="compile and print target code")
     sp.add_argument("program")
     sp.add_argument("--mode", default="incremental",
-                    choices=("moderate", "incremental", "full"))
+                    choices=request.MODES)
     fusion_flag(sp)
     sp.add_argument("--tree", action="store_true", help="print branching tree")
     sp.add_argument("--trace", help="write a Chrome-trace JSON file")
@@ -919,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
     rp = sub.add_parser("run", help="run on random inputs (interpreter)")
     rp.add_argument("program")
     rp.add_argument("--mode", default="incremental",
-                    choices=("moderate", "incremental", "full"))
+                    choices=request.MODES)
     fusion_flag(rp)
     rp.add_argument("--size", action="append", help="size binding n=4")
     rp.add_argument("--threshold", action="append", help="threshold t0=128")
@@ -928,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="choose thresholds with the online tuner, "
                     "persisting its shape-class table to this file "
                     "(docs/online-tuning.md)")
-    rp.add_argument("--device", default="K40", choices=("K40", "Vega64"),
+    rp.add_argument("--device", default="K40", choices=request.DEVICES,
                     help="device model an online class tune simulates")
     rp.add_argument("--exec", dest="engine", default=None, choices=config.ENGINES,
                     help="executor (default: REPRO_EXEC or scalar)")
@@ -942,11 +851,11 @@ def build_parser() -> argparse.ArgumentParser:
     mp = sub.add_parser("simulate", help="estimate run time on a device model")
     mp.add_argument("program")
     mp.add_argument("--mode", default="incremental",
-                    choices=("moderate", "incremental", "full"))
+                    choices=request.MODES)
     fusion_flag(mp)
     mp.add_argument("--size", action="append", help="size binding n=4096")
     mp.add_argument("--threshold", action="append")
-    mp.add_argument("--device", default="K40", choices=("K40", "Vega64"))
+    mp.add_argument("--device", default="K40", choices=request.DEVICES)
     mp.add_argument("--kernels", action="store_true", help="per-kernel stats")
     mp.add_argument("--tuning", help="read thresholds from a .tuning file")
     mp.add_argument("--exec", default=None, choices=config.ENGINES,
@@ -962,23 +871,15 @@ def build_parser() -> argparse.ArgumentParser:
                     help="one dataset: n=4096,m=32 (repeatable; with "
                     "--output/--resume defaults to the benchmark's "
                     "built-in training datasets)")
-    tp.add_argument("--device", default="K40", choices=("K40", "Vega64"))
+    tp.add_argument("--device", default="K40", choices=request.DEVICES)
     tp.add_argument("--technique", default="bandit",
-                    choices=("bandit", "random", "hillclimb", "exhaustive"))
+                    choices=(*request.TECHNIQUES, "exhaustive"))
     tp.add_argument("--proposals", type=int, default=300)
     tp.add_argument("--seed", type=int, default=0)
     tp.add_argument("--batch-size", type=int, default=1,
                     help=BATCH_SIZE_HELP)
     tp.add_argument("--time-budget", type=float, default=None, metavar="S",
                     help="wall-clock budget for the search (seconds)")
-    tp.add_argument("--proposal-timeout", type=float, default=None,
-                    metavar="S", help="watchdog deadline per proposal "
-                    "(a timeout counts as a transient fault)")
-    tp.add_argument("--retries", type=int, default=None,
-                    help="transient-fault retries per proposal "
-                    "(default: the fault plan's policy, or 8)")
-    tp.add_argument("--backoff", type=float, default=None, metavar="S",
-                    help="base retry backoff in seconds (doubles per attempt)")
     tp.add_argument("--checkpoint-every", type=int, default=10, metavar="N",
                     help="checkpoint the search every N proposals "
                     "(needs --output; see docs/robustness.md)")
@@ -1011,7 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--max-paths", type=int, default=4096,
                     help="cap on forced paths per (program, mode, dataset)")
     cp.add_argument("--mode", action="append",
-                    choices=("moderate", "incremental", "full"),
+                    choices=request.MODES,
                     help="restrict to a flattening mode (repeatable)")
     cp.add_argument("--seed", type=int, default=0)
     cp.add_argument("--exec", default="all",
@@ -1044,12 +945,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pp.add_argument("program")
     pp.add_argument("--mode", default="incremental",
-                    choices=("moderate", "incremental", "full"))
+                    choices=request.MODES)
     fusion_flag(pp)
     pp.add_argument("--dataset", action="append", default=[],
                     help="one dataset: n=4096,m=32 (repeatable; "
                     "defaults to the benchmark's built-in datasets)")
-    pp.add_argument("--device", default="K40", choices=("K40", "Vega64"))
+    pp.add_argument("--device", default="K40", choices=request.DEVICES)
     pp.add_argument("--proposals", type=int, default=48,
                     help="tuner proposals for the traced tuning run")
     pp.add_argument("--seed", type=int, default=0)
@@ -1099,16 +1000,16 @@ def build_parser() -> argparse.ArgumentParser:
     sb.add_argument("--kind", default="tune",
                     choices=("tune", "compile", "run", "online"))
     sb.add_argument("--mode", default="incremental",
-                    choices=("moderate", "incremental", "full"))
+                    choices=request.MODES)
     sb.add_argument("--tenant", default="default")
     sb.add_argument("--priority", default="normal",
                     choices=("high", "normal"))
     sb.add_argument("--dataset", action="append", default=[],
                     help="tune: one dataset n=4096,m=32 (repeatable; "
                     "defaults to the benchmark's training datasets)")
-    sb.add_argument("--device", default="K40", choices=("K40", "Vega64"))
+    sb.add_argument("--device", default="K40", choices=request.DEVICES)
     sb.add_argument("--technique", default="bandit",
-                    choices=("bandit", "random", "hillclimb"))
+                    choices=request.TECHNIQUES)
     sb.add_argument("--proposals", type=int, default=300)
     sb.add_argument("--seed", type=int, default=0)
     sb.add_argument("--batch-size", type=int, default=1,
@@ -1210,7 +1111,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run_command(args)
-    except (UserError, config.ConfigError) as exc:
+    except (UserError, request.RequestError, config.ConfigError) as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

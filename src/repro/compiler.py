@@ -82,8 +82,6 @@ class CompiledProgram:
     compile_seconds: float = 0.0
     #: (sizes, device, thresholds, sim options) -> CostReport memo
     _sim_memo: dict = field(default_factory=dict, repr=False, compare=False)
-    #: sorted size assignment -> shape class memo (online dispatch hot path)
-    _shape_memo: dict = field(default_factory=dict, repr=False, compare=False)
     #: (engine, sizes, dtype signature, config) -> batched evaluator that
     #: has compiled ``body`` (:func:`repro.exec.run_batched`, LRU)
     _evaluators: dict = field(default_factory=dict, repr=False, compare=False)
@@ -95,7 +93,6 @@ class CompiledProgram:
         inputs: Mapping[str, object],
         thresholds: Mapping[str, int] | None = None,
         engine: str | None = None,
-        online=None,
         sizes: Mapping[str, int] | None = None,
     ):
         """Execute with value semantics.
@@ -114,52 +111,13 @@ class CompiledProgram:
         only executes; ``thresholds`` are written into the kept evaluator,
         as the paper's versions are selected at run time.
         ``REPRO_NO_CACHE=1`` compiles on every call.
-
-        ``online`` accepts an :class:`~repro.tuning.online.OnlineTuner`:
-        the dataset's shape class selects the thresholds (the class is
-        tuned on its first item).  Online choices are threshold
-        assignments of the same branching tree, so results stay
-        bit-identical to passing them explicitly.  Mutually exclusive
-        with ``thresholds``.
         """
-        if online is not None:
-            if thresholds is not None:
-                raise ValueError(
-                    "pass either explicit thresholds or online=, not both"
-                )
-            from repro.interp.evaluator import program_env
-
-            _env, all_sizes = program_env(self.prog, inputs, sizes)
-            thresholds = online.dispatch(all_sizes).thresholds or None
         from repro.interp.evaluator import run_program
 
         return run_program(
             self.prog, inputs, body=self.body, thresholds=thresholds,
             sizes=sizes, engine=engine, memo=self._evaluators,
         )
-
-    def shape_class(self, sizes: Mapping[str, int]) -> tuple[int, ...]:
-        """The dataset's shape class (see :mod:`repro.tuning.shapes`).
-
-        Memoized on the size assignment so steady-state online dispatch
-        re-derives no threshold ``Par`` evaluations: a repeated shape is
-        one dict lookup (``exec.dispatch.memo_hits`` proves it).
-        Disabled by ``REPRO_NO_CACHE=1`` like every cache.
-        """
-        perf.inc("exec.dispatch")
-        key = tuple(sorted(sizes.items()))
-        if perf.caching_enabled():
-            hit = self._shape_memo.get(key)
-            if hit is not None:
-                perf.inc("exec.dispatch.memo_hits")
-                return hit
-            perf.inc("exec.dispatch.memo_misses")
-        from repro.tuning.shapes import shape_class
-
-        cls = shape_class(self, dict(key))
-        if perf.caching_enabled():
-            self._shape_memo[key] = cls
-        return cls
 
     def simulate(
         self,

@@ -45,7 +45,7 @@ TRANSIENT_KINDS = ("launch", "device_lost", "timeout")
 DETERMINISTIC_KINDS = ("oom",)
 #: process-level kinds: process_kill hard-exits the current process (for
 #: kill/--resume tests); delay sleeps without failing (exercises wall-clock
-#: watchdogs)
+#: budgets such as ``repro tune --time-budget``)
 FAULT_KINDS = TRANSIENT_KINDS + DETERMINISTIC_KINDS + ("process_kill", "delay")
 
 

@@ -44,11 +44,10 @@ from repro.ir.target import EMPTY_CTX, Binding, Ctx
 from repro.ir.traverse import contains_parallel, free_vars, fresh_name, rename_vars
 from repro.ir.typecheck import TypeError_, typeof, typeof1
 from repro.ir.types import ArrayType, Type, array_of
+from repro.request import MODES
 from repro.sizes import size_prod
 
 __all__ = ["Flattener", "FlattenError", "MODES"]
-
-MODES = ("moderate", "incremental", "full")
 
 
 class FlattenError(Exception):

@@ -56,7 +56,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import socket
 import threading
@@ -64,7 +63,7 @@ import time
 from collections import OrderedDict
 from typing import Any
 
-from repro import config, perf
+from repro import config, perf, request
 from repro.exec import guard
 from repro.obs import trace as obs
 from repro.service.jobs import (
@@ -73,7 +72,6 @@ from repro.service.jobs import (
     JobSpecError,
     Spool,
     artifact_key,
-    demote_engine,
     id_order,
     normalize_spec,
 )
@@ -88,40 +86,6 @@ COMPILE_MEMO_MAX = 32
 
 class JobCancelled(Exception):
     """Raised inside a running job's progress callback to interrupt it."""
-
-
-def _resolve_program(spec: dict):
-    """The job's program: a built-in benchmark or submitted source text."""
-    if spec.get("source"):
-        from repro.parser import parse_program
-
-        return parse_program(spec["source"])
-    name = spec["program"]
-    from repro.bench.programs import MODULES, program_constructor
-
-    for key in MODULES:
-        if key.lower() == str(name).lower():
-            return program_constructor(key)()
-    raise JobSpecError(
-        f"unknown program {name!r} (built-ins: {', '.join(MODULES)})"
-    )
-
-
-def _device(name: str):
-    from repro.gpu import K40, VEGA64
-
-    return {"K40": K40, "Vega64": VEGA64}[name]
-
-
-def _check_sizes(prog, sizes: dict, what: str) -> None:
-    missing = sorted(prog.size_vars() - sizes.keys())
-    if missing:
-        raise JobSpecError(f"{what} must bind size(s) {', '.join(missing)}")
-
-
-def _json_cost(cost: float) -> float | None:
-    # progress events are strict JSON; an unmeasured best is null, not inf
-    return cost if isinstance(cost, (int, float)) and math.isfinite(cost) else None
 
 
 def _output_digests(outs) -> list[dict]:
@@ -168,8 +132,8 @@ class ServiceDaemon:
         )
         self.queue = FairShareQueue(max_depth=max_depth, retry_after_s=retry_after_s)
         #: sustained queue wait (EWMA) above this sheds normal-priority
-        #: submissions and demotes admitted jobs' engine one tier;
-        #: recovery at half the watermark (hysteresis, no flapping)
+        #: submissions; recovery at half the watermark (hysteresis, no
+        #: flapping)
         self.shed_watermark_s = float(shed_watermark_s)
         self._shed_active = False
         self._shed_lock = threading.Lock()
@@ -443,8 +407,7 @@ class ServiceDaemon:
                 obs.instant("service.shed", cat="service", wait_s=round(wait, 3))
                 self._log(
                     f"overloaded (queue wait {wait:.3f}s >= "
-                    f"{self.shed_watermark_s:g}s): shedding normal priority, "
-                    f"demoting admitted jobs' engine"
+                    f"{self.shed_watermark_s:g}s): shedding normal priority"
                 )
             return self._shed_active
 
@@ -464,28 +427,19 @@ class ServiceDaemon:
         priority = str(req.get("priority") or "normal")
         try:
             spec = normalize_spec(req.get("job"), self.result_affecting)
-            if spec["kind"] in ("run", "online"):
-                self._check_runnable(spec)
-        except JobSpecError as exc:
+            self._check_request(spec)
+        except request.RequestError as exc:
             perf.inc("service.jobs.rejected")
             self._send(wr, {"ok": False, "code": 400, "error": str(exc)})
             return
-        engine_demoted = False
-        if self._shedding():
+        if self._shedding() and priority != "high":
             # overloaded: shed normal priority deterministically (the 503
-            # mirror of the 429 queue-full path), demote what is admitted
-            if priority != "high":
-                perf.inc("service.jobs.shed")
-                self._send(wr, {"ok": False, "code": 503, "error": "overloaded",
-                                "wait_ewma_s": round(self.queue.wait_ewma(), 6),
-                                "retry_after_s": self.queue.retry_after_s})
-                return
-            if spec.get("engine") is not None:
-                demoted_to = demote_engine(spec["engine"])
-                if demoted_to != spec["engine"]:
-                    engine_demoted = True
-                    spec = {**spec, "engine": demoted_to}
-                    perf.inc("service.jobs.engine_demoted")
+            # mirror of the 429 queue-full path)
+            perf.inc("service.jobs.shed")
+            self._send(wr, {"ok": False, "code": 503, "error": "overloaded",
+                            "wait_ewma_s": round(self.queue.wait_ewma(), 6),
+                            "retry_after_s": self.queue.retry_after_s})
+            return
         try:
             with self._id_lock:
                 self._next_id += 1
@@ -494,9 +448,6 @@ class ServiceDaemon:
             perf.inc("service.jobs.rejected")
             self._send(wr, {"ok": False, "code": 400, "error": str(exc)})
             return
-        queued: dict[str, Any] = {"tenant": tenant, "priority": priority}
-        if engine_demoted:
-            queued.update(engine_demoted=True, engine=spec["engine"])
         # the job's one durable write before its terminal one, made before
         # a runner can start it: a restart finds every job that was
         # running or whose id a client heard
@@ -506,7 +457,7 @@ class ServiceDaemon:
             # until `queued` is logged keeps `started` from preceding it
             with job.events_lock:
                 depth = self.queue.put(tenant, priority, job)
-                job.emit("queued", depth=depth, **queued)
+                job.emit("queued", depth=depth, tenant=tenant, priority=priority)
         except (QueueFull, RuntimeError) as exc:
             try:
                 os.unlink(self.spool.record_path(job.id))  # refused: no record
@@ -524,11 +475,8 @@ class ServiceDaemon:
         with self._jobs_lock:
             self.jobs[job.id] = job
         perf.inc("service.jobs.submitted")
-        reply = {"ok": True, "job": job.id, "state": "queued", "depth": depth}
-        if engine_demoted:
-            reply["engine_demoted"] = True
-            reply["engine"] = spec["engine"]
-        self._send(wr, reply)
+        self._send(wr, {"ok": True, "job": job.id, "state": "queued",
+                        "depth": depth})
         if req.get("stream"):
             self._stream_events(job, wr)
 
@@ -651,27 +599,28 @@ class ServiceDaemon:
         )
         return (*ident, spec["mode"], spec["fusion"])
 
-    def _check_runnable(self, spec: dict) -> None:
-        """Refuse a run or online job whose sizes no engine can run: a
-        missing size, or an array input with a zero extent."""
+    def _check_request(self, spec: dict) -> None:
+        """Refuse a job no runner can serve (:mod:`repro.request`): an
+        unknown program, a tune dataset that misses or negates a size, or
+        run sizes that do, or that give an input a zero extent."""
         # a lock-free read: the lock is held across whole compiles
         hit = self._compiled_memo.get(self._program_key(spec))
         if hit is not None:
             prog = hit[0]
         elif spec["source"]:
+            from repro.parser import parse_program
+
             try:
-                prog = _resolve_program(spec)
+                prog = parse_program(spec["source"])
             except Exception:  # noqa: BLE001 - the runner reports bad source
                 return
         else:
-            prog = _resolve_program(spec)
-        _check_sizes(prog, spec["sizes"], "'sizes'")
-        empty = prog.empty_inputs(spec["sizes"])
-        if empty:
-            raise JobSpecError(
-                f"'sizes' gives {prog.name} an input with a zero extent: "
-                f"{'; '.join(empty)}"
-            )
+            prog = request.builtin_program(spec["program"])
+        if spec["kind"] == "tune":
+            for ds in spec["datasets"]:
+                request.check_sizes(prog, ds, "'datasets'")
+        elif spec["kind"] in ("run", "online"):
+            request.check_runnable(prog, spec["sizes"], "'sizes'")
 
     def _compiled(self, spec: dict) -> tuple:
         """``(prog, cp, branching-tree hash)`` for a normalised spec.
@@ -688,7 +637,12 @@ class ServiceDaemon:
 
         def build() -> tuple:
             perf.inc("service.compile.miss")
-            prog = _resolve_program(spec)
+            if spec["source"]:
+                from repro.parser import parse_program
+
+                prog = parse_program(spec["source"])
+            else:
+                prog = request.builtin_program(spec["program"])
             cp = compile_program(prog, spec["mode"], fusion=spec["fusion"])
             return prog, cp, branching_tree_hash(cp)
 
@@ -716,7 +670,7 @@ class ServiceDaemon:
         # evaluator memo is shared on purpose: it is bounded, and a run job
         # for the same (program, sizes, engine) only executes the closures
         # an earlier job compiled
-        cp = dataclasses.replace(shared, _sim_memo={}, _shape_memo={})
+        cp = dataclasses.replace(shared, _sim_memo={})
         if spec["kind"] == "online":
             # never cached: a submission may tune its shape class, and
             # its thresholds depend on the table, not on the spec alone
@@ -747,11 +701,10 @@ class ServiceDaemon:
     def _execute_tune(self, job: Job, cp) -> tuple[dict, int]:
         from repro.tuning import Autotuner
         from repro.tuning import persist
+        from repro.tuning.tuner import _json_cost
 
         spec = job.spec
-        for ds in spec["datasets"]:
-            _check_sizes(cp.prog, ds, "each dataset")
-        device = _device(spec["device"])
+        device = request.device(spec["device"])
         ckpt = self.spool.ckpt_path(job.id)
         tuner = Autotuner(cp, spec["datasets"], device,
                           seed=spec["seed"], noise=spec["noise"])
@@ -819,11 +772,8 @@ class ServiceDaemon:
         return payload, 0
 
     def _execute_run(self, job: Job, prog, cp) -> tuple[dict, int]:
-        from repro.cli import _random_inputs
-
         spec = job.spec
-        _check_sizes(prog, spec["sizes"], "'sizes'")
-        inputs = _random_inputs(prog, spec["sizes"], spec["seed"])
+        inputs = request.random_inputs(prog, spec["sizes"], spec["seed"])
         outs = cp.run(inputs, thresholds=spec["thresholds"] or None,
                       engine=spec["engine"], sizes=spec["sizes"])
         payload = {
@@ -867,19 +817,19 @@ class ServiceDaemon:
     def _execute_online(self, job: Job, prog, cp, tree: str) -> tuple[dict, int]:
         """Run with online threshold dispatch; a dispatch that tunes its
         class counts as one evaluated proposal, a table lookup as zero."""
-        from repro.cli import _random_inputs
+        from repro.interp.evaluator import program_env
 
         spec = job.spec
-        _check_sizes(prog, spec["sizes"], "'sizes'")
-        device = _device(spec["device"])
-        tuner = self._online_tuner(cp, tree, device)
-        decision = tuner.dispatch(spec["sizes"])
+        tuner = self._online_tuner(cp, tree, request.device(spec["device"]))
+        inputs = request.random_inputs(prog, spec["sizes"], spec["seed"])
+        # the class of the sizes the run binds, as `repro run --online`
+        # dispatches: unbound scalar parameters take their input's value
+        decision = tuner.dispatch(program_env(prog, inputs, spec["sizes"])[1])
         classes = len(tuner.classes())
         job.emit(
             "dispatch", shape=decision.shape, explored=decision.explored,
             thresholds=decision.thresholds, classes=classes,
         )
-        inputs = _random_inputs(prog, spec["sizes"], spec["seed"])
         outs = cp.run(inputs, thresholds=decision.thresholds or None,
                       engine=spec["engine"], sizes=spec["sizes"])
         payload = {

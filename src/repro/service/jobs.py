@@ -38,8 +38,9 @@ import threading
 import time
 from typing import Any, Callable
 
-from repro.config import ENGINES as _ENGINES
+from repro.config import ENGINES
 from repro.ioutil import atomic_write_json
+from repro.request import DEVICES, MODES, TECHNIQUES, RequestError
 from repro.service.queue import PRIORITIES
 from repro.service.store import job_key
 
@@ -49,7 +50,6 @@ __all__ = [
     "TERMINAL_STATES",
     "normalize_spec",
     "fingerprint",
-    "demote_engine",
     "id_order",
     "Job",
     "Spool",
@@ -58,26 +58,20 @@ __all__ = [
 JOB_KINDS = ("tune", "compile", "run", "online")
 TERMINAL_STATES = ("done", "failed", "canceled")
 
-_DEVICES = ("K40", "Vega64")
-_MODES = ("moderate", "incremental", "full")
-_TECHNIQUES = ("bandit", "random", "hillclimb")
 
-
-class JobSpecError(Exception):
+class JobSpecError(RequestError):
     """A submitted job spec is malformed (reported as a 400-style error)."""
 
 
 def _as_sizes(doc: Any, what: str) -> dict[str, int]:
+    """A size object's names and integer values; the daemon checks them
+    against the program at admission (:func:`repro.request.check_sizes`)."""
     if not isinstance(doc, dict) or not doc:
         raise JobSpecError(f"{what} must be a non-empty object of sizes")
     try:
-        sizes = {str(k): int(v) for k, v in doc.items()}
+        return {str(k): int(v) for k, v in doc.items()}
     except (TypeError, ValueError):
         raise JobSpecError(f"{what} must map names to integers") from None
-    negative = [f"{k}={v}" for k, v in sorted(sizes.items()) if v < 0]
-    if negative:
-        raise JobSpecError(f"{what} must be non-negative: {', '.join(negative)}")
-    return sizes
 
 
 def _choice(doc: dict, field: str, allowed: tuple, default: str) -> str:
@@ -113,7 +107,7 @@ def normalize_spec(doc: Any, result_affecting: dict) -> dict:
         "kind": kind,
         "program": str(program) if program else None,
         "source": str(source) if source else None,
-        "mode": _choice(doc, "mode", _MODES, "incremental"),
+        "mode": _choice(doc, "mode", MODES, "incremental"),
         **result_affecting,
     }
     known = {"kind", "program", "source", "mode"}
@@ -123,8 +117,8 @@ def normalize_spec(doc: Any, result_affecting: dict) -> dict:
             raise JobSpecError("tune job needs a non-empty 'datasets' list")
         spec.update(
             datasets=[_as_sizes(d, "dataset") for d in datasets],
-            device=_choice(doc, "device", _DEVICES, "K40"),
-            technique=_choice(doc, "technique", _TECHNIQUES, "bandit"),
+            device=_choice(doc, "device", DEVICES, "K40"),
+            technique=_choice(doc, "technique", TECHNIQUES, "bandit"),
             proposals=int(doc.get("proposals", 300)),
             seed=int(doc.get("seed", 0)),
             noise=float(doc.get("noise", 0.0)),
@@ -142,7 +136,7 @@ def normalize_spec(doc: Any, result_affecting: dict) -> dict:
         spec.update(
             sizes=_as_sizes(doc.get("sizes"), "'sizes'"),
             seed=int(doc.get("seed", 0)),
-            engine=_choice(doc, "engine", _ENGINES, "scalar"),
+            engine=_choice(doc, "engine", ENGINES, "scalar"),
             thresholds={
                 str(k): int(v)
                 for k, v in (doc.get("thresholds") or {}).items()
@@ -153,24 +147,14 @@ def normalize_spec(doc: Any, result_affecting: dict) -> dict:
         spec.update(
             sizes=_as_sizes(doc.get("sizes"), "'sizes'"),
             seed=int(doc.get("seed", 0)),
-            engine=_choice(doc, "engine", _ENGINES, "scalar"),
-            device=_choice(doc, "device", _DEVICES, "K40"),
+            engine=_choice(doc, "engine", ENGINES, "scalar"),
+            device=_choice(doc, "device", DEVICES, "K40"),
         )
         known |= {"sizes", "seed", "engine", "device"}
     unknown = set(doc) - known
     if unknown:
         raise JobSpecError(f"unknown job field(s): {sorted(unknown)}")
     return spec
-
-
-def demote_engine(engine: str) -> str:
-    """One engine tier down (the overloaded daemon's degraded default).
-
-    All engines are bit-identical, so demotion changes job latency and
-    resource profile only — never results.  ``scalar`` is the floor.
-    """
-    idx = _ENGINES.index(engine) if engine in _ENGINES else 0
-    return _ENGINES[max(0, idx - 1)]
 
 
 def fingerprint(spec: dict, tree_hash: str) -> str:

@@ -7,9 +7,8 @@ shape class to thresholds and fills it from the stream itself:
 
 1. **Classify.**  The incoming dataset is mapped to its shape class —
    log2 buckets of every threshold-relevant dimension, derived from the
-   branching tree (:mod:`repro.tuning.shapes`).  The fingerprint is
-   memoized on the :class:`~repro.compiler.CompiledProgram`, so a
-   repeated shape is one dict lookup.
+   branching tree (:mod:`repro.tuning.shapes`): one ``Par`` evaluation
+   per threshold, no search.
 2. **Look up.**  A class already in the table is served its thresholds:
    no search, no simulation (``online.dispatch.exploit``).
 3. **Tune.**  A class's first item runs
@@ -38,7 +37,7 @@ from typing import Mapping
 from repro import faults, perf
 from repro.obs import trace as obs
 from repro.tuning.exhaustive import exhaustive_tune
-from repro.tuning.shapes import shape_key
+from repro.tuning.shapes import shape_class, shape_key
 from repro.tuning.tuner import PENALTY_COST, TuningResult
 
 __all__ = ["OnlineTuner", "OnlineDecision"]
@@ -76,7 +75,8 @@ class OnlineTuner:
 
     def dispatch(self, sizes: Mapping[str, int]) -> OnlineDecision:
         """Choose thresholds for one incoming dataset, tuning its shape
-        class first if the table has no entry for it."""
+        class first if the table has no entry for it.  The caller runs
+        the dataset with ``CompiledProgram.run(thresholds=...)``."""
         with self._lock:
             decision = self._dispatch(dict(sizes))
             self.last_decision = decision
@@ -84,7 +84,7 @@ class OnlineTuner:
 
     def _dispatch(self, sizes: dict[str, int]) -> OnlineDecision:
         perf.inc("online.dispatch")
-        key = shape_key(self.compiled.shape_class(sizes))
+        key = shape_key(shape_class(self.compiled, sizes))
         frozen = self._classes.get(key)
         if frozen is not None:
             perf.inc("online.dispatch.exploit")

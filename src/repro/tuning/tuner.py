@@ -23,12 +23,12 @@ path: :meth:`~Autotuner._evaluate` reads the caches and simulates on a
 miss without writing tuner state (the fault boundary), and
 :meth:`~Autotuner._commit` does the accounting, in proposal order.
 :meth:`~Autotuner._attempt` wraps the two in the failure policy
-(``docs/robustness.md``): quarantine, watchdog, transient-fault retries.
+(``docs/robustness.md``): quarantine and transient-fault retries, on the
+active fault plan's retry budget.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 import random
 import time as _time
@@ -196,8 +196,6 @@ class Autotuner:
         # deterministically failing configurations, never re-evaluated:
         # sorted-items key -> (thresholds, reason)
         self._quarantine: dict[tuple, tuple[dict[str, int], str]] = {}
-        # lazy single-thread watchdog for per-proposal timeouts
-        self._watchdog: concurrent.futures.ThreadPoolExecutor | None = None
 
     # -- measurement -----------------------------------------------------------
 
@@ -275,53 +273,15 @@ class Autotuner:
             perf.inc("tuner.simulations")
         return times
 
-    def _timed_eval(
-        self, thresholds: Mapping[str, int], timeout_s: float
-    ) -> Evaluation:
-        """:meth:`_evaluate` under a wall-clock watchdog.
-
-        A proposal overrunning ``timeout_s`` raises
-        :class:`~repro.faults.KernelTimeoutFault` (transient, so the retry
-        policy applies).  The overrun evaluation keeps running in its
-        watchdog thread — threads cannot be killed — so the watchdog is
-        abandoned and a fresh one is built for the next proposal; stray
-        completions only warm process-global caches, which is harmless."""
-        if self._watchdog is None:
-            self._watchdog = concurrent.futures.ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="tuner-watchdog"
-            )
-        fut = self._watchdog.submit(self._evaluate, thresholds)
-        try:
-            return fut.result(timeout=timeout_s)
-        except concurrent.futures.TimeoutError:
-            fut.cancel()
-            self._watchdog.shutdown(wait=False)
-            self._watchdog = None
-            raise faults.KernelTimeoutFault(
-                f"proposal exceeded its {timeout_s}s deadline"
-            ) from None
-
-    def _close_watchdog(self) -> None:
-        if self._watchdog is not None:
-            self._watchdog.shutdown(wait=False)
-            self._watchdog = None
-
-    def _attempt(
-        self,
-        thresholds: Mapping[str, int],
-        timeout_s: float | None,
-        retries: int,
-        backoff_s: float,
-    ) -> list[float] | None:
+    def _attempt(self, thresholds: Mapping[str, int]) -> list[float] | None:
         """Measure and commit one configuration under the failure policy.
 
         Returns its per-dataset times, or ``None`` when it cannot be
         measured.  Deterministic faults fail at once (same configuration,
-        same fault — retrying is wasted work); transient faults (injected,
-        or a watchdog timeout past ``timeout_s``) are retried up to
-        ``retries`` times with exponential ``backoff_s``.  A configuration
-        that fails is quarantined and never evaluated again; the caller
-        scores it :data:`PENALTY_COST`."""
+        same fault — retrying is wasted work); transient faults are
+        retried under :func:`_retry_policy`.  A configuration that fails
+        is quarantined and never evaluated again; the caller scores it
+        :data:`PENALTY_COST`."""
         if self._quarantine and (
             tuple(sorted(thresholds.items())) in self._quarantine
         ):
@@ -329,14 +289,12 @@ class Autotuner:
         attempt = 0
         while True:
             try:
-                if timeout_s is None:
-                    evaluated = self._evaluate(thresholds)
-                else:
-                    evaluated = self._timed_eval(thresholds, timeout_s)
+                evaluated = self._evaluate(thresholds)
             except faults.DeterministicFault as exc:
                 reason = str(exc)
                 break
             except faults.TransientFault as exc:
+                retries, backoff_s = _retry_policy()
                 attempt += 1
                 self.retries += 1
                 perf.inc("tuner.retries")
@@ -367,7 +325,7 @@ class Autotuner:
         """Cost of one configuration, via the duplicate-path cache, under
         the active fault plan's retry policy; :data:`PENALTY_COST` (and
         quarantine) when it cannot be measured."""
-        times = self._attempt(thresholds, None, *_retry_policy())
+        times = self._attempt(thresholds)
         return PENALTY_COST if times is None else self.cost_fn(times)
 
     # -- checkpoints and quarantine ----------------------------------------------
@@ -414,9 +372,6 @@ class Autotuner:
         technique: str = "bandit",
         time_budget_s: float | None = None,
         batch_size: int = 1,
-        proposal_timeout_s: float | None = None,
-        retries: int | None = None,
-        backoff_s: float | None = None,
         checkpoint_path: str | None = None,
         checkpoint_every: int = 10,
         progress: Callable[[int, float], None] | None = None,
@@ -440,11 +395,9 @@ class Autotuner:
         Robustness (``docs/robustness.md``): every proposal — and the
         default-configuration fallback when no proposal was measured —
         goes through the one evaluation path that :meth:`measure` uses
-        too.  ``proposal_timeout_s`` puts a wall-clock watchdog on each
-        proposal; a timeout counts as a transient fault.  Transient faults
-        are retried up to ``retries`` times with exponential ``backoff_s``
-        (both default to the active fault plan's policy, or 8 retries / no
-        backoff without one); configurations failing deterministically —
+        too.  Transient faults are retried on the active fault plan's
+        policy (8 retries and no backoff without a plan); configurations
+        failing deterministically —
         or out of retry budget — score :data:`PENALTY_COST`, are
         quarantined, and are never re-evaluated.  ``checkpoint_path``
         atomically persists recoverable state every ``checkpoint_every``
@@ -458,7 +411,6 @@ class Autotuner:
         (after the final checkpoint), which is how job cancellation
         interrupts a running search without losing its measurements.
         """
-        retries, backoff_s = _retry_policy(retries, backoff_s)
         deadline = (
             _time.monotonic() + time_budget_s
             if time_budget_s is not None
@@ -487,88 +439,80 @@ class Autotuner:
             )
             last_checkpoint = proposals
 
-        try:
-            with perf.timer("tune"), obs.span(
-                "tune", cat="tuner",
-                program=self.compiled.prog.name, technique=technique,
-                max_proposals=max_proposals, batch_size=batch_size,
-                datasets=len(self.datasets),
-            ) as tsp:
-                while proposals < max_proposals:
-                    if deadline is not None and _time.monotonic() >= deadline:
-                        deadline_hit = True
-                        break
-                    # the batch-granular fault site: plans target it with
-                    # process_kill (the kill/--resume round-trip) or delay
-                    faults.check("tuner.batch")
-                    batch: list[dict[str, int]] = []
-                    while (
-                        len(batch) < batch_size
-                        and proposals + len(batch) < max_proposals
-                    ):
-                        if proposals + len(batch) == 0:
-                            batch.append(self.space.default_config())
-                        else:
-                            batch.append(tech.propose(self.space, self.rng, best_cfg))
-                    with obs.span("tuner.eval_batch", cat="tuner",
-                                  size=len(batch)):
-                        all_times = [
-                            self._attempt(cfg, proposal_timeout_s, retries, backoff_s)
-                            for cfg in batch
-                        ]
-                    for cfg, times in zip(batch, all_times):
-                        with obs.span("tuner.proposal", cat="tuner") as psp:
-                            cost = (
-                                self.cost_fn(times)
-                                if times is not None
-                                else PENALTY_COST
-                            )
-                            proposals += 1
-                            full_history.append((dict(cfg), cost))
-                            improved = cost < best_cost
-                            tech.feedback(improved)
-                            if improved:
-                                best_cfg, best_cost = dict(cfg), cost
-                                history.append((proposals, cost))
-                            psp["proposal"] = proposals
-                            psp["cost"] = cost if times is not None else "penalty"
-                            psp["improved"] = improved
-                            psp["best_cost"] = _json_cost(best_cost)
-                            psp["thresholds"] = dict(cfg)
-                            if times is None:
-                                psp["failed"] = True
-                    checkpoint()
-                    if progress is not None:
-                        try:
-                            progress(proposals, best_cost)
-                        except BaseException:
-                            # a cancelling callback must not lose this
-                            # batch's measurements: checkpoint, then let
-                            # the exception interrupt the search
-                            checkpoint(force=True)
-                            raise
-                    if deadline is not None and _time.monotonic() >= deadline:
-                        deadline_hit = True
-                        break
-                tsp["proposals"] = proposals
-                tsp["simulations"] = self.simulations
-                tsp["cache_hits"] = self.cache_hits
+        with perf.timer("tune"), obs.span(
+            "tune", cat="tuner",
+            program=self.compiled.prog.name, technique=technique,
+            max_proposals=max_proposals, batch_size=batch_size,
+            datasets=len(self.datasets),
+        ) as tsp:
+            while proposals < max_proposals:
+                if deadline is not None and _time.monotonic() >= deadline:
+                    deadline_hit = True
+                    break
+                # the batch-granular fault site: plans target it with
+                # process_kill (the kill/--resume round-trip) or delay
+                faults.check("tuner.batch")
+                batch: list[dict[str, int]] = []
+                while (
+                    len(batch) < batch_size
+                    and proposals + len(batch) < max_proposals
+                ):
+                    if proposals + len(batch) == 0:
+                        batch.append(self.space.default_config())
+                    else:
+                        batch.append(tech.propose(self.space, self.rng, best_cfg))
+                with obs.span("tuner.eval_batch", cat="tuner",
+                              size=len(batch)):
+                    all_times = [self._attempt(cfg) for cfg in batch]
+                for cfg, times in zip(batch, all_times):
+                    with obs.span("tuner.proposal", cat="tuner") as psp:
+                        cost = (
+                            self.cost_fn(times)
+                            if times is not None
+                            else PENALTY_COST
+                        )
+                        proposals += 1
+                        full_history.append((dict(cfg), cost))
+                        improved = cost < best_cost
+                        tech.feedback(improved)
+                        if improved:
+                            best_cfg, best_cost = dict(cfg), cost
+                            history.append((proposals, cost))
+                        psp["proposal"] = proposals
+                        psp["cost"] = cost if times is not None else "penalty"
+                        psp["improved"] = improved
+                        psp["best_cost"] = _json_cost(best_cost)
+                        psp["thresholds"] = dict(cfg)
+                        if times is None:
+                            psp["failed"] = True
+                checkpoint()
+                if progress is not None:
+                    try:
+                        progress(proposals, best_cost)
+                    except BaseException:
+                        # a cancelling callback must not lose this
+                        # batch's measurements: checkpoint, then let
+                        # the exception interrupt the search
+                        checkpoint(force=True)
+                        raise
+                if deadline is not None and _time.monotonic() >= deadline:
+                    deadline_hit = True
+                    break
+            tsp["proposals"] = proposals
+            tsp["simulations"] = self.simulations
+            tsp["cache_hits"] = self.cache_hits
 
-            if best_cfg is None:
-                # nothing was measured (the deadline struck first, or every
-                # proposal failed): fall back to the defaults, and account
-                # the fallback like any other proposal
-                best_cfg = self.space.default_config()
-                times = self._attempt(
-                    best_cfg, proposal_timeout_s, retries, backoff_s
-                )
-                best_cost = PENALTY_COST if times is None else self.cost_fn(times)
-                proposals += 1
-                full_history.append((dict(best_cfg), best_cost))
-                history.append((proposals, best_cost))
-                checkpoint(force=True)
-        finally:
-            self._close_watchdog()
+        if best_cfg is None:
+            # nothing was measured (the deadline struck first, or every
+            # proposal failed): fall back to the defaults, and account
+            # the fallback like any other proposal
+            best_cfg = self.space.default_config()
+            times = self._attempt(best_cfg)
+            best_cost = PENALTY_COST if times is None else self.cost_fn(times)
+            proposals += 1
+            full_history.append((dict(best_cfg), best_cost))
+            history.append((proposals, best_cost))
+            checkpoint(force=True)
         return TuningResult(
             best_thresholds=best_cfg,
             best_cost=best_cost,
@@ -584,14 +528,8 @@ class Autotuner:
         )
 
 
-def _retry_policy(
-    retries: int | None = None, backoff_s: float | None = None
-) -> tuple[int, float]:
-    """Fill unset retry settings from the active fault plan's policy, or
-    8 retries and no backoff without a plan."""
+def _retry_policy() -> tuple[int, float]:
+    """(retries, base backoff in seconds) for a transient fault: the
+    active fault plan's policy, or 8 retries and no backoff without one."""
     plan = faults.active_plan()
-    if retries is None:
-        retries = plan.retries if plan is not None else 8
-    if backoff_s is None:
-        backoff_s = plan.backoff_s if plan is not None else 0.0
-    return retries, backoff_s
+    return (plan.retries, plan.backoff_s) if plan is not None else (8, 0.0)

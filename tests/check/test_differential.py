@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.bench.programs import MODULES
 from repro.check.differential import (
     CHECK_DATASETS,
     bit_equal,
-    builtin_programs,
     differential_check,
     enumerate_forced_paths,
     FORCE_FALSE,
@@ -14,6 +14,7 @@ from repro.check.differential import (
 )
 from repro.compiler import compile_program
 from repro.flatten.versions import BranchNode
+from repro.request import builtin_program
 
 
 def test_enumerate_single_node():
@@ -98,13 +99,12 @@ def test_bit_equal_is_exact():
 
 
 def test_every_builtin_has_check_datasets():
-    progs = builtin_programs()
-    assert set(CHECK_DATASETS) == set(progs)
+    assert set(CHECK_DATASETS) == set(MODULES)
 
 
 @pytest.mark.parametrize("name", ["matmul", "NW"])
 def test_differential_check_passes(name):
-    prog = builtin_programs()[name]()
+    prog = builtin_program(name)
     report = differential_check(prog, CHECK_DATASETS[name][:1])
     assert report.ok
     assert report.paths_checked > 0
@@ -114,7 +114,7 @@ def test_differential_check_passes(name):
 
 def test_differential_check_catches_divergence():
     """A deliberately broken compiled body must be reported, not masked."""
-    prog = builtin_programs()["matmul"]()
+    prog = builtin_program("matmul")
     cp = compile_program(prog, "incremental")
 
     report = differential_check(prog, CHECK_DATASETS["matmul"][:1])

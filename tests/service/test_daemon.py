@@ -176,6 +176,29 @@ class TestJobs:
             daemon2.stop()
         assert any("resumed 1 class(es)" in line for line in logs)
 
+    def test_online_job_dispatches_as_repro_run_online(self, tmp, capsys):
+        """The daemon classifies the sizes the run binds, as ``repro run
+        --online`` does: a scalar parameter the job leaves out (LocVolCalib's
+        ``numT``) takes its random input's value instead of failing the
+        class tune."""
+        from repro.cli import main
+
+        sizes = {"numS": 2, "numX": 8, "numY": 8}
+        assert main(["run", "LocVolCalib", "--size", "numS=2,numX=8,numY=8",
+                     "--online", os.path.join(tmp, "t.json")]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        daemon, client = start(tmp)
+        try:
+            res = client.result(client.submit(
+                {"kind": "online", "program": "LocVolCalib", "sizes": sizes}
+            )["job"], wait=30)
+        finally:
+            daemon.stop()
+        assert res["state"] == "done", res.get("error")
+        art = res["artifact"]
+        assert line == (f"online: shape={art['shape']} explore "
+                        f"thresholds={art['thresholds']} classes=1")
+
     def test_malformed_online_table_is_discarded(self, tmp):
         """A hand-edited table is logged and dropped, not fatal: the job
         tunes its class afresh and succeeds."""
@@ -317,13 +340,31 @@ class TestJobs:
         events = [json.loads(line)["event"] for line in wr.getvalue().splitlines()]
         assert events == ["queued", "done"]
 
-    def test_unknown_program_fails_the_job(self, tmp):
+    def test_unknown_program_rejected_with_400(self, tmp):
         daemon, client = start(tmp)
         try:
-            reply = client.submit(dict(TUNE, program="no-such-program"))
-            res = client.result(reply["job"], wait=30)
-            assert res["state"] == "failed"
-            assert "no-such-program" in res["error"]
+            for job in (dict(TUNE, program="no-such-program"),
+                        {"kind": "compile", "program": "no-such-program"}):
+                with pytest.raises(ServiceError) as exc:
+                    client.submit(job)
+                assert exc.value.code == 400
+                assert "no-such-program" in str(exc.value)
+            assert not daemon.jobs
+        finally:
+            daemon.stop()
+
+    def test_tune_dataset_missing_a_size_rejected_with_400(self, tmp):
+        """Admission checks every tune dataset, as it checks a run job's
+        sizes: the job is refused before it is queued or spooled."""
+        daemon, client = start(tmp)
+        try:
+            with pytest.raises(ServiceError) as exc:
+                client.submit({"kind": "tune", "program": "matmul",
+                               "datasets": [{"n": 4}]})
+            assert exc.value.code == 400
+            assert "value(s) for m" in str(exc.value)
+            assert not daemon.jobs
+            assert os.listdir(daemon.spool.jobs_dir) == []
         finally:
             daemon.stop()
 

@@ -1,8 +1,8 @@
 """Service health, load shedding, and guard-breaker durability.
 
 In-process daemons cover the ``health`` wire op, the overload-shedding
-admission path (503 + engine demotion), and the drain-path breaker
-flush.  The subprocess test at the end is the acceptance scenario: a
+admission path (503 for normal priority; an admitted job keeps its
+engine), and the drain-path breaker flush.  The subprocess test at the end is the acceptance scenario: a
 daemon whose codegen launches fail persistently completes jobs
 bit-identically via demotion, ``repro health`` reports the tripped
 breaker, and the state survives ``kill -9`` + restart.
@@ -107,14 +107,19 @@ class TestShedding:
         finally:
             daemon.stop()
 
-    def test_high_priority_admitted_with_engine_demoted(self, tmp):
+    def test_high_priority_admitted_with_engine_kept(self, tmp):
+        """Shedding refuses normal priority; what it admits runs on the
+        engine it asked for, so it keys and stores the same artifact."""
         daemon, client = start(tmp, runners=0, shed_watermark_s=0.5)
         try:
             daemon.queue.wait_ewma = lambda: 10.0
             reply = client.submit(RUN, tenant="t1", priority="high")
             assert reply["ok"] and reply["state"] == "queued"
-            assert reply["engine_demoted"] is True
-            assert reply["engine"] == "vector"  # codegen demoted one tier
+            assert "engine_demoted" not in reply and "engine" not in reply
+            job = daemon.jobs[reply["job"]]
+            assert job.spec["engine"] == "codegen"
+            (queued,) = job.events
+            assert queued["event"] == "queued" and "engine" not in queued
         finally:
             daemon.stop()
 

@@ -344,6 +344,16 @@ class TestTune:
         assert exc.value.code == 2
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--proposal-timeout", "5"), ("--retries", "3"), ("--backoff", "0.1"),
+    ])
+    def test_removed_tune_flag_exits_2(self, capsys, flag, value):
+        # a fault plan carries the retry policy; no watchdog remains
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", "matmul", "--dataset", "n=8,m=8", flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
     def test_resume_without_checkpoint_exits_2(self, capsys, tmp_path):
         out_file = tmp_path / "m.tuning"
         code = main(["tune", "matmul", "--dataset", "n=8,m=8",

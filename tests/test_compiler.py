@@ -12,9 +12,7 @@ from repro import config, perf
 from repro.check.differential import (
     CHECK_DATASETS,
     bit_equal,
-    builtin_programs,
     enumerate_forced_paths,
-    make_inputs,
 )
 from repro.compiler import CompiledProgram, compile_program
 from repro.exec import MEMO_MAX
@@ -25,6 +23,7 @@ from repro.ir import source as S
 from repro.ir import target as T
 from repro.ir.builder import Program, f32, i64, if_, iota, map_, op2, redomap_, v
 from repro.ir.types import F32, I64, array_of
+from repro.request import builtin_program, random_inputs
 from repro.sizes import SizeConst, SizeVar
 
 from repro.bench.programs.matmul import matmul_program, matmul_sizes
@@ -206,10 +205,10 @@ class TestEvaluatorMemo:
 
     @pytest.mark.parametrize("name", ["LocVolCalib", "Heston"])
     def test_forced_paths_match_fresh_runs(self, name):
-        prog = builtin_programs()[name]()
+        prog = builtin_program(name)
         cp = compile_program(prog, "incremental")
         sizes = CHECK_DATASETS[name][0]
-        inputs = make_inputs(prog, sizes, seed=3)
+        inputs = random_inputs(prog, sizes, 3)
         paths, _ = enumerate_forced_paths(cp.branching_trees())
         assert len(paths) > 1
         # forward, then backward: the thresholds change between calls
@@ -225,7 +224,7 @@ class TestEvaluatorMemo:
     @pytest.mark.parametrize("engine", ["vector", "codegen"])
     def test_warm_run_compiles_nothing(self, engine):
         cp = compile_program(matmul_program(), "incremental")
-        inputs = make_inputs(cp.prog, dict(n=4, m=8))
+        inputs = random_inputs(cp.prog, dict(n=4, m=8), 0)
         cp.run(inputs, engine=engine)
         before = perf.counters()
         cp.run(inputs, engine=engine, thresholds={"t0": 1})
@@ -235,7 +234,7 @@ class TestEvaluatorMemo:
     def test_no_cache_compiles_every_call(self, configure):
         configure(cache=False)
         cp = compile_program(matmul_program(), "incremental")
-        inputs = make_inputs(cp.prog, dict(n=4, m=8))
+        inputs = random_inputs(cp.prog, dict(n=4, m=8), 0)
         for _ in range(3):
             before = perf.counters()
             cp.run(inputs, engine="vector")
@@ -251,10 +250,10 @@ class TestEvaluatorMemo:
         monkeypatch.setattr(
             guard, "wrap_kernel", lambda *a, **kw: wraps.append(1) or real(*a, **kw)
         )
-        prog = builtin_programs()["Heston"]()
+        prog = builtin_program("Heston")
         cp = compile_program(prog, "incremental")
         sizes = CHECK_DATASETS["Heston"][0]
-        inputs = make_inputs(prog, sizes)
+        inputs = random_inputs(prog, sizes, 0)
         on = cp.run(inputs, engine="codegen", sizes=sizes)
         assert wraps
         wraps.clear()
@@ -276,7 +275,7 @@ class TestEvaluatorMemo:
 
     def test_memo_keeps_the_most_recently_used(self):
         cp = compile_program(matmul_program(), "incremental")
-        inputs = [make_inputs(cp.prog, dict(n=n, m=3)) for n in range(1, MEMO_MAX + 2)]
+        inputs = [random_inputs(cp.prog, dict(n=n, m=3), 0) for n in range(1, MEMO_MAX + 2)]
         for inp in inputs:
             cp.run(inp, engine="vector")
         assert len(cp._evaluators) == MEMO_MAX

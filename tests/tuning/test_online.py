@@ -1,9 +1,9 @@
 """Online threshold tuning: one exhaustive tune per shape class.
 
 The online tuner only ever serves threshold assignments of the compiled
-program's branching tree, so execution under online dispatch must stay
-bit-identical to passing those thresholds explicitly — ``TestBitIdentity``
-checks exactly that, across execution engines.  The rest covers the
+program's branching tree, so a run on a dispatched assignment must stay
+bit-identical to a run on the same thresholds written out —
+``TestBitIdentity`` checks exactly that, across execution engines.  The rest covers the
 per-class tune (it equals an offline exhaustive tune over the class's
 first item, and every later item of the class is a table lookup), its
 failure policy, and the crash-safe table round trip through
@@ -15,15 +15,16 @@ import json
 import numpy as np
 import pytest
 
-from repro import faults, perf
+from repro import faults
 from repro.bench.datasets import table1_sizes
 from repro.bench.programs.matmul import matmul_program
 from repro.bench.programs.nw import nw_program
 from repro.check.differential import enumerate_forced_paths
-from repro.cli import _random_inputs, main
+from repro.cli import main
 from repro.compiler import compile_program
 from repro.exec import guard
 from repro.gpu import K40, VEGA64
+from repro.interp import run_program
 from repro.tuning import (
     OnlineTuner,
     TuningFileError,
@@ -31,8 +32,10 @@ from repro.tuning import (
     load_online_table,
     log_bucket,
     save_online_table,
+    shape_class,
     shape_key,
 )
+from repro.request import random_inputs
 
 NW_D1 = table1_sizes("NW", "D1")
 NW_D2 = table1_sizes("NW", "D2")
@@ -60,22 +63,11 @@ class TestShapeClasses:
         assert log_bucket(2**15 - 1) == 15
 
     def test_shape_key_format(self, nw_if):
-        key = shape_key(nw_if.shape_class(NW_D1))
+        key = shape_key(shape_class(nw_if, NW_D1))
         assert key and all(part.startswith("b") for part in key.split("."))
 
     def test_distinct_datasets_distinct_classes(self, nw_if):
-        assert nw_if.shape_class(NW_D1) != nw_if.shape_class(NW_D2)
-
-    def test_fingerprint_memoized(self, nw_if):
-        perf.reset()
-        nw_if._shape_memo.clear()
-        nw_if.shape_class(NW_D1)
-        for _ in range(5):
-            nw_if.shape_class(NW_D1)
-        counters = perf.snapshot()["counters"]
-        assert counters["exec.dispatch"] == 6
-        assert counters["exec.dispatch.memo_hits"] == 5
-        assert counters["exec.dispatch.memo_misses"] == 1
+        assert shape_class(nw_if, NW_D1) != shape_class(nw_if, NW_D2)
 
 
 class TestDispatch:
@@ -114,7 +106,7 @@ class TestDispatch:
         self, matmul_if, monkeypatch
     ):
         a, b = {"n": 4, "m": 8}, {"n": 5, "m": 8}
-        assert matmul_if.shape_class(a) == matmul_if.shape_class(b)
+        assert shape_class(matmul_if, a) == shape_class(matmul_if, b)
         tuner = OnlineTuner(matmul_if, K40)
         first = tuner.dispatch(a)
         simulations = tuner.simulations
@@ -166,9 +158,8 @@ class TestDispatch:
         """The tune observes the cost model, which never reads guard
         state, so a tripped breaker changes nothing it freezes."""
         sizes = {"n": 4, "m": 8}
-        inputs = _random_inputs(matmul_if.prog, sizes, seed=0)
         healthy = OnlineTuner(matmul_if, K40)
-        matmul_if.run(inputs, online=healthy)
+        healthy.dispatch(sizes)
 
         configure(codegen_cache=str(tmp_path / "kcache"), guard=True,
                   guard_trip=1)
@@ -184,7 +175,7 @@ class TestDispatch:
             (br,) = guard.snapshot()["breakers"]
             assert br["state"] == "open"
             tuner = OnlineTuner(matmul_if, K40)
-            matmul_if.run(inputs, online=tuner)
+            tuner.dispatch(sizes)
         finally:
             guard.reset()
         assert tuner.last_decision.explored
@@ -212,25 +203,21 @@ class TestBitIdentity:
     @pytest.mark.parametrize("engine", ["scalar", "vector", "codegen"])
     def test_online_run_matches_explicit_thresholds(self, matmul_if, engine):
         """Every online decision is a forced path of the same branching
-        tree, so outputs are bit-identical to passing those thresholds
-        explicitly — on every execution engine."""
+        tree: each dispatch of a tuned class returns the thresholds its
+        tune froze, and a run on them is bit-identical to the source
+        program's — on every execution engine."""
         tuner = OnlineTuner(matmul_if, K40)
         sizes = {"n": 3, "m": 4}
-        inputs = _random_inputs(matmul_if.prog, sizes, seed=7)
-        for _ in range(4):
-            got = matmul_if.run(inputs, engine=engine, online=tuner)
-            want = matmul_if.run(
-                inputs, thresholds=tuner.last_decision.thresholds or None,
-                engine=engine,
-            )
+        inputs = random_inputs(matmul_if.prog, sizes, 7)
+        explicit = tuner.dispatch(sizes).thresholds
+        want = run_program(matmul_if.prog, inputs, engine="scalar")
+        for _ in range(3):
+            d = tuner.dispatch(sizes)
+            assert not d.explored and d.thresholds == explicit
+            got = matmul_if.run(inputs, thresholds=d.thresholds or None,
+                                engine=engine)
             for g, w in zip(got, want):
                 assert np.array_equal(np.asarray(g), np.asarray(w))
-
-    def test_online_and_thresholds_mutually_exclusive(self, matmul_if):
-        tuner = OnlineTuner(matmul_if, K40)
-        inputs = _random_inputs(matmul_if.prog, {"n": 2, "m": 2}, seed=0)
-        with pytest.raises(ValueError, match="not both"):
-            matmul_if.run(inputs, thresholds={"t0": 1}, online=tuner)
 
 
 def _saved(tmp_path, nw_if):

@@ -114,10 +114,8 @@ def _resolve_program(name: str):
     """A built-in benchmark, else a program source file.  Only the CLI
     reads files: the daemon never opens a path a client names."""
     if request.builtin_name(name) is None and os.path.exists(name):
-        from repro.parser import parse_program
-
         with open(name) as fh:
-            return parse_program(fh.read())
+            return request.source_program(fh.read(), name)
     return request.builtin_program(name)
 
 

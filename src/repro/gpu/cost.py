@@ -442,13 +442,6 @@ class Simulator:
 
     # ------------------------------------------------------------ kernels --
 
-    def _ctx_env(
-        self, op: T.SegOp, env: dict[str, AVal]
-    ) -> tuple[list[int], dict[str, AVal]]:
-        """Extents of each context level plus the kernel-body environment."""
-        extents, kenv, _ = self._ctx_env_full(op, env)
-        return extents, kenv
-
     def _ctx_env_full(self, op: T.SegOp, env: dict[str, AVal]):
         kenv = dict(env)
         extents: list[int] = []

@@ -367,8 +367,6 @@ def bind_sizes(prog: Program, inputs: Mapping[str, np.ndarray]) -> dict[str, int
         if val.ndim != t.rank:
             raise InterpError(f"{name}: rank mismatch {val.ndim} vs {t.rank}")
         for dim, actual in zip(t.shape, val.shape):
-            for var in dim.free_vars():
-                pass
             # match single-variable dims exactly; check others for consistency
             fv = dim.free_vars()
             if len(fv) == 1 and str(dim) in fv:

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro.ir import source as S
 from repro.ir.source import Exp, ExpLike, Lambda, lift, transpose  # re-export
-from repro.ir.traverse import fresh_name
+from repro.ir.traverse import fresh_name, walk
 from repro.ir.types import BOOL, F32, F64, I32, I64, ArrayType, Type
 from repro.sizes import SizeVar
 
@@ -281,11 +281,20 @@ class Program:
         return dict(self.params)
 
     def size_vars(self) -> frozenset[str]:
+        """The size variables a run must bind: those of the parameter
+        shapes, and those the body reads through ``SizeE`` that no scalar
+        parameter binds."""
         out: set[str] = set()
-        for _, t in self.params:
+        scalars: set[str] = set()
+        for name, t in self.params:
             if isinstance(t, ArrayType):
                 for d in t.shape:
                     out |= d.free_vars()
+            else:
+                scalars.add(name)
+        for e in walk(self.body):
+            if isinstance(e, S.SizeE):
+                out |= e.size.free_vars() - scalars
         return frozenset(out)
 
     def empty_inputs(self, sizes) -> list[str]:

@@ -92,7 +92,6 @@ class Exp:
     """Base class of all expressions (source and target)."""
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
 
     # -- construction sugar -------------------------------------------------
 
@@ -182,7 +181,6 @@ class Lambda:
 
 class Var(Exp):
     __slots__ = ("name",)
-    _fields = ()
 
     def __init__(self, name: str):
         self.name = name
@@ -190,7 +188,6 @@ class Var(Exp):
 
 class Lit(Exp):
     __slots__ = ("value", "type")
-    _fields = ()
 
     def __init__(self, value, type: ScalarType):
         self.value = value
@@ -201,7 +198,6 @@ class TupleExp(Exp):
     """A tuple of (multi-)values; flattens nested multiplicities at typing."""
 
     __slots__ = ("elems",)
-    _fields = ("elems",)
 
     def __init__(self, elems: Iterable[Exp]):
         self.elems = tuple(lift(e) for e in elems)
@@ -209,7 +205,6 @@ class TupleExp(Exp):
 
 class BinOp(Exp):
     __slots__ = ("op", "x", "y")
-    _fields = ("x", "y")
 
     def __init__(self, op: str, x: ExpLike, y: ExpLike):
         if op not in BINOPS:
@@ -221,7 +216,6 @@ class BinOp(Exp):
 
 class UnOp(Exp):
     __slots__ = ("op", "x")
-    _fields = ("x",)
 
     def __init__(self, op: str, x: ExpLike):
         if op not in UNOPS:
@@ -234,7 +228,6 @@ class Let(Exp):
     """``let (x1, ..., xn) = rhs in body``."""
 
     __slots__ = ("names", "rhs", "body")
-    _fields = ("rhs", "body")
 
     def __init__(self, names: Iterable[str], rhs: Exp, body: Exp):
         self.names = tuple(names)
@@ -244,7 +237,6 @@ class Let(Exp):
 
 class If(Exp):
     __slots__ = ("cond", "then", "els")
-    _fields = ("cond", "then", "els")
 
     def __init__(self, cond: Exp, then: Exp, els: Exp):
         self.cond = lift(cond)
@@ -256,7 +248,6 @@ class Index(Exp):
     """``arr[i1, ..., ik]`` — full or partial (row) indexing."""
 
     __slots__ = ("arr", "idxs")
-    _fields = ("arr", "idxs")
 
     def __init__(self, arr: Exp, idxs: Iterable[ExpLike]):
         self.arr = arr
@@ -267,7 +258,6 @@ class Iota(Exp):
     """``iota n = [0, 1, ..., n-1]`` (i64 elements)."""
 
     __slots__ = ("n",)
-    _fields = ("n",)
 
     def __init__(self, n: ExpLike):
         self.n = lift(n)
@@ -277,7 +267,6 @@ class Replicate(Exp):
     """``replicate n x`` — n copies of x as an array."""
 
     __slots__ = ("n", "x")
-    _fields = ("n", "x")
 
     def __init__(self, n: ExpLike, x: ExpLike):
         self.n = lift(n)
@@ -288,7 +277,6 @@ class Rearrange(Exp):
     """``rearrange (d1, ..., dk) arr`` — statically-known dim permutation."""
 
     __slots__ = ("perm", "arr")
-    _fields = ("arr",)
 
     def __init__(self, perm: Iterable[int], arr: Exp):
         self.perm = tuple(perm)
@@ -310,7 +298,6 @@ class Loop(Exp):
     """
 
     __slots__ = ("params", "inits", "ivar", "bound", "body")
-    _fields = ("inits", "bound", "body")
 
     def __init__(
         self,
@@ -339,7 +326,6 @@ class Map(_Soac):
     """``map f xs1 ... xsk`` — f has k params, may return several values."""
 
     __slots__ = ("lam", "arrs")
-    _fields = ("arrs",)
 
     def __init__(self, lam: Lambda, arrs: Iterable[Exp]):
         self.lam = lam
@@ -352,7 +338,6 @@ class Reduce(_Soac):
     """``reduce op nes xs1 ... xsk``; op takes 2k params, returns k values."""
 
     __slots__ = ("lam", "nes", "arrs")
-    _fields = ("nes", "arrs")
 
     def __init__(self, lam: Lambda, nes: Iterable[ExpLike], arrs: Iterable[Exp]):
         self.lam = lam
@@ -368,7 +353,6 @@ class Scan(_Soac):
     """``scan op nes xs1 ... xsk`` — inclusive prefix combination."""
 
     __slots__ = ("lam", "nes", "arrs")
-    _fields = ("nes", "arrs")
 
     def __init__(self, lam: Lambda, nes: Iterable[ExpLike], arrs: Iterable[Exp]):
         self.lam = lam
@@ -384,7 +368,6 @@ class Redomap(_Soac):
     """``redomap op f nes xs…`` ≡ ``reduce op nes (map f xs…)`` (fused)."""
 
     __slots__ = ("red_lam", "map_lam", "nes", "arrs")
-    _fields = ("nes", "arrs")
 
     def __init__(
         self,
@@ -407,7 +390,6 @@ class Scanomap(_Soac):
     """``scanomap op f nes xs…`` ≡ ``scan op nes (map f xs…)`` (fused)."""
 
     __slots__ = ("scan_lam", "map_lam", "nes", "arrs")
-    _fields = ("nes", "arrs")
 
     def __init__(
         self,
@@ -435,7 +417,6 @@ class SizeE(Exp):
     """
 
     __slots__ = ("size",)
-    _fields = ()
 
     def __init__(self, size):
         from repro.sizes import size as _size
@@ -453,7 +434,6 @@ class Intrinsic(Exp):
     """
 
     __slots__ = ("name", "args")
-    _fields = ("args",)
 
     def __init__(self, name: str, args: Iterable[Exp]):
         self.name = name

@@ -110,7 +110,6 @@ class SegOp(Exp):
     """Base of the parallel target constructs."""
 
     __slots__ = ("level", "ctx")
-    _fields = ()
 
     def __init__(self, level: int, ctx: Ctx):
         if level < 0:
@@ -120,16 +119,11 @@ class SegOp(Exp):
         self.level = level
         self.ctx = ctx
 
-    def total_par(self) -> SizeExpr:
-        """Degree of parallelism of this construct alone (its context)."""
-        return self.ctx.par()
-
 
 class SegMap(SegOp):
     """``segmap^l Σ e`` — perfect map nest with body ``e``."""
 
     __slots__ = ("body",)
-    _fields = ("body",)
 
     def __init__(self, level: int, ctx: Ctx, body: Exp):
         super().__init__(level, ctx)
@@ -145,7 +139,6 @@ class SegRed(SegOp):
     """
 
     __slots__ = ("lam", "nes", "body")
-    _fields = ("nes", "body")
 
     def __init__(self, level: int, ctx: Ctx, lam: Lambda, nes: Iterable[ExpLike], body: Exp):
         super().__init__(level, ctx)
@@ -160,7 +153,6 @@ class SegScan(SegOp):
     """``segscan^l Σ ⊙ d̄ e`` — map nest whose innermost level scans."""
 
     __slots__ = ("lam", "nes", "body")
-    _fields = ("nes", "body")
 
     def __init__(self, level: int, ctx: Ctx, lam: Lambda, nes: Iterable[ExpLike], body: Exp):
         super().__init__(level, ctx)
@@ -180,7 +172,6 @@ class ParCmp(Exp):
     """
 
     __slots__ = ("par", "threshold")
-    _fields = ()
 
     def __init__(self, par: SizeExpr, threshold: str):
         self.par = par

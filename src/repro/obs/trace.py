@@ -130,12 +130,6 @@ class Tracer:
         with self._lock:
             return [sp for sp in self.spans if sp.name == name]
 
-    def categories(self) -> set[str]:
-        with self._lock:
-            return {sp.cat for sp in self.spans} | {
-                sp.cat for sp in self.instants
-            }
-
 
 # -- the process-global active tracer ---------------------------------------
 

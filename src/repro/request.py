@@ -9,9 +9,10 @@ exist.  A malformed request raises :class:`RequestError`: the CLI reports
 it as exit 2, the daemon as ``400``.
 
 Reading a program from a file is not here: only the CLI does that, and
-the daemon never opens a path a client names.  Importing this module
-loads no other module of the package, so ``import repro.cli`` stays
-cheap; the program modules, NumPy and the device models load on first
+the daemon never opens a path a client names; both parse the source they
+get through :func:`source_program`.  Importing this module loads no
+other module of the package, so ``import repro.cli`` stays cheap; the
+program modules, the parser, NumPy and the device models load on first
 use.
 """
 
@@ -30,6 +31,7 @@ __all__ = [
     "check_runnable",
     "device",
     "random_inputs",
+    "source_program",
     "tune_datasets",
 ]
 
@@ -65,6 +67,19 @@ def builtin_program(name: str):
             f"({', '.join(MODULES)})"
         )
     return program_constructor(key)()
+
+
+def source_program(text: str, origin: str):
+    """The program source ``text`` defines; ``origin`` names the source in
+    the error (a path, or the request field it came in)."""
+    from repro.parser import LexError, ParseError, parse_program
+
+    try:
+        return parse_program(text)
+    except (LexError, ParseError, ValueError) as exc:
+        # ValueError: a node the grammar accepts but cannot build, e.g. a
+        # map lambda whose arity does not match its arrays
+        raise RequestError(f"{origin} does not parse: {exc}") from None
 
 
 def check_sizes(prog, sizes: Mapping[str, int], what: str = "--size") -> None:

@@ -601,19 +601,15 @@ class ServiceDaemon:
 
     def _check_request(self, spec: dict) -> None:
         """Refuse a job no runner can serve (:mod:`repro.request`): an
-        unknown program, a tune dataset that misses or negates a size, or
-        run sizes that do, or that give an input a zero extent."""
+        unknown program, source that does not parse, a tune dataset that
+        misses or negates a size, or run sizes that do, or that give an
+        input a zero extent."""
         # a lock-free read: the lock is held across whole compiles
         hit = self._compiled_memo.get(self._program_key(spec))
         if hit is not None:
             prog = hit[0]
         elif spec["source"]:
-            from repro.parser import parse_program
-
-            try:
-                prog = parse_program(spec["source"])
-            except Exception:  # noqa: BLE001 - the runner reports bad source
-                return
+            prog = request.source_program(spec["source"], "'source'")
         else:
             prog = request.builtin_program(spec["program"])
         if spec["kind"] == "tune":
@@ -638,9 +634,7 @@ class ServiceDaemon:
         def build() -> tuple:
             perf.inc("service.compile.miss")
             if spec["source"]:
-                from repro.parser import parse_program
-
-                prog = parse_program(spec["source"])
+                prog = request.source_program(spec["source"], "'source'")
             else:
                 prog = request.builtin_program(spec["program"])
             cp = compile_program(prog, spec["mode"], fusion=spec["fusion"])

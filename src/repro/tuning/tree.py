@@ -146,11 +146,6 @@ class SignatureEngine:
         self._tree = build(e)
         perf.inc("signature.build_nodes", nodes)
 
-    @property
-    def threshold_names(self) -> tuple[str, ...]:
-        """Threshold names reachable in the tree, in discovery order."""
-        return tuple(self._names)
-
     def config_key(self, thresholds: Mapping[str, int]) -> tuple[int, ...]:
         """``thresholds`` restricted to the names that can affect the path."""
         return tuple(thresholds.get(n, DEFAULT_THRESHOLD) for n in self._names)

@@ -159,6 +159,31 @@ class TestG4:
         assert np.array_equal(a, b)
         assert np.array_equal(a, zss.sum(axis=0))
 
+    @pytest.mark.parametrize("mode, kept", [("moderate", 0), ("incremental", 1), ("full", 0)])
+    def test_g4_fires_under_a_context(self, mode, kept):
+        # map (λzss → reduce (map (+)) (replicate k 0) zss) arr3d: G4 must
+        # interchange the inner reduce although a map context surrounds it.
+        # Only incremental mode keeps one, in its sequential e_top version.
+        vec_op = S.Lambda(
+            ("a", "b"),
+            S.Map(S.Lambda(("x", "y"), S.Var("x") + S.Var("y")),
+                  (S.Var("a"), S.Var("b"))),
+        )
+        e = map_(
+            lambda zss: S.Reduce(vec_op, [replicate(S.SizeE("k"), f32(0.0))], (zss,)),
+            v("arr3d"),
+        )
+        out, _ = flat(e, mode)
+        vector_reduces = [
+            n for n in find(out, S.Reduce) if isinstance(n.lam.body, S.Map)
+        ]
+        assert len(vector_reduces) == kept
+        if mode != "incremental":
+            assert [r.level for r in find(out, T.SegRed)] == [1]
+        a3 = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+        ev = Evaluator(sizes={"n": 2, "m": 3, "k": 4})
+        assert np.array_equal(ev.eval1(out, {"arr3d": a3}), a3.sum(axis=1))
+
 
 class TestG5:
     def test_rearrange_of_bound_var(self):

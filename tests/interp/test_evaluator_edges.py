@@ -47,7 +47,7 @@ class TestErrors:
 
     def test_eval_unknown_node_class(self):
         class Bogus(S.Exp):
-            _fields = ()
+            __slots__ = ()
 
         with pytest.raises(InterpError):
             EV.eval(Bogus(), {})

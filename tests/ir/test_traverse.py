@@ -1,18 +1,24 @@
 """Tests for traversal: walk, free variables, substitution, map_children."""
 
+import pytest
+
 from repro.ir import source as S
 from repro.ir import target as T
 from repro.ir.builder import f32, i64, lam, map_, op2, reduce_, v
 from repro.ir.traverse import (
+    _SPEC,
     contains_parallel,
     count_nodes,
     free_vars,
     fresh_name,
+    kernel_fingerprint,
     map_children,
+    push_children,
     rename_vars,
     subst_vars,
     walk,
 )
+from repro.ir.types import I64
 from repro.sizes import SizeVar
 
 
@@ -224,3 +230,79 @@ class TestMapChildren:
         seen = []
         map_children(e, lambda c: (seen.append(type(c).__name__), c)[1])
         assert "BinOp" in seen  # lambda body visited as a child
+
+
+def _concrete_exp_classes() -> list[type]:
+    """Every IR node class of the package that has no subclass there."""
+    out, stack = [], [S.Exp]
+    while stack:
+        cls = stack.pop()
+        subs = [c for c in cls.__subclasses__() if c.__module__.startswith("repro.")]
+        if subs:
+            stack.extend(subs)
+        else:
+            out.append(cls)
+    return sorted(out, key=lambda c: c.__qualname__)
+
+
+def _samples() -> dict[type, S.Exp]:
+    """One node of every class, each with children of its own."""
+    x, y, xs = v("x"), v("y"), v("xs")
+    f = S.Lambda(("a",), v("a") + 1.0)
+    ctx = T.Ctx([T.Binding(("r",), (v("xss"),), SizeVar("n"))])
+    nodes = [
+        x,
+        S.Lit(1, I64),
+        S.SizeE(SizeVar("n")),
+        S.TupleExp([x, y]),
+        S.BinOp("+", x, y),
+        S.UnOp("neg", x),
+        S.Let(("t",), x, v("t") + y),
+        S.If(x.lt(y), x, y),
+        S.Index(xs, (i64(0),)),
+        S.Iota(i64(4)),
+        S.Replicate(i64(3), x),
+        S.Rearrange((1, 0), v("xss")),
+        S.Loop(("acc",), (x,), "i", i64(3), v("acc") + y),
+        S.Map(f, (xs,)),
+        S.Reduce(op2("+"), (f32(0.0),), (xs,)),
+        S.Scan(op2("+"), (f32(0.0),), (xs,)),
+        S.Redomap(op2("+"), f, (f32(0.0),), (xs,)),
+        S.Scanomap(op2("max"), f, (f32(0.0),), (xs,)),
+        S.Intrinsic("tridag", (x, y)),
+        T.SegMap(1, ctx, v("r") * x),
+        T.SegRed(1, ctx, op2("+"), (f32(0.0),), v("r")),
+        T.SegScan(0, ctx, op2("*"), (f32(1.0),), v("r")),
+        T.ParCmp(SizeVar("n"), "t0"),
+    ]
+    return {type(n): n for n in nodes}
+
+
+class TestChildTable:
+    """The child table drives every rebuild: a node class without a row,
+    or with a slot the rebuild cannot see, fails here."""
+
+    @pytest.mark.parametrize("cls", _concrete_exp_classes(), ids=lambda c: c.__name__)
+    def test_class_has_a_row_and_slots(self, cls):
+        assert cls in _SPEC, f"{cls.__name__} has no child-specification row"
+        for k in cls.__mro__[:-1]:
+            assert "__slots__" in vars(k), f"{k.__name__} declares no __slots__"
+        assert cls in _samples(), f"no sample {cls.__name__} node in this test"
+
+    @pytest.mark.parametrize("cls", _concrete_exp_classes(), ids=lambda c: c.__name__)
+    def test_rebuilds_keep_class_and_fingerprint(self, cls):
+        e = _samples()[cls]
+        leaf = not _SPEC[cls]
+        for out in (map_children(e, lambda c: c), subst_vars(e, {"absent": v("q")})):
+            assert type(out) is cls
+            assert (out is e) == leaf
+            assert kernel_fingerprint(out) == kernel_fingerprint(e)
+
+    @pytest.mark.parametrize("cls", _concrete_exp_classes(), ids=lambda c: c.__name__)
+    def test_map_children_visits_in_table_order(self, cls):
+        e = _samples()[cls]
+        seen: list[S.Exp] = []
+        map_children(e, lambda c: seen.append(c) or c)
+        stack: list[S.Exp] = []
+        push_children(e, stack)
+        assert [id(c) for c in seen] == [id(c) for c in reversed(stack)]

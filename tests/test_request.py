@@ -59,6 +59,23 @@ MALFORMED = {
         {"kind": "tune", "program": "matmul", "datasets": [{"n": 4}]},
         "value(s) for m (got: n)",
     ),
+    # sizes only the body reads (through SizeE), not a parameter shape
+    "missing-body-size": (
+        ["run", "OptionPricing", "--size", "numDim=4,numBits=8", "--exec", "vector"],
+        {"kind": "run", "program": "OptionPricing",
+         "sizes": {"numDim": 4, "numBits": 8}},
+        "value(s) for numUnd (got: numBits, numDim)",
+    ),
+    "missing-loop-size": (
+        ["run", "NW", "--size", "nb=2,B=4"],
+        {"kind": "run", "program": "NW", "sizes": {"nb": 2, "B": 4}},
+        "value(s) for numWaves (got: B, nb)",
+    ),
+    "source-does-not-parse": (
+        ["profile", os.devnull],
+        {"kind": "compile", "source": "garbage("},
+        "does not parse",
+    ),
 }
 
 
